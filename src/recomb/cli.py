@@ -31,20 +31,13 @@ from .linalg import (
 from .reproduce import SCOPES, run_scope
 
 
-def _default_threads() -> int:
-    try:
-        return max(1, int(os.environ.get("RECOMB_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def _add_nd(sub, d_help="degree"):
     sub.add_argument("-n", "--arity", type=int, required=True, help="operation arity")
     sub.add_argument("-d", "--degree", type=int, required=True, help=d_help)
 
 
-def _nullspace_vectors(n, d, method, threads):
-    E = build_expansion_matrix(n, d, threads=threads)
+def _nullspace_vectors(n, d, method):
+    E = build_expansion_matrix(n, d)
     if method == "rcf":
         vs = rcf_nullspace(E.array.tolist())
     else:
@@ -57,9 +50,6 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(
         prog="recomb",
         description="Polynomial identities of n-ary intermolecular recombination.")
-    ap.add_argument("--threads", type=int, default=None,
-                    help="worker cap for matrix construction "
-                         "(default: RECOMB_THREADS or 1)")
     sp = ap.add_subparsers(dest="command", required=True)
 
     p_matrix = sp.add_parser("matrix", help="write the expansion matrix")
@@ -91,11 +81,10 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
-    threads = args.threads if args.threads else _default_threads()
 
     try:
         if args.command == "matrix":
-            E = build_expansion_matrix(args.arity, args.degree, threads=threads)
+            E = build_expansion_matrix(args.arity, args.degree)
             text = format_matrix(E.array.tolist())
             if args.out:
                 with open(args.out, "w") as f:
@@ -106,7 +95,7 @@ def main(argv=None) -> int:
 
         if args.command == "nullspace":
             ctx, vs = _nullspace_vectors(args.arity, args.degree,
-                                         args.method, threads)
+                                         args.method)
             norms = [squared_norm(v) for v in vs]
             print(f"nullspace dimension {len(vs)} "
                   f"(arity {args.arity}, degree {args.degree}, {args.method})")
@@ -141,7 +130,7 @@ def main(argv=None) -> int:
         if args.command == "generators":
             p = args.prime or golden.scalars()["default_prime"]
             ctx, vs = _nullspace_vectors(args.arity, args.degree,
-                                         args.basis, threads)
+                                         args.basis)
             if not vs:
                 print("empty nullspace: no identities in this degree")
                 return 0
@@ -166,7 +155,7 @@ def main(argv=None) -> int:
 
         if args.command == "reproduce":
             rep = run_scope(args.scope, mode=args.mode, seed=args.seed,
-                            p=args.prime, threads=threads)
+                            p=args.prime)
             for line in rep.lines():
                 print(line)
             n_hard = sum(1 for c in rep.checks if not c.stretch)

@@ -15,7 +15,6 @@ exactly the integer nullspace vectors of E.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -25,6 +24,8 @@ from .monomials import (
     MultilinearityError,
     get_context,
     is_leaf,
+    row_codes,
+    tree_from,
 )
 
 
@@ -126,35 +127,27 @@ class ExpansionMatrix:
     def shape(self):
         return self.array.shape
 
-    def column_combination(self, j: int) -> dict:
-        col = self.array[:, j]
-        return {self.ctx.slot_tuples[i]: int(c) for i, c in enumerate(col) if c}
 
-
-def build_expansion_matrix(n: int, d: int, threads: int = 1) -> ExpansionMatrix:
+def build_expansion_matrix(n: int, d: int) -> ExpansionMatrix:
     """Expansion matrix for all degree-d monomials; deterministic layout.
 
-    Column construction may be partitioned across threads; the assembled
-    matrix is identical for any thread count.
+    Expansion commutes with relabelling, and monomial j of a type is the
+    type's template (leaves 0..d-1 in order) relabelled by its leaf row lv_j.
+    So each type is expanded once, and column j holds the template's
+    coefficients in the rows of the slot tuples mapped through lv_j.
     """
     ctx = get_context(n, d)
-    rows = len(ctx.slot_tuples)
-    cols = ctx.num_monomials
-    arr = np.zeros((rows, cols), dtype=np.int64)
-    slot_index = ctx.slot_index
-
-    def fill(jlo: int, jhi: int) -> None:
-        memo: dict = {}
-        for j in range(jlo, jhi):
-            for tup, c in expand_monomial(ctx.monomials[j], n, memo).items():
-                arr[slot_index[tup], j] = c
-
-    threads = max(1, int(threads))
-    if threads == 1 or cols < 64:
-        fill(0, cols)
-    else:
-        step = -(-cols // threads)
-        spans = [(j, min(j + step, cols)) for j in range(0, cols, step)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda s: fill(*s), spans))
+    arr = np.zeros((len(ctx.slot_tuples), ctx.num_monomials), dtype=np.int64)
+    if not ctx.slot_tuples:
+        return ExpansionMatrix(ctx, arr)
+    slot_row = np.full(d ** n, -1, dtype=np.int64)
+    slot_row[row_codes(ctx.slot_tuples, d)] = np.arange(len(ctx.slot_tuples))
+    for ti, (shape, lvs) in enumerate(zip(ctx.types, ctx.leaves_by_type)):
+        template = expand_monomial(tree_from(shape, range(d)), n)
+        tuples = np.array(list(template), dtype=np.intp)
+        rows = slot_row[row_codes(lvs[:, tuples], d)]
+        if (rows < 0).any():
+            raise RuntimeError("a relabelled slot tuple has no matrix row")
+        cols = np.arange(ctx.offsets[ti], ctx.offsets[ti + 1])
+        arr[rows, cols[:, None]] = np.fromiter(template.values(), dtype=np.int64)
     return ExpansionMatrix(ctx, arr)

@@ -5,15 +5,17 @@ permutations of its coefficient vector.  Ranks of such spans (mod p) decide
 which nullspace vectors are genuinely new generators and whether higher
 degrees contain identities that are not consequences of lower ones.
 
-Two orbit engines feed the rank accumulator:
-  * a gather-table path for d! small enough to tabulate (degree <= 7 here),
-  * a sparse per-permutation path for degree 9, where each consequence row
-    has only a handful of nonzero columns.
+One orbit engine feeds the rank accumulator: DegreeContext's vectorised
+straightening, which maps leaf rows relabelled by any block of permutations
+to monomial columns.  Where d! is small enough to tabulate (degree <= 7
+here) it builds a gather table once and orbits are dense gathers; at degree
+9 it turns each permutation of a combination into a sparse row of a
+handful of columns.  An orbit whose seed already lies in the accumulated
+(S_d-invariant) span is skipped.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -28,6 +30,7 @@ from .monomials import (
     get_context,
     is_leaf,
     leaves,
+    permutation_rows,
     relabel,
     shape_of,
     straighten,
@@ -37,75 +40,63 @@ from .monomials import (
 _TABLE_LIMIT = 45000  # largest d! worth tabulating
 
 
-def _orbit_rows(ctx: DegreeContext, vector, p: int) -> np.ndarray:
-    """All permuted images of a coefficient vector, mod p, deduplicated."""
-    table = ctx.perm_table_inv()
-    v = np.asarray(vector, dtype=np.int64) % p
-    orbit = v[table]
-    return np.unique(orbit, axis=0)
+def _term_groups(ctx: DegreeContext, idc: IdentityCombination) -> list:
+    """Terms of a combination by type: [(type index, leaf rows, coeffs)]."""
+    by_type: dict = {}
+    for tree, coeff in idc.terms.items():
+        by_type.setdefault(ctx.type_index[shape_of(tree)], []).append(
+            (leaves(tree), coeff))
+    return [(ti, np.array([lv for lv, _ in g], dtype=np.int8),
+             np.array([c for _, c in g], dtype=np.int64))
+            for ti, g in sorted(by_type.items())]
 
 
-class _SparseTerms:
-    """Pre-split terms of one combination for fast permutation of rows."""
+def _permuted_rows(ctx: DegreeContext, terms: list, sigmas) -> tuple:
+    """(columns, coefficients), one row per permutation of a combination.
 
-    def __init__(self, ctx: DegreeContext, idc: IdentityCombination):
-        self.ctx = ctx
-        self.items = []
-        for tree, coeff in idc.terms.items():
-            sh = shape_of(tree)
-            ti = ctx.type_index[sh]
-            self.items.append((ti, leaves(tree), coeff))
-
-    def row(self, sigma):
-        """(sorted columns, matching coeffs) of the sigma-permuted identity."""
-        ctx = self.ctx
-        pairs = []
-        for ti, lv, coeff in self.items:
-            cl = ctx.straighteners[ti](tuple(sigma[v] for v in lv))
-            pairs.append((ctx.column_of_pair[(ti, cl)], coeff))
-        pairs.sort()
-        return tuple(p[0] for p in pairs), tuple(p[1] for p in pairs)
+    Row i is the sparse coefficient vector of sigmas[i] . combination, whose
+    type-grouped terms are `terms`; both arrays are (len(sigmas), #terms).
+    """
+    cols = np.hstack([ctx.relabelled_columns(ti, lvs, sigmas)
+                      for ti, lvs, _ in terms])
+    coeffs = np.concatenate([c for _, _, c in terms])
+    return cols, np.broadcast_to(coeffs, cols.shape)
 
 
-def _add_orbit_sparse(acc: ModularRankAccumulator, ctx: DegreeContext,
-                      idc: IdentityCombination, sigmas, *,
-                      dedup: bool = True, batch: int = 2048) -> None:
-    terms = _SparseTerms(ctx, idc)
-    seen: set = set()
-    rows_i: list = []
-    cols: list = []
-    vals: list = []
-    nrows = 0
-
-    def flush():
-        nonlocal rows_i, cols, vals, nrows
-        if nrows:
-            acc.add_sparse_batch(rows_i, cols, vals, nrows)
-            rows_i, cols, vals, nrows = [], [], [], 0
-
-    for sigma in sigmas:
-        key = terms.row(sigma)
-        if dedup:
-            if key in seen:
-                continue
-            seen.add(key)
-        c, v = key
-        rows_i.extend([nrows] * len(c))
-        cols.extend(c)
-        vals.extend(v)
-        nrows += 1
-        if nrows >= batch:
-            flush()
-    flush()
+def _add_sparse_rows(acc: ModularRankAccumulator, blocks) -> None:
+    """Reduce blocks of (columns, coefficients) rows as one sparse batch."""
+    width = np.concatenate([np.full(len(c), c.shape[1]) for c, _ in blocks])
+    acc.add_sparse_batch(np.repeat(np.arange(len(width)), width),
+                         np.concatenate([c.ravel() for c, _ in blocks]),
+                         np.concatenate([v.ravel() for _, v in blocks]),
+                         len(width))
 
 
 def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
                idc: IdentityCombination, p: int) -> None:
+    """Add the S_d-orbit of a combination to the accumulator.
+
+    The accumulator only ever holds whole orbits, so its span is
+    S_d-invariant: when the combination alone adds no rank, its whole orbit
+    is already inside and is skipped.  Above the table limit the orbit goes
+    in as sparse rows, duplicates dropped, in first-occurrence order.
+    """
+    v = ctx.vector_of(idc) % p
+    if not acc.add_batch(v):
+        return
     if math.factorial(ctx.d) <= _TABLE_LIMIT:
-        acc.add_batch(_orbit_rows(ctx, ctx.vector_of(idc), p))
-    else:
-        _add_orbit_sparse(acc, ctx, idc,
-                          itertools.permutations(range(ctx.d)))
+        acc.add_batch(v.astype(np.float64)[ctx.perm_table_inv()])
+        return
+    cols, coeffs = _permuted_rows(ctx, _term_groups(ctx, idc),
+                                  permutation_rows(ctx.d))
+    order = np.argsort(cols, axis=1)
+    cols = np.take_along_axis(cols, order, axis=1)
+    coeffs = np.take_along_axis(coeffs, order, axis=1)
+    _, first = np.unique(np.hstack([cols, coeffs]), axis=0, return_index=True)
+    first.sort()
+    for lo in range(0, len(first), 2048):
+        sel = first[lo:lo + 2048]
+        _add_sparse_rows(acc, [(cols[sel], coeffs[sel])])
 
 
 def module_rank(ids, p: int = 101, *, n: int | None = None,
@@ -233,9 +224,9 @@ class ClosureResult:
     samples: int                # permutations processed (certify mode)
 
 
-def expansion_rank(n: int, d: int, p: int = 101, threads: int = 1) -> tuple:
+def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
     """(rank of E mod p, nullspace dimension) for degree d."""
-    E = build_expansion_matrix(n, d, threads=threads)
+    E = build_expansion_matrix(n, d)
     acc = ModularRankAccumulator(E.array.shape[0], p)
     cols = np.ascontiguousarray(E.array.T)
     step = 4096
@@ -247,8 +238,7 @@ def expansion_rank(n: int, d: int, p: int = 101, threads: int = 1) -> tuple:
 
 def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
                       mode: str = "exact", seed: int = 0,
-                      max_samples: int | None = None,
-                      threads: int = 1) -> ClosureResult:
+                      max_samples: int | None = None) -> ClosureResult:
     """Compare the degree-d nullspace with the span of lifted consequences.
 
     `known` holds identities of degree d-(n-1); their lifts are the degree-d
@@ -262,7 +252,7 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
         if not known:
             raise ValueError("need identities or an explicit arity")
         n = known[0].n
-    rank, null_dim = expansion_rank(n, d, p, threads=threads)
+    rank, null_dim = expansion_rank(n, d, p)
     consequences = [lc.result for idc in known for lc in lift_identity(idc)]
     for idc in consequences:
         if idc.degree != d:
@@ -287,34 +277,17 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
     if max_samples is None:
         max_samples = 40 * null_dim + 10000
     rng = np.random.default_rng(seed)
-    sparse_terms = [_SparseTerms(ctx, idc) for idc in consequences]
+    groups = [_term_groups(ctx, idc) for idc in consequences]
     samples = 0
-    batch_rows: list = []
-    cols: list = []
-    vals: list = []
-    nrows = 0
-    batch = 512
-
-    def flush():
-        nonlocal batch_rows, cols, vals, nrows
-        if nrows:
-            acc.add_sparse_batch(batch_rows, cols, vals, nrows)
-            batch_rows, cols, vals, nrows = [], [], [], 0
-
-    while samples < max_samples and acc.rank() < null_dim:
-        if not consequences:
-            break
-        st = sparse_terms[samples % len(sparse_terms)]
-        sigma = tuple(int(x) for x in rng.permutation(d))
-        c, v = st.row(sigma)
-        batch_rows.extend([nrows] * len(c))
-        cols.extend(c)
-        vals.extend(v)
-        nrows += 1
-        samples += 1
-        if nrows >= batch:
-            flush()
-    flush()
+    # the rank only moves between batches of 512 samples, so the sample
+    # count at which the span is complete is a multiple of 512
+    while groups and samples < max_samples and acc.rank() < null_dim:
+        b = min(512, max_samples - samples)
+        sigmas = np.array([rng.permutation(d) for _ in range(b)], dtype=np.int8)
+        which = (samples + np.arange(b)) % len(groups)
+        _add_sparse_rows(acc, [_permuted_rows(ctx, terms, sigmas[which == k])
+                               for k, terms in enumerate(groups)])
+        samples += b
     acc.flush()
     final = acc.rank()
     if final == null_dim:
@@ -358,7 +331,9 @@ def rewrite_second_type(m, n: int | None = None) -> IdentityCombination:
         raise ValueError("monomial is not of the second association type")
     t0 = next(t for t in template.terms if shape_of(t) == second_type)
     c0 = template.terms[t0]
-    assert abs(c0) == 1
+    if abs(c0) != 1:
+        raise ValueError(f"rewrite template has coefficient {c0} on its "
+                         "second-type term, expected +-1")
     src = leaves(t0)
     dst = leaves(m)
     sigma = [0] * d

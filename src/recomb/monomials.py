@@ -20,6 +20,8 @@ import math
 import string
 from functools import lru_cache
 
+import numpy as np
+
 LEAF = 0  # shape marker for a leaf
 
 
@@ -261,64 +263,90 @@ def automorphism_order(shape) -> int:
 
 
 @lru_cache(maxsize=None)
-def compile_straightener(shape):
-    """Fast canonicalizer for leaf sequences of a fixed canonical shape.
+def _sort_plan(shape) -> tuple:
+    """Sorts that straighten leaf rows of a canonical shape, children first.
 
-    Returns fn(leaf_tuple) -> canonical leaf_tuple; only valid when the shape
-    itself is canonical (leaf relabelings never change the shape).
+    Each step (lo, k, s) orders k adjacent sibling blocks of s leaf columns
+    starting at column lo: a run of equal-shape children.  Children of a
+    canonical shape are in shape order, so only such runs can be out of
+    order, and distinct variables make the first leaf decide between blocks.
     """
-    if shape == LEAF:
-        return lambda seq: seq
-    sizes = [shape_degree(c) for c in shape]
-    offsets = [0]
-    for s in sizes:
-        offsets.append(offsets[-1] + s)
-    subs = [compile_straightener(c) for c in shape]
-    # consecutive identical child shapes may be permuted among themselves
-    groups = []
-    i = 0
-    while i < len(shape):
-        j = i
-        while j + 1 < len(shape) and shape[j + 1] == shape[i]:
-            j += 1
-        if j > i:
-            groups.append((i, j + 1))
-        i = j + 1
-
-    if all(c == LEAF for c in shape):
-        return lambda seq: tuple(sorted(seq))
-
-    def fn(seq):
-        parts = [subs[i](seq[offsets[i]:offsets[i + 1]]) for i in range(len(shape))]
-        for a, b in groups:
-            parts[a:b] = sorted(parts[a:b])
-        out = []
-        for p in parts:
-            out.extend(p)
-        return tuple(out)
-
-    return fn
+    plan, lo = [], 0
+    for child, group in itertools.groupby(shape if shape != LEAF else ()):
+        k, s = len(list(group)), shape_degree(child)
+        for i in range(k):
+            plan.extend((lo + i * s + a, kk, ss) for a, kk, ss in _sort_plan(child))
+        if k > 1:
+            plan.append((lo, k, s))
+        lo += k * s
+    return tuple(plan)
 
 
-def enumerate_monomial_leaves(shape) -> list:
-    """Canonical leaf sequences of a type on variables 0..d-1, lex sorted.
+def straighten_many(shape, leaf_rows) -> np.ndarray:
+    """Straighten an (N, d) array of leaf rows of one canonical shape.
 
-    Generated by straightening all d! assignments and deduplicating; the
-    count is asserted against d!/|Aut(shape)|.
+    Row-wise equal to leaves(straighten(tree_from(shape, row))) for rows of
+    distinct variables; returns a new array of the input's dtype.
+    """
+    rows = np.array(leaf_rows, copy=True)
+    for lo, k, s in _sort_plan(shape):
+        block = rows[:, lo:lo + k * s]
+        if s == 1:
+            block.sort(axis=1)
+            continue
+        blocks = block.reshape(len(rows), k, s)
+        order = np.argsort(blocks[:, :, 0], axis=1)
+        block[...] = np.take_along_axis(blocks, order[:, :, None],
+                                        axis=1).reshape(len(rows), k * s)
+    return rows
+
+
+def row_codes(rows, base: int) -> np.ndarray:
+    """Mixed-radix code of every row along the last axis, as int64.
+
+    Digits are below `base`, so codes sort like the rows do.  Built one
+    column at a time, which keeps the only int64 temporary at one code per row.
+    """
+    rows = np.asarray(rows)
+    code = np.zeros(rows.shape[:-1], dtype=np.int64)
+    for i in range(rows.shape[-1]):
+        code *= base
+        code += rows[..., i]
+    return code
+
+
+def permutation_rows(d: int) -> np.ndarray:
+    """All d! permutations of 0..d-1 as int8 rows, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.int8)
+    for k in range(1, d + 1):
+        # first value f, then the permutations of k-1 symbols lifted over f
+        rows = np.concatenate([
+            np.hstack([np.full((len(rows), 1), f, dtype=np.int8),
+                       rows + (rows >= f)])
+            for f in range(k)])
+    return rows
+
+
+def enumerate_monomial_leaves(shape) -> np.ndarray:
+    """Canonical leaf rows of a type on variables 0..d-1, lex sorted.
+
+    The rows of the lex-ordered permutation array that straightening leaves
+    fixed; their number must be d!/|Aut(shape)|.
     """
     d = shape_degree(shape)
-    fn = compile_straightener(shape)
-    seen = set()
-    for perm in itertools.permutations(range(d)):
-        seen.add(fn(perm))
-    out = sorted(seen)
-    assert len(out) == math.factorial(d) // automorphism_order(shape)
+    perms = permutation_rows(d)
+    out = perms[(straighten_many(shape, perms) == perms).all(axis=1)]
+    expected = math.factorial(d) // automorphism_order(shape)
+    if len(out) != expected:
+        raise RuntimeError(f"{len(out)} canonical monomials of type {shape}, "
+                           f"expected d!/|Aut| = {expected}")
     return out
 
 
 def enumerate_monomials(shape) -> list:
     """All distinct canonical monomials of a type, as trees, in order."""
-    return [tree_from(shape, lv) for lv in enumerate_monomial_leaves(shape)]
+    return [tree_from(shape, lv)
+            for lv in enumerate_monomial_leaves(shape).tolist()]
 
 
 def order_slot_tuples(n: int, d: int) -> list:
@@ -330,10 +358,6 @@ def order_slot_tuples(n: int, d: int) -> list:
 
 # ---------------------------------------------------------------------------
 # permutations of variables
-
-def identity_permutation(d: int) -> tuple:
-    return tuple(range(d))
-
 
 def compose(tau, sigma) -> tuple:
     """(tau o sigma)(i) = tau(sigma(i))."""
@@ -466,7 +490,16 @@ def apply_permutation(idc: IdentityCombination, sigma) -> IdentityCombination:
 # per-degree context: index maps shared by the expansion and analysis layers
 
 class DegreeContext:
-    """Monomial and slot-tuple bookkeeping for one (arity, degree)."""
+    """Monomial and slot-tuple bookkeeping for one (arity, degree).
+
+    Monomials of type t are the rows of leaves_by_type[t] (int8, lex sorted)
+    and occupy columns offsets[t] to offsets[t+1]-1.  Every relabelling is
+    canonicalised by straighten_many and mapped back to columns through the
+    sorted row codes of each type.
+    """
+
+    # leaf rows straightened per step; bounds the engine's temporaries
+    _CHUNK_ROWS = 1 << 18
 
     def __init__(self, n: int, d: int):
         check_degree(n, d)
@@ -475,23 +508,14 @@ class DegreeContext:
         self.types = list(enumerate_canonical_types(n, d))
         self.type_index = {s: i for i, s in enumerate(self.types)}
         self.leaves_by_type = [enumerate_monomial_leaves(s) for s in self.types]
+        self._codes = [row_codes(lvs, d) for lvs in self.leaves_by_type]
+        self.offsets = [0]
         self.monomials = []
-        self.column_of = {}
-        self.column_of_pair = {}
-        for ti, (shape, lvs) in enumerate(zip(self.types, self.leaves_by_type)):
-            for lv in lvs:
-                tree = tree_from(shape, lv)
-                j = len(self.monomials)
-                self.monomials.append(tree)
-                self.column_of[tree] = j
-                self.column_of_pair[(ti, lv)] = j
-        self.straighteners = [compile_straightener(s) for s in self.types]
-        if d >= n:
-            self.slot_tuples = order_slot_tuples(n, d)
-            self.slot_index = {t: i for i, t in enumerate(self.slot_tuples)}
-        else:
-            self.slot_tuples = []
-            self.slot_index = {}
+        for shape, lvs in zip(self.types, self.leaves_by_type):
+            self.monomials.extend(tree_from(shape, lv) for lv in lvs.tolist())
+            self.offsets.append(len(self.monomials))
+        self.column_of = {t: j for j, t in enumerate(self.monomials)}
+        self.slot_tuples = order_slot_tuples(n, d) if d >= n else []
         self._perm_table_inv = None
 
     @property
@@ -504,7 +528,6 @@ class DegreeContext:
 
     def vector_of(self, idc: IdentityCombination):
         """Dense integer coefficient vector over the monomial basis."""
-        import numpy as np
         if (idc.n, idc.degree) != (self.n, self.d):
             raise ValueError("combination does not match context")
         v = np.zeros(self.num_monomials, dtype=np.int64)
@@ -516,38 +539,51 @@ class DegreeContext:
         terms = {self.monomials[j]: int(c) for j, c in enumerate(vector) if c}
         return IdentityCombination(self.n, self.d, terms, _trusted=True)
 
-    def sparse_of(self, idc: IdentityCombination):
-        """(columns, coefficients) of a combination, column-sorted."""
-        pairs = sorted((self.column_of[t], c) for t, c in idc.terms.items())
-        return [p[0] for p in pairs], [p[1] for p in pairs]
+    def relabelled_columns(self, ti: int, leaf_rows, sigmas) -> np.ndarray:
+        """Columns of sigma . m for every permutation row sigma and monomial m.
 
-    def permuted_columns(self, sigma):
-        """Column index map j -> column of sigma . monomial_j."""
-        out = []
-        for ti, lvs in enumerate(self.leaves_by_type):
-            fn = self.straighteners[ti]
-            for lv in lvs:
-                out.append(self.column_of_pair[(ti, fn(tuple(sigma[v] for v in lv)))])
+        leaf_rows are leaf rows of type ti; the result has one row per sigma
+        and one column per leaf row (int32).
+        """
+        leaf_rows = np.asarray(leaf_rows, dtype=np.int8)
+        sigmas = np.asarray(sigmas, dtype=np.int8)
+        out = np.empty((len(sigmas), len(leaf_rows)), dtype=np.int32)
+        codes = self._codes[ti]
+        step = max(1, self._CHUNK_ROWS // len(leaf_rows))
+        for lo in range(0, len(sigmas), step):
+            moved = sigmas[lo:lo + step][:, leaf_rows].reshape(-1, self.d)
+            want = row_codes(straighten_many(self.types[ti], moved), self.d)
+            pos = np.searchsorted(codes, want)
+            pos.clip(max=len(codes) - 1, out=pos)
+            if not np.array_equal(codes[pos], want):
+                raise RuntimeError("a straightened leaf row is not a "
+                                   f"canonical monomial of type {ti}")
+            out[lo:lo + step] = (pos + self.offsets[ti]).reshape(-1, len(leaf_rows))
         return out
+
+    def permuted_columns(self, sigma) -> np.ndarray:
+        """Column index map j -> column of sigma . monomial_j."""
+        return np.concatenate([
+            self.relabelled_columns(ti, lvs, [sigma])[0]
+            for ti, lvs in enumerate(self.leaves_by_type)])
 
     def perm_table_inv(self):
         """(d!, m) gather table: orbit rows are vector[table] per permutation.
 
         Row s holds, for each column k, the source column j with
-        sigma_s . monomial_j = monomial_k.  Only built for d! <= 45000.
+        sigma_s . monomial_j = monomial_k, where sigma_s is the s-th
+        permutation in lexicographic order.  Only built for d! <= 45000.
         """
-        import numpy as np
         if self._perm_table_inv is None:
             nperm = math.factorial(self.d)
             if nperm > 45000:
                 raise ValueError("permutation table too large; use the sparse path")
-            m = self.num_monomials
-            table = np.empty((nperm, m), dtype=np.int32)
-            for s, sigma in enumerate(itertools.permutations(range(self.d))):
-                cols = self.permuted_columns(sigma)
-                row = np.empty(m, dtype=np.int32)
-                row[cols] = np.arange(m, dtype=np.int32)
-                table[s] = row
+            perms = permutation_rows(self.d)
+            table = np.empty((nperm, self.num_monomials), dtype=np.int32)
+            for ti, lvs in enumerate(self.leaves_by_type):
+                cols = self.relabelled_columns(ti, lvs, perms)
+                table[np.arange(nperm)[:, None], cols] = np.arange(
+                    self.offsets[ti], self.offsets[ti + 1], dtype=np.int32)
             self._perm_table_inv = table
         return self._perm_table_inv
 

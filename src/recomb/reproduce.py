@@ -82,19 +82,19 @@ def _short(x, limit=60):
 
 
 def run_scope(scope: str, *, mode: str = "certify", seed: int = 0,
-              p: int | None = None, threads: int = 1) -> Report:
+              p: int | None = None) -> Report:
     sc = golden.scalars()
     p = p if p is not None else sc["default_prime"]
     if scope == "binary":
         return _binary(sc)
     if scope == "deg5":
-        return _deg5(sc, threads)
+        return _deg5(sc)
     if scope == "deg7":
-        return _deg7(sc, p, threads)
+        return _deg7(sc, p)
     if scope == "deg9-rank":
-        return _deg9_rank(sc, p, threads)
+        return _deg9_rank(sc, p)
     if scope == "deg9-closure":
-        return _deg9_closure(sc, p, mode, seed, threads)
+        return _deg9_closure(sc, p, mode, seed)
     raise ValueError(f"unknown scope {scope!r}")
 
 
@@ -137,9 +137,9 @@ def _binary(sc) -> Report:
     return rep
 
 
-def _deg5(sc, threads) -> Report:
+def _deg5(sc) -> Report:
     rep = Report("deg5")
-    E = build_expansion_matrix(3, 5, threads=threads)
+    E = build_expansion_matrix(3, 5)
     rep.add("matrix shape", (60, 10), E.array.shape)
     idx = [i - 1 for i in sc["full_rank_rows_n3_d5"]]
     rep.add("distinguished 10x10 submatrix",
@@ -156,10 +156,10 @@ def _deg5(sc, threads) -> Report:
     return rep
 
 
-def _deg7(sc, p, threads) -> Report:
+def _deg7(sc, p) -> Report:
     rep = Report("deg7")
     t0 = time.time()
-    E = build_expansion_matrix(3, 7, threads=threads)
+    E = build_expansion_matrix(3, 7)
     rep.add("matrix shape", (210, 280), E.array.shape)
     rep.add("monomial counts per type", sc["monomial_counts"]["n3_d7"],
             E.ctx.type_counts)
@@ -211,7 +211,7 @@ def _deg7(sc, p, threads) -> Report:
     return rep
 
 
-def _deg9_rank(sc, p, threads) -> Report:
+def _deg9_rank(sc, p) -> Report:
     rep = Report("deg9-rank")
     from .monomials import get_context
     ctx = get_context(3, 9)
@@ -220,20 +220,20 @@ def _deg9_rank(sc, p, threads) -> Report:
     rep.add("total monomials", sum(sc["monomial_counts"]["n3_d9"]),
             ctx.num_monomials)
     rep.add("slot tuples", 504, len(ctx.slot_tuples))
-    rank, null_dim = expansion_rank(3, 9, p, threads=threads)
+    rank, null_dim = expansion_rank(3, 9, p)
     rep.add(f"rank mod {p}", sc["expansion_rank"]["n3_d9"], rank)
     rep.add("nullspace dimension", sc["nullspace_dim"]["n3_d9"], null_dim)
     return rep
 
 
-def _deg9_closure(sc, p, mode, seed, threads) -> Report:
+def _deg9_closure(sc, p, mode, seed) -> Report:
     rep = Report(f"deg9-closure[{mode}]")
     R = golden.load_identity("ternary_recombination")
     lifts = lift_identity(R)
     rep.add("number of lifted consequences", 8, len(lifts))
     rep.add("every consequence expands to zero", [0] * 8,
             [verify_identity(lc.result) for lc in lifts])
-    res = new_identity_test(9, [R], p, mode=mode, seed=seed, threads=threads)
+    res = new_identity_test(9, [R], p, mode=mode, seed=seed)
     rep.add("nullspace dimension", sc["nullspace_dim"]["n3_d9"],
             res.nullspace_dim)
     if mode == "exact":

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -109,17 +110,14 @@ class TestMatrix:
         assert E.array.shape == (6, 1)
         assert (E.array == 1).all()
 
-    def test_threads_do_not_change_output(self, E37):
-        E = build_expansion_matrix(3, 7, threads=3)
-        assert (E.array == E37.array).all()
-
     def test_same_type_columns_related_by_row_permutation(self, E24):
         ctx = get_context(2, 4)
+        slot_index = {t: i for i, t in enumerate(ctx.slot_tuples)}
         sigma = (1, 2, 3, 0)
         for j in (0, 5, 13):
             k = ctx.permuted_columns(sigma)[j]
             for i, tup in enumerate(ctx.slot_tuples):
-                i2 = ctx.slot_index[tuple(sigma[x] for x in tup)]
+                i2 = slot_index[tuple(sigma[x] for x in tup)]
                 assert E24.array[i2, k] == E24.array[i, j]
 
 
@@ -135,3 +133,29 @@ class TestEvaluateIdentity:
         residual = evaluate_identity(one)
         assert len(residual) == 6
         assert not is_identity(one)
+
+
+def column_reference(ctx, j):
+    """Column j of E from its own expansion, one slot tuple at a time."""
+    col = np.zeros(len(ctx.slot_tuples), dtype=np.int64)
+    for tup, c in expand_monomial(ctx.monomials[j], ctx.n).items():
+        col[ctx.slot_tuples.index(tup)] = c
+    return col
+
+
+class TestTemplateExpansion:
+    def test_degree7_matches_per_column_expansion(self, E37):
+        ctx = get_context(3, 7)
+        ref = np.column_stack([column_reference(ctx, j)
+                               for j in range(ctx.num_monomials)])
+        assert E37.array.dtype == np.int64
+        assert (E37.array == ref).all()
+
+    def test_degree9_sampled_columns_match_per_column_expansion(self):
+        E = build_expansion_matrix(3, 9)
+        ctx = E.ctx
+        rnd = random.Random(9)
+        cols = set(rnd.sample(range(ctx.num_monomials), 40))
+        cols |= {o for o in ctx.offsets[:-1]} | {o - 1 for o in ctx.offsets[1:]}
+        for j in sorted(cols):
+            assert (E.array[:, j] == column_reference(ctx, j)).all(), j

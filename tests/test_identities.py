@@ -2,8 +2,10 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from recomb import golden
+from recomb import golden, identities
 from recomb.expansion import evaluate_identity
 from recomb.identities import (
     generator_sieve,
@@ -70,6 +72,16 @@ class TestModuleRank:
         with pytest.raises(ValueError):
             module_rank([named["binary_recombination"],
                          named["reduced_generator_1"]])
+
+    def test_sparse_orbit_path_matches_table_path(self, named, monkeypatch):
+        # the sparse rows (with dedup) normally run only above d! = 45000
+        mr = golden.scalars()["module_ranks_n3_d7"]
+        monkeypatch.setattr(identities, "_TABLE_LIMIT", 0)
+        assert module_rank([named["reduced_generator_1"]]) == \
+            mr["reduced_generator_1"]
+        assert module_rank([named["reduced_generator_1"],
+                            named["reduced_generator_2"]]) == \
+            mr["reduced_generators_1_2"]
 
 
 class TestGeneratorSieve:
@@ -177,3 +189,33 @@ class TestRewriteSecondType:
     def test_rejects_first_type(self):
         with pytest.raises(ValueError):
             rewrite_second_type(parse_bracket("[[[a,b,c],d,e],f,g]"), 3)
+
+    def test_template_coefficient_is_checked(self, monkeypatch):
+        template = golden.load_identity("second_type_rewrite_n3").scaled(2)
+        monkeypatch.setattr(identities, "_rewrite_template", lambda n: template)
+        with pytest.raises(ValueError):
+            rewrite_second_type(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)
+
+
+def dense_rows(ctx, cols, coeffs):
+    out = np.zeros((len(cols), ctx.num_monomials), dtype=np.int64)
+    np.put_along_axis(out, cols.astype(np.intp), coeffs, axis=1)
+    return out
+
+
+class TestSparseOrbitRows:
+    @pytest.fixture(scope="class")
+    def lifted(self):
+        R = golden.load_identity("ternary_recombination")
+        return [lc.result for lc in lift_identity(R)]
+
+    @settings(max_examples=20, deadline=None)
+    @given(sigmas=st.lists(st.permutations(range(9)), min_size=1, max_size=6),
+           k=st.integers(0, 7))
+    def test_rows_match_tree_straightening(self, lifted, sigmas, k):
+        ctx = get_context(3, 9)
+        terms = identities._term_groups(ctx, lifted[k])
+        got = dense_rows(ctx, *identities._permuted_rows(
+            ctx, terms, np.array(sigmas, dtype=np.int8)))
+        ref = [ctx.vector_of(apply_permutation(lifted[k], s)) for s in sigmas]
+        assert got.tolist() == np.array(ref).tolist()

@@ -148,14 +148,3 @@ class TestCli:
         first = capsys.readouterr().out
         main(["nullspace", "-n", "2", "-d", "4", "--method", "hnf-lll"])
         assert capsys.readouterr().out == first
-
-    def test_threads_flag_identical_output(self, capsys):
-        main(["--threads", "1", "matrix", "-n", "3", "-d", "5"])
-        one = capsys.readouterr().out
-        main(["--threads", "4", "matrix", "-n", "3", "-d", "5"])
-        assert capsys.readouterr().out == one
-
-    def test_threads_env_default(self, capsys, monkeypatch):
-        monkeypatch.setenv("RECOMB_THREADS", "2")
-        assert main(["matrix", "-n", "2", "-d", "4"]) == 0
-        capsys.readouterr()

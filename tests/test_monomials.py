@@ -2,8 +2,12 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from recomb import monomials
 from recomb.monomials import (
     IdentityCombination,
     InvalidDegreeError,
@@ -17,12 +21,14 @@ from recomb.monomials import (
     enumerate_monomials,
     get_context,
     invert,
+    leaves,
     monomial_key,
     order_slot_tuples,
     parse_bracket,
     relabel,
     shape_degree,
     straighten,
+    straighten_many,
     to_bracket,
     tree_degree,
     tree_from,
@@ -266,3 +272,71 @@ class TestBrackets:
         t = parse_bracket("[[a,b,c],d,e]")
         assert to_bracket(relabel(t, (4, 3, 2, 1, 0))) == "[[e,d,c],b,a]"
         assert tree_degree(t) == 5
+
+
+ENGINE_CASES = [(n, d, s) for n, d in [(2, 4), (2, 5), (3, 5), (3, 7), (3, 9)]
+                for s in enumerate_canonical_types(n, d)]
+
+
+def table_reference(ctx, perm_indices):
+    """perm_table_inv rows by relabelling and straightening trees."""
+    perms = list(itertools.permutations(range(ctx.d)))
+    out = []
+    for s in perm_indices:
+        row = [0] * ctx.num_monomials
+        for j, m in enumerate(ctx.monomials):
+            row[ctx.column_of[straighten(relabel(m, perms[s]), ctx.n)]] = j
+        out.append(row)
+    return out
+
+
+class TestStraightenMany:
+    @pytest.mark.parametrize("n,d,shape", ENGINE_CASES)
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_matches_tree_straightener(self, n, d, shape, data):
+        rows = data.draw(st.lists(st.permutations(range(d)),
+                                  min_size=1, max_size=6))
+        got = straighten_many(shape, np.array(rows, dtype=np.int8))
+        assert got.tolist() == [list(leaves(straighten(tree_from(shape, r), n)))
+                                for r in rows]
+
+    def test_input_is_not_modified(self):
+        shape = enumerate_canonical_types(3, 7)[0]
+        rows = np.array([[6, 5, 4, 3, 2, 1, 0]], dtype=np.int8)
+        straighten_many(shape, rows)
+        assert rows.tolist() == [[6, 5, 4, 3, 2, 1, 0]]
+
+    def test_non_canonical_row_has_no_column(self):
+        ctx = get_context(3, 5)
+        with pytest.raises(RuntimeError):
+            ctx.relabelled_columns(0, ctx.leaves_by_type[0][:1],
+                                   [[0, 0, 1, 2, 3]])
+
+    def test_monomial_count_is_checked(self, monkeypatch):
+        monkeypatch.setattr(monomials, "automorphism_order", lambda s: 1)
+        with pytest.raises(RuntimeError):
+            enumerate_monomial_leaves(enumerate_canonical_types(3, 5)[0])
+
+
+class TestPermutationTable:
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 5)])
+    def test_full_table_matches_tree_reference(self, n, d):
+        ctx = get_context(n, d)
+        table = ctx.perm_table_inv()
+        assert table.tolist() == table_reference(ctx, range(math.factorial(d)))
+
+    def test_sampled_degree7_rows_match_tree_reference(self):
+        ctx = get_context(3, 7)
+        table = ctx.perm_table_inv()
+        rows = random.Random(7).sample(range(5040), 12) + [0, 5039]
+        assert table[rows].tolist() == table_reference(ctx, rows)
+
+    @settings(max_examples=25, deadline=None)
+    @given(sigma=st.permutations(range(9)))
+    def test_permuted_columns_match_tree_reference(self, sigma):
+        ctx = get_context(3, 9)
+        cols = ctx.permuted_columns(sigma)
+        for j in range(0, ctx.num_monomials, 97):
+            m = ctx.monomials[j]
+            assert cols[j] == ctx.column_of[straighten(relabel(m, sigma), 3)]
