@@ -116,7 +116,6 @@ def module_rank(ids, p: int = 101, *, n: int | None = None,
     acc = ModularRankAccumulator(ctx.num_monomials, p)
     for idc in ids:
         _add_orbit(acc, ctx, idc, p)
-    acc.flush()
     return acc.rank()
 
 
@@ -146,7 +145,6 @@ def generator_sieve(vectors, n: int, d: int, p: int = 101,
     for pos, vec in enumerate(vectors, start=1):
         idc = ctx.combination_of(vec)
         _add_orbit(acc, ctx, idc, p)
-        acc.flush()
         new_rank = acc.rank()
         if new_rank > rank:
             out.append(SieveGenerator(pos, squared_norm(vec),
@@ -215,6 +213,20 @@ def lift_identity(idc: IdentityCombination) -> list:
 
 @dataclass
 class ClosureResult:
+    """Degree-d nullspace against the span of the lifted consequences.
+
+    Dimensions are ranks mod p.  Since rank_p <= rank_Q, `nullspace_dim` =
+    width - rank_p(E) is an upper bound on the rational nullspace dimension
+    and `final_dim` = rank_p(consequences) a lower bound on the consequences'
+    rational rank.  Every consequence lies in ker_Q(E), so
+    final_dim <= rank_Q(consequences) <= dim ker_Q(E) <= nullspace_dim, and
+    equality of the two ends forces equality throughout: "no new identities"
+    is then exact over Q.  A shortfall may come from an unlucky prime, so
+    exact mode reports "new identities" only when a second prime gives the
+    same dimensions, and "inconclusive" when it does not; certify mode
+    reports "inconclusive" when it runs out of samples.
+    """
+
     degree: int
     nullspace_dim: int
     consequence_dims: list      # cumulative dims (exact mode), else [final]
@@ -228,12 +240,21 @@ def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
     """(rank of E mod p, nullspace dimension) for degree d."""
     E = build_expansion_matrix(n, d)
     acc = ModularRankAccumulator(E.array.shape[0], p)
-    cols = np.ascontiguousarray(E.array.T)
     step = 4096
-    for lo in range(0, cols.shape[0], step):
-        acc.add_batch(cols[lo:lo + step])
+    for lo in range(0, E.array.shape[1], step):
+        acc.add_batch(E.array[:, lo:lo + step].T)
     rank = acc.rank()
     return rank, E.array.shape[1] - rank
+
+
+def _consequence_dims(ctx: DegreeContext, consequences, p: int) -> list:
+    """Span dimension mod p after adding each consequence's orbit in turn."""
+    acc = ModularRankAccumulator(ctx.num_monomials, p)
+    dims = []
+    for idc in consequences:
+        _add_orbit(acc, ctx, idc, p)
+        dims.append(acc.rank())
+    return dims
 
 
 def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
@@ -243,9 +264,11 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
 
     `known` holds identities of degree d-(n-1); their lifts are the degree-d
     consequences.  Exact mode runs the full orbit of every consequence and
-    reports the cumulative dimension after each one.  Certify mode samples
-    random permutations round-robin until the span reaches the nullspace
-    dimension (proof of "no new identities"), or gives up as inconclusive.
+    reports the cumulative dimension after each one; a span short of the
+    nullspace is checked at a second prime (see ClosureResult).  Certify
+    mode samples random permutations round-robin until the span reaches the
+    nullspace dimension (proof of "no new identities"), or gives up as
+    inconclusive.
     """
     known = list(known)
     if n is None:
@@ -259,21 +282,23 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
             raise ValueError("consequence degree mismatch")
 
     ctx = get_context(n, d)
-    acc = ModularRankAccumulator(ctx.num_monomials, p)
 
     if mode == "exact":
-        dims = []
-        for idc in consequences:
-            _add_orbit(acc, ctx, idc, p)
-            acc.flush()
-            dims.append(acc.rank())
+        dims = _consequence_dims(ctx, consequences, p)
         final = dims[-1] if dims else 0
-        verdict = ("no new identities" if final == null_dim
-                   else "new identities")
+        verdict = "no new identities"
+        if final != null_dim:
+            q = golden.scalars()["check_prime"]
+            if p == q:
+                q = golden.scalars()["default_prime"]
+            agree = (expansion_rank(n, d, q)[1] == null_dim
+                     and _consequence_dims(ctx, consequences, q) == dims)
+            verdict = "new identities" if agree else "inconclusive"
         return ClosureResult(d, null_dim, dims, final, verdict, mode, 0)
 
     if mode != "certify":
         raise ValueError(f"unknown mode {mode!r}")
+    acc = ModularRankAccumulator(ctx.num_monomials, p)
     if max_samples is None:
         max_samples = 40 * null_dim + 10000
     rng = np.random.default_rng(seed)
@@ -288,7 +313,6 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
         _add_sparse_rows(acc, [_permuted_rows(ctx, terms, sigmas[which == k])
                                for k, terms in enumerate(groups)])
         samples += b
-    acc.flush()
     final = acc.rank()
     if final == null_dim:
         verdict = "no new identities"

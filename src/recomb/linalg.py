@@ -4,9 +4,12 @@ Everything here is exact: row canonical form over the rationals, canonical
 integer nullspace bases, Hermite normal form with a unimodular transform,
 integer LLL lattice reduction, and an incremental mod-p rank accumulator.
 
-The mod-p accumulator is the only numpy consumer; it stores residues in
-float64 so reductions run through BLAS, which is exact here because every
-intermediate product is bounded by (p-1)^2 * width << 2^53.
+The mod-p accumulator is the only numpy consumer.  It keeps the reduced
+echelon basis as [I | C] and stores only C, the rows on the non-pivot
+columns, as float64 residues, so that reducing, echelonising and merging
+are matrix products run through BLAS.  They are exact because every
+subtraction is done as an addition of nonnegative terms, so each sum is
+bounded by p^2 * width < 2^53.
 """
 
 from __future__ import annotations
@@ -422,250 +425,214 @@ def is_lll_reduced(basis, delta=(3, 4)) -> bool:
 # ---------------------------------------------------------------------------
 # incremental rank over F_p
 
-class ModularRankAccumulator:
-    """Incremental reduced echelon form mod p.
+_BASE_ROWS = 12         # rows the echelon kernel eliminates one at a time
+_CHUNK = 1 << 21        # elements of C updated per step of a merge
+_MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 
-    Rows are reduced against the accumulated basis; a row either gets
-    absorbed (already in the span) or raises the rank by one.  The basis
-    keeps its pivot columns normalized to the identity, so reducing a row is
-    a single coefficient-gather plus one BLAS product.  Freshly inserted rows
-    are parked in a pending block and merged in batches, which keeps pivot
-    maintenance in matrix-matrix products.
+
+def _mod(X: np.ndarray, p: int) -> np.ndarray:
+    """X mod p into [0, p), in place, for C-ordered float64 |X| <= 2^53 - p.
+
+    floor(X * (1/p)) can be one off, leaving X - q*p in [-p, 2p), which one
+    step each way corrects.  This is several times faster than np.fmod or %
+    on the large quotients a product leaves; blocks keep the passes in cache.
+    """
+    rows = X[None] if X.ndim == 1 else X
+    if not rows.size:
+        return X
+    step = max(1, _MOD_BLOCK // rows.shape[1])
+    q = np.empty((min(step, len(rows)), rows.shape[1]))
+    for lo in range(0, len(rows), step):
+        x = rows[lo:lo + step]
+        t = q[:len(x)]
+        np.multiply(x, 1.0 / p, out=t)
+        np.floor(t, out=t)
+        t *= p
+        x -= t
+        np.add(x, p, out=x, where=x < 0)
+        np.subtract(x, p, out=x, where=x >= p)
+    return X
+
+
+class ModularRankAccumulator:
+    """Incremental reduced row echelon form mod p, stored as [I | C].
+
+    Up to a column permutation the basis is [I | C]: row i is 1 in pivot
+    column piv[i], 0 in the other pivot columns and C[i] on the free columns.
+    Only C is kept, at most width^2 / 4 residues.  A block X is reduced by
+    one product, Y = X[:, free] - X[:, piv] @ C (sparse for COO input), and
+    echelonised by a recursive kernel whose updates are products; one more
+    product clears the new pivots from C, whose columns are then compacted
+    out in place.  Residues are float64 in [0, p) for BLAS.  a - b*c is done
+    as a + (p - b)*c, so every term is nonnegative and a sum of up to width
+    of them stays below p^2 * width < 2^53, where float64 is exact.
     """
 
-    def __init__(self, width: int, p: int = 101, merge_block: int = 256):
+    def __init__(self, width: int, p: int = 101):
         if p < 2 or any(p % q == 0 for q in range(2, min(p, int(p ** 0.5) + 2))):
             raise ValueError(f"p = {p} is not prime")
-        if (p - 1) ** 2 * max(width, 1) >= 2 ** 53:
+        if p * p * max(width, 1) >= 2 ** 53:
             raise ValueError("width too large for exact float64 products")
         self.width = width
         self.p = p
-        self.merge_block = merge_block
-        self._cap = 256
-        self._basis = np.zeros((self._cap, width), dtype=np.float64)
-        self._r0 = 0
-        self._pivcols = np.empty(0, dtype=np.int64)
-        self._pcol2row = np.full(width, -1, dtype=np.int64)
-        self._lrows: list = []
-        self._lpivs: list = []
-
-    # -- public ------------------------------------------------------------
+        self._piv = np.empty(0, dtype=np.int64)
+        self._free = np.arange(width, dtype=np.int64)
+        # column c is free column pos[c] when pos[c] >= 0, else the pivot
+        # of row -1 - pos[c]
+        self._pos = np.arange(width, dtype=np.int64)
+        self._buf = np.empty(0, dtype=np.float64)   # C, row-major
 
     def rank(self) -> int:
-        return self._r0 + len(self._lrows)
-
-    def add_row(self, row) -> bool:
-        """Reduce one dense row; True iff the rank increased."""
-        v = np.asarray(row, dtype=np.float64) % self.p
-        v = self._reduce(v)
-        if not v.any():
-            return False
-        self._insert(v)
-        self._maybe_merge()
-        return True
-
-    def add_sparse(self, cols, vals) -> bool:
-        """Reduce one row given as (columns, values); True iff rank grew."""
-        v = np.zeros(self.width, dtype=np.float64)
-        v[list(cols)] = [x % self.p for x in vals]
-        rows_hit = self._pcol2row[list(cols)]
-        mask = rows_hit >= 0
-        if mask.any():
-            coeffs = v[np.asarray(list(cols))[mask]]
-            v -= coeffs @ self._basis[rows_hit[mask]]
-            v %= self.p
-        v = self._reduce_pending(v)
-        if not v.any():
-            return False
-        self._insert(v)
-        self._maybe_merge()
-        return True
+        return len(self._piv)
 
     def add_batch(self, rows) -> int:
         """Reduce a dense block of rows; returns the number of new pivots."""
-        X = np.asarray(rows, dtype=np.float64) % self.p
+        X = np.asarray(rows, dtype=np.float64, order="C")
         if X.ndim == 1:
             X = X[None, :]
-        X = self._reduce_block(X)
-        return self._absorb_survivors(X)
+        if X.shape[1] != self.width:
+            raise ValueError(
+                f"rows have {X.shape[1]} columns, not {self.width}")
+        Y = _mod(np.take(X, self._free, axis=1), self.p)
+        if self.rank() and Y.size:
+            A = _mod(np.take(X, self._piv, axis=1), self.p)
+            Y += np.subtract(self.p, A, out=A) @ self._c()
+        return self._absorb(Y)
 
     def add_sparse_batch(self, row_idx, col_idx, vals, nrows: int) -> int:
-        """Reduce nrows sparse rows given in COO form; returns new pivots."""
+        """Reduce nrows COO rows (duplicates summed); returns new pivots."""
         p = self.p
-        row_idx = np.asarray(row_idx, dtype=np.int64)
-        col_idx = np.asarray(col_idx, dtype=np.int64)
-        vals = np.asarray(vals, dtype=np.float64) % p
-        X = np.zeros((nrows, self.width), dtype=np.float64)
-        X[row_idx, col_idx] = vals
-        hit = self._pcol2row[col_idx]
-        mask = hit >= 0
-        if mask.any() and self._r0:
-            C = _sparse.csr_matrix(
-                (vals[mask], (row_idx[mask], hit[mask])),
-                shape=(nrows, self._r0))
-            X -= C @ self._basis[:self._r0]
-            X %= p
-        if self._lrows:
-            L = np.vstack(self._lrows)
-            X -= X[:, self._lpivs] @ L
-            X %= p
-        return self._absorb_survivors(X)
-
-    def flush(self) -> None:
-        self._merge()
-
-    def echelon(self) -> np.ndarray:
-        """Copy of the accumulated reduced echelon basis (rank x width)."""
-        self._merge()
-        return self._basis[:self._r0].copy()
-
-    def pivot_columns(self) -> list:
-        self._merge()
-        return [int(c) for c in self._pivcols]
+        f = len(self._free)
+        pos = self._pos[np.asarray(col_idx, dtype=np.int64)]
+        # free columns first, then the pivot columns in row order
+        X = _sparse.csr_matrix(
+            (np.asarray(vals, dtype=np.float64),
+             (np.asarray(row_idx, dtype=np.int64),
+              np.where(pos >= 0, pos, f - 1 - pos))),
+            shape=(nrows, self.width))
+        _mod(X.data, p)
+        F = X[:, :f].tocoo()
+        if self.rank() and f:
+            S = X[:, f:]
+            S.data = p - S.data
+            Y = S @ self._c()
+            Y[F.row, F.col] += F.data     # X is summed: no repeated entries
+        else:
+            Y = F.toarray()
+        return self._absorb(Y)
 
     # -- internals -----------------------------------------------------------
 
-    def _reduce(self, v: np.ndarray) -> np.ndarray:
-        if self._r0:
-            coeffs = v[self._pivcols]
-            if coeffs.any():
-                v = (v - coeffs @ self._basis[:self._r0]) % self.p
-        return self._reduce_pending(v)
+    def _c(self) -> np.ndarray:
+        r, f = self.rank(), len(self._free)
+        return self._buf[:r * f].reshape(r, f)
 
-    def _reduce_pending(self, v: np.ndarray) -> np.ndarray:
-        if self._lrows:
-            L = np.vstack(self._lrows)
-            coeffs = v[self._lpivs]
-            if coeffs.any():
-                v = (v - coeffs @ L) % self.p
-        return v
-
-    def _reduce_block(self, X: np.ndarray) -> np.ndarray:
-        p = self.p
-        if self._r0:
-            chunk = max(1, (1 << 24) // max(self.width, 1))
-            for lo in range(0, X.shape[0], chunk):
-                sl = X[lo:lo + chunk]
-                sl -= sl[:, self._pivcols] @ self._basis[:self._r0]
-                sl %= p
-        if self._lrows:
-            L = np.vstack(self._lrows)
-            X -= X[:, self._lpivs] @ L
-            X %= p
-        return X
-
-    def _absorb_survivors(self, X: np.ndarray) -> int:
-        alive = np.flatnonzero(X.any(axis=1))
-        if alive.size == 0:
+    def _absorb(self, Y: np.ndarray) -> int:
+        """Echelonise reduced rows Y (free columns) and merge their pivots."""
+        if not Y.size:
             return 0
-        rows, pivs = self._echelonize_local(X[alive])
-        if not rows:
-            return 0
-        # older pending rows must be cleared on the new pivots
-        if self._lrows:
-            L = np.vstack(self._lrows)
-            F = L[:, pivs]
-            if F.any():
-                L = (L - F @ np.vstack(rows)) % self.p
-            self._lrows = list(L)
-        self._lrows.extend(rows)
-        self._lpivs.extend(pivs)
-        self._maybe_merge()
-        return len(rows)
+        _mod(Y, self.p)
+        piv = self._rref(Y)
+        if piv:
+            self._merge(Y[:len(piv)], np.asarray(piv, dtype=np.int64))
+        return len(piv)
 
-    def _echelonize_local(self, X: np.ndarray):
-        """RREF a block already reduced against the basis; returns rows, pivots."""
+    def _rref(self, Y: np.ndarray) -> list:
+        """Echelonise the rows of Y into Y[:len(pivots)]; returns pivots.
+
+        Drop zero rows, echelonise the first half, reduce the second half by
+        it, echelonise that, and use it to clear the first.
+        """
         p = self.p
-        nrows = X.shape[0]
-        if nrows <= 48:
-            rows: list = []
-            pivs: list = []
-            for i in range(nrows):
-                v = X[i]
-                if rows:
-                    coeffs = v[pivs]
-                    if coeffs.any():
-                        v = (v - coeffs @ np.vstack(rows)) % p
-                nz = np.flatnonzero(v)
-                if nz.size == 0:
-                    continue
-                j = int(nz[0])
-                inv = pow(int(v[j]), -1, p)
-                if inv != 1:
-                    v = (v * inv) % p
-                for s, r in enumerate(rows):
-                    f = r[j]
-                    if f:
-                        rows[s] = (r - f * v) % p
-                rows.append(v)
-                pivs.append(j)
-            return rows, pivs
-        half = nrows // 2
-        r1, p1 = self._echelonize_local(X[:half])
-        Y = X[half:]
-        if r1:
-            Y = (Y - Y[:, p1] @ np.vstack(r1)) % p
-        alive = np.flatnonzero(Y.any(axis=1))
-        r2, p2 = self._echelonize_local(Y[alive]) if alive.size else ([], [])
-        if r1 and r2:
-            R1 = np.vstack(r1)
-            F = R1[:, p2]
-            if F.any():
-                R1 = (R1 - F @ np.vstack(r2)) % p
-            r1 = list(R1)
-        return r1 + r2, p1 + p2
+        alive = Y.any(axis=1)
+        if not alive.all():
+            m = int(alive.sum())
+            Y[:m] = Y[alive]
+            Y = Y[:m]
+        if len(Y) <= _BASE_ROWS:
+            return self._rref_rows(Y)
+        half = len(Y) // 2
+        P1 = self._rref(Y[:half])
+        k1 = len(P1)
+        Y2 = Y[half:]
+        if k1:
+            Y2 += (p - Y2[:, P1]) @ Y[:k1]
+            _mod(Y2, p)
+        P2 = self._rref(Y2)
+        k2 = len(P2)
+        if k2:
+            if k1:
+                R1 = Y[:k1]
+                R1 += (p - R1[:, P2]) @ Y2[:k2]
+                _mod(R1, p)
+            Y[k1:k1 + k2] = Y2[:k2]
+        return P1 + P2
 
-    def _insert(self, v: np.ndarray) -> None:
+    def _rref_rows(self, Y: np.ndarray) -> list:
+        """Kernel base case: Gauss-Jordan one row at a time, in place."""
         p = self.p
-        j = int(np.flatnonzero(v)[0])
-        inv = pow(int(v[j]), -1, p)
-        if inv != 1:
-            v = (v * inv) % p
-        for s, r in enumerate(self._lrows):
-            f = r[j]
-            if f:
-                self._lrows[s] = (r - f * v) % p
-        self._lrows.append(v)
-        self._lpivs.append(j)
+        piv: list = []
+        for y in Y:
+            k = len(piv)
+            if k:
+                a = y[piv]
+                if a.any():
+                    y = _mod(y + (p - a) @ Y[:k], p)
+            nz = np.flatnonzero(y)
+            if nz.size == 0:
+                continue
+            j = int(nz[0])
+            inv = pow(int(y[j]), -1, p)
+            if inv != 1:
+                y = _mod(y * inv, p)
+            if k:
+                a = Y[:k, j]
+                if a.any():
+                    Y[:k] += np.outer(p - a, y)
+                    _mod(Y[:k], p)
+            Y[k] = y
+            piv.append(j)
+        return piv
 
-    def _maybe_merge(self) -> None:
-        if len(self._lrows) >= self.merge_block:
-            self._merge()
+    def _merge(self, R: np.ndarray, P: np.ndarray) -> None:
+        """Add echelon rows R over the free columns, pivots at positions P."""
+        r, f, k = self.rank(), len(self._free), len(P)
+        keep = np.ones(f, dtype=bool)
+        keep[P] = False
+        keep = np.flatnonzero(keep)
+        fk = len(keep)
+        N = np.take(R, keep, axis=1)
+        np.subtract(self.p, N, out=N)
+        self._clear_and_compact(P, keep, N)
+        need = (r + k) * fk
+        if self._buf.size != need:
+            # realloc: grows or shrinks without a second full-size copy
+            self._buf.resize(need, refcheck=False)
+        np.subtract(self.p, N, out=self._buf[r * fk:].reshape(k, fk))
+        self._piv = np.concatenate([self._piv, self._free[P]])
+        self._free = self._free[keep]
+        self._pos[self._free] = np.arange(fk)
+        self._pos[self._piv[r:]] = -1 - np.arange(r, r + k)
 
-    def _merge(self) -> None:
-        if not self._lrows:
-            return
-        p = self.p
-        L = np.vstack(self._lrows)
-        s = L.shape[0]
-        self._ensure_capacity(self._r0 + s)
-        if self._r0:
-            chunk = max(1, (1 << 24) // max(self.width, 1))
-            for lo in range(0, self._r0, chunk):
-                sl = self._basis[lo:min(lo + chunk, self._r0)]
-                F = sl[:, self._lpivs]
-                if F.any():
-                    sl -= F @ L
-                    sl %= p
-        self._basis[self._r0:self._r0 + s] = L
-        self._pcol2row[self._lpivs] = np.arange(self._r0, self._r0 + s)
-        self._pivcols = np.concatenate(
-            [self._pivcols, np.asarray(self._lpivs, dtype=np.int64)])
-        self._r0 += s
-        self._lrows = []
-        self._lpivs = []
+    def _clear_and_compact(self, P, keep, N) -> None:
+        """C <- C[:, keep] - C[:, P] @ R[:, keep] in place, N = p - R[:, keep].
 
-    def _ensure_capacity(self, need: int) -> None:
-        if need <= self._cap:
-            return
-        cap = self._cap
-        while cap < need:
-            cap *= 2
-        cap = min(cap, max(self.width, need))
-        fresh = np.zeros((cap, self.width), dtype=np.float64)
-        fresh[:self._r0] = self._basis[:self._r0]
-        self._basis = fresh
-        self._cap = cap
+        At the narrower row stride a chunk's destination ends before the
+        next chunk's source starts, so a gathered chunk can be overwritten.
+        """
+        r, f, fk = self.rank(), len(self._free), len(keep)
+        step = max(1, min(r, _CHUNK // f))
+        G = np.empty((step, len(P)))
+        T = np.empty((step, fk))
+        for lo in range(0, r, step):
+            n = min(step, r - lo)
+            old = self._buf[lo * f:(lo + n) * f].reshape(n, f)
+            np.take(old, P, axis=1, out=G[:n])
+            np.take(old, keep, axis=1, out=T[:n])
+            new = self._buf[lo * fk:(lo + n) * fk].reshape(n, fk)
+            np.matmul(G[:n], N, out=new)
+            new += T[:n]
+            _mod(new, self.p)
 
 
 def modular_rank(M, p: int = 101) -> int:

@@ -151,6 +151,26 @@ class TestNewIdentityTest:
         assert res103.nullspace_dim == res.nullspace_dim
         assert res103.consequence_dims == res.consequence_dims
 
+    def test_exact_shortfall_agreeing_at_two_primes(self):
+        res = new_identity_test(7, [], n=3, mode="exact")
+        assert (res.nullspace_dim, res.final_dim) == (245, 0)
+        assert res.verdict == "new identities"
+
+    def test_exact_shortfall_disagreeing_primes_is_inconclusive(
+            self, monkeypatch):
+        real = identities.expansion_rank
+
+        def unlucky_at_103(n, d, p=101):
+            rank, null_dim = real(n, d, p)
+            return (rank - 1, null_dim + 1) if p == 103 else (rank, null_dim)
+
+        monkeypatch.setattr(identities, "expansion_rank", unlucky_at_103)
+        res = new_identity_test(7, [], n=3, mode="exact")
+        assert res.verdict == "inconclusive"
+        res = new_identity_test(7, [], 103, n=3, mode="exact")
+        assert res.nullspace_dim == 246
+        assert res.verdict == "inconclusive"
+
     def test_certify_mode_small(self, named):
         res = new_identity_test(5, [named["binary_recombination"]],
                                 mode="certify", seed=1)

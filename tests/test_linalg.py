@@ -1,13 +1,17 @@
+import math
 import random
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb import golden
 from recomb.linalg import (
     DependentRowsError,
     ModularRankAccumulator,
+    _mod,
     det_bareiss,
     hnf_rows,
     hnf_with_transform,
@@ -201,21 +205,90 @@ class TestLll:
         assert is_lll_reduced(red)
 
 
+def rank_mod_p(M, p):
+    """Rank over F_p by plain Gauss-Jordan on python ints (test oracle)."""
+    rows = [[int(x) % p for x in row] for row in M]
+    r = 0
+    for c in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], -1, p)
+        rows[r] = [x * inv % p for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def coo(rows):
+    """COO triples of a list of integer rows."""
+    ri, ci, vi = [], [], []
+    for i, row in enumerate(rows):
+        for j, x in enumerate(row):
+            if x:
+                ri.append(i)
+                ci.append(j)
+                vi.append(x)
+    return ri, ci, vi
+
+
+PRIMES = st.sampled_from([2, 3, 101, 103])
+
+
+@st.composite
+def int_matrices(draw, max_rows=80, max_cols=12):
+    """Small integer matrices, sparse or dense, some of low rank."""
+    m = draw(st.integers(1, max_rows))
+    n = draw(st.integers(1, max_cols))
+    entry = st.one_of(st.just(0), st.integers(-6, 6))
+    if draw(st.booleans()):
+        return [draw(st.lists(entry, min_size=n, max_size=n))
+                for _ in range(m)]
+    k = draw(st.integers(1, 4))
+    base = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    coeffs = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+              for _ in range(m)]
+    return [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(n)]
+            for cs in coeffs]
+
+
+def batches(draw, M):
+    """Split the rows of M into consecutive batches of random sizes."""
+    out, lo = [], 0
+    while lo < len(M):
+        # small batches merge often; large ones reach the recursive kernel
+        hi = lo + draw(st.integers(1, 6) | st.integers(13, 48))
+        out.append(M[lo:hi])
+        lo = hi
+    return out
+
+
 class TestModularRankAccumulator:
     def test_identity_rows_increment(self):
-        acc = ModularRankAccumulator(6, 101, merge_block=2)
+        acc = ModularRankAccumulator(6, 101)
         ranks = []
         for row in np.eye(6, dtype=int):
-            acc.add_row(row)
+            assert acc.add_batch(row) == 1
             ranks.append(acc.rank())
         assert ranks == [1, 2, 3, 4, 5, 6]
 
     def test_absorbed_vs_new(self):
         acc = ModularRankAccumulator(4, 101)
-        assert acc.add_row([1, 2, 3, 4]) is True
-        assert acc.add_row([2, 4, 6, 8]) is False
-        assert acc.add_row([0, 1, 1, 1]) is True
+        assert acc.add_batch([1, 2, 3, 4]) == 1
+        assert acc.add_batch([2, 4, 6, 8]) == 0
+        assert acc.add_batch([0, 1, 1, 1]) == 1
         assert acc.rank() == 2
+
+    def test_new_pivots_are_cleared_from_earlier_rows(self):
+        acc = ModularRankAccumulator(3, 101)
+        acc.add_batch([1, 1, 0])
+        acc.add_batch([0, 1, 1])
+        assert acc.add_batch([1, 0, -1]) == 0    # row 1 - row 2
+        assert acc.add_batch([1, 0, 0]) == 1
 
     def test_matches_exact_rank(self):
         rnd = random.Random(3)
@@ -228,44 +301,98 @@ class TestModularRankAccumulator:
     def test_paths_agree(self):
         rnd = random.Random(8)
         M = random_int_matrix(rnd, 40, 17, -6, 6)
-        a1 = ModularRankAccumulator(17, 101, merge_block=4)
+        a1 = ModularRankAccumulator(17, 101)
+        a1.add_batch(np.array(M))
+        a2 = ModularRankAccumulator(17, 101)
         for row in M:
-            a1.add_row(row)
-        a2 = ModularRankAccumulator(17, 101, merge_block=8)
-        a2.add_batch(np.array(M))
-        a3 = ModularRankAccumulator(17, 101, merge_block=4)
-        ri, ci, vi = [], [], []
-        for i, row in enumerate(M):
-            for j, x in enumerate(row):
-                if x:
-                    ri.append(i)
-                    ci.append(j)
-                    vi.append(x)
-        a3.add_sparse_batch(ri, ci, vi, len(M))
-        a4 = ModularRankAccumulator(17, 101)
-        for row in M:
-            cols = [j for j, x in enumerate(row) if x]
-            a4.add_sparse(cols, [row[j] for j in cols])
-        assert a1.rank() == a2.rank() == a3.rank() == a4.rank() == rcf(M).rank
-        e1 = a1.echelon()
-        e2 = a2.echelon()
-        assert e1.shape == e2.shape
-        assert sorted(a1.pivot_columns()) == sorted(a2.pivot_columns())
+            a2.add_batch(row)
+        a3 = ModularRankAccumulator(17, 101)
+        a3.add_sparse_batch(*coo(M), len(M))
+        assert a1.rank() == a2.rank() == a3.rank() == rcf(M).rank
 
-    def test_echelon_is_reduced(self):
-        rnd = random.Random(11)
-        M = random_int_matrix(rnd, 12, 9, -5, 5)
-        acc = ModularRankAccumulator(9, 101, merge_block=3)
-        acc.add_batch(np.array(M))
-        E = acc.echelon()
-        pivots = acc.pivot_columns()
-        for i, j in enumerate(pivots):
-            col = E[:, j]
-            assert col[i] == 1 and np.count_nonzero(col) == 1
+    def test_sparse_duplicates_are_summed(self):
+        acc = ModularRankAccumulator(3, 101)
+        assert acc.add_sparse_batch([0, 0, 0], [1, 1, 2], [1, 100, 5], 1) == 1
+        assert acc.add_batch([0, 0, 1]) == 0
+        assert acc.add_batch([0, 1, 0]) == 1
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             ModularRankAccumulator(5, 100)
+
+    def test_rejects_rows_of_another_width(self):
+        acc = ModularRankAccumulator(3, 101)
+        acc.add_batch([1, 0, 0])
+        with pytest.raises(ValueError):
+            acc.add_batch([0, 1, 0, 1])
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 103, 13036379])
+    def test_mod_is_exact_up_to_2_53(self, p):
+        # the float quotient can be one off near 2^53; both corrections run
+        rnd = random.Random(p)
+        top = 2 ** 53 - p
+        xs = [rnd.randint(-top, top) for _ in range(2000)]
+        xs += [m * p + e for m in range(top // p - 2000, top // p)
+               for e in (-1, 0, 1)]
+        xs += [-x for x in xs[-3000:]]
+        X = np.array(xs, dtype=np.float64)
+        assert [int(x) for x in _mod(X, p)] == [x % p for x in xs]
+
+    def test_exactness_guard_bounds_p_squared_width(self):
+        # Subtractions are done as a + (p - b) * c with p - b up to p, so a
+        # sum of width terms reaches about p^2 * width, not (p-1)^2 * width.
+        # Find a prime p with (p-1)^2 * w < 2^53 <= p^2 * w.
+        w = 2
+        while True:
+            p = math.isqrt(-(-2 ** 53 // w) - 1) + 1   # least p, p^2 w >= 2^53
+            if all(p % q for q in range(2, math.isqrt(p) + 1)):
+                break
+            w += 1
+        assert (p - 1) ** 2 * w < 2 ** 53
+        with pytest.raises(ValueError):
+            ModularRankAccumulator(w, p)
+        acc = ModularRankAccumulator(w - 1, p)
+        rows = [[p - 1] * (w - 1), list(range(1, w))]
+        assert acc.add_batch(rows) == rank_mod_p(rows, p)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=PRIMES, M=int_matrices(), data=st.data())
+    def test_rank_equals_rank_mod_p(self, p, M, data):
+        acc = ModularRankAccumulator(len(M[0]), p)
+        for block in batches(data.draw, M):
+            if data.draw(st.booleans()):
+                acc.add_batch(np.array(block))
+            else:
+                acc.add_sparse_batch(*coo(block), len(block))
+        assert acc.rank() == rank_mod_p(M, p)
+        # rank_p never exceeds the rational rank
+        assert acc.rank() <= rcf(M).rank
+
+    @settings(max_examples=40, deadline=None)
+    @given(p=PRIMES, M=int_matrices(), data=st.data())
+    def test_dense_and_sparse_paths_agree(self, p, M, data):
+        dense = ModularRankAccumulator(len(M[0]), p)
+        sparse = ModularRankAccumulator(len(M[0]), p)
+        for block in batches(data.draw, M):
+            assert dense.add_batch(np.array(block)) == \
+                sparse.add_sparse_batch(*coo(block), len(block))
+            assert dense.rank() == sparse.rank()
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=PRIMES, M=int_matrices(max_rows=40), data=st.data())
+    def test_adds_nothing_exactly_when_in_span(self, p, M, data):
+        n = len(M[0])
+        acc = ModularRankAccumulator(n, p)
+        for block in batches(data.draw, M):
+            acc.add_batch(np.array(block))
+        if data.draw(st.booleans()):
+            cs = data.draw(st.lists(st.integers(-3, 3), min_size=len(M),
+                                    max_size=len(M)))
+            v = [sum(c * row[j] for c, row in zip(cs, M)) for j in range(n)]
+        else:
+            v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
+        grows = rank_mod_p(M + [v], p) > rank_mod_p(M, p)
+        assert acc.add_batch(v) == int(grows)
 
 
 class TestSortVectors:
