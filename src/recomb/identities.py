@@ -223,8 +223,10 @@ class ClosureResult:
     equality of the two ends forces equality throughout: "no new identities"
     is then exact over Q.  A shortfall may come from an unlucky prime, so
     exact mode reports "new identities" only when a second prime gives the
-    same dimensions, and "inconclusive" when it does not; certify mode
-    reports "inconclusive" when it runs out of samples.
+    same dimensions, and "inconclusive" when it does not.  Certify mode
+    reports "inconclusive" when it runs out of samples; when it stops short
+    of the nullspace before that (there are no consequences to sample), it
+    applies exact mode's rule.
     """
 
     degree: int
@@ -283,17 +285,20 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
 
     ctx = get_context(n, d)
 
+    def shortfall_verdict(dims):
+        """A span short of the nullspace, checked at a second prime."""
+        q = golden.scalars()["check_prime"]
+        if p == q:
+            q = golden.scalars()["default_prime"]
+        agree = (expansion_rank(n, d, q)[1] == null_dim
+                 and _consequence_dims(ctx, consequences, q) == dims)
+        return "new identities" if agree else "inconclusive"
+
     if mode == "exact":
         dims = _consequence_dims(ctx, consequences, p)
         final = dims[-1] if dims else 0
-        verdict = "no new identities"
-        if final != null_dim:
-            q = golden.scalars()["check_prime"]
-            if p == q:
-                q = golden.scalars()["default_prime"]
-            agree = (expansion_rank(n, d, q)[1] == null_dim
-                     and _consequence_dims(ctx, consequences, q) == dims)
-            verdict = "new identities" if agree else "inconclusive"
+        verdict = ("no new identities" if final == null_dim
+                   else shortfall_verdict(dims))
         return ClosureResult(d, null_dim, dims, final, verdict, mode, 0)
 
     if mode != "certify":
@@ -319,7 +324,8 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
     elif samples >= max_samples:
         verdict = "inconclusive"
     else:
-        verdict = "new identities"
+        # the loop stops before the cap only when there are no consequences
+        verdict = shortfall_verdict([])
     return ClosureResult(d, null_dim, [final], final, verdict, "certify", samples)
 
 

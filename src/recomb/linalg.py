@@ -4,12 +4,18 @@ Everything here is exact: row canonical form over the rationals, canonical
 integer nullspace bases, Hermite normal form with a unimodular transform,
 integer LLL lattice reduction, and an incremental mod-p rank accumulator.
 
-The mod-p accumulator is the only numpy consumer.  It keeps the reduced
-echelon basis as [I | C] and stores only C, the rows on the non-pivot
-columns, as float64 residues, so that reducing, echelonising and merging
-are matrix products run through BLAS.  They are exact because every
-subtraction is done as an addition of nonnegative terms, so each sum is
-bounded by p^2 * width < 2^53.
+The exact kernels (RCF, HNF, the LLL Gram matrix) work on numpy integer
+arrays whose row operations are whole-array steps.  One magnitude guard
+picks the dtype: int64 while every step's bound |x| + |q| |y| (for a
+product, max|a| max|b| inner) stays below 2^62, dtype=object holding
+Python ints once it does not.  The same numpy code runs on both, and the
+results are lists of Python ints either way.
+
+The mod-p accumulator keeps the reduced echelon basis as [I | C] and
+stores only C, the rows on the non-pivot columns, as float64 residues, so
+that reducing, echelonising and merging are matrix products run through
+BLAS.  They are exact because every subtraction is done as an addition of
+nonnegative terms, so each sum is bounded by p^2 * width < 2^53.
 """
 
 from __future__ import annotations
@@ -24,6 +30,54 @@ from scipy import sparse as _sparse
 
 class DependentRowsError(ValueError):
     """Input rows are linearly dependent where independence is required."""
+
+
+# ---------------------------------------------------------------------------
+# exact integer rows: int64 while safe, Python ints otherwise
+
+_SAFE = 1 << 62     # |x| + |q| |y| below this cannot overflow int64
+
+
+def _absmax(a) -> int:
+    a = np.asarray(a)
+    return max(int(a.max()), -int(a.min())) if a.size else 0
+
+
+def _int_matrix(M) -> np.ndarray:
+    """M as a new 2-d integer array: int64 when every entry is below 2^62,
+    else dtype=object holding Python ints.  Entries go through int()."""
+    A = np.asarray(M)
+    if A.dtype.kind not in "biu":
+        A = np.array([[int(x) for x in row] for row in M], dtype=object)
+    if A.ndim != 2:
+        return np.zeros((len(A), 0), dtype=np.int64)
+    return A.astype(np.int64 if _absmax(A) < _SAFE else object, order="C")
+
+
+def _lincomb(fa, X, fb, Y) -> np.ndarray:
+    """fa*X - fb*Y exactly: in int64 while |fa||X| + |fb||Y| < 2^62, else
+    in Python ints.  The factors broadcast as numpy operands."""
+    if (X.dtype == object or Y.dtype == object or
+            _absmax(fa) * max(_absmax(X), 1) +
+            _absmax(fb) * max(_absmax(Y), 1) >= _SAFE):
+        X, Y = X.astype(object), Y.astype(object)
+    return fa * X - fb * Y
+
+
+def _matmul(A, B) -> np.ndarray:
+    """Exact A @ B: int64 when max|A| max|B| inner < 2^62, else Python ints."""
+    if (A.dtype == object or B.dtype == object or
+            _absmax(A) * _absmax(B) * A.shape[-1] >= _SAFE):
+        A, B = A.astype(object), B.astype(object)
+    return A @ B
+
+
+def _put(A, idx, X) -> np.ndarray:
+    """A[idx] = X, widening A to Python ints first when X holds them."""
+    if X.dtype != A.dtype:
+        A = A.astype(object)
+    A[idx] = X
+    return A
 
 
 # ---------------------------------------------------------------------------
@@ -44,19 +98,8 @@ def sort_vectors_by_norm(vectors):
 
 
 def int_matmul(A, B):
-    """Exact product of integer matrices; numpy fast path when safe."""
-    a = np.asarray(A, dtype=object)
-    b = np.asarray(B, dtype=object)
-    inner = a.shape[1]
-    try:
-        amax = max((abs(int(x)) for row in A for x in row), default=0)
-        bmax = max((abs(int(x)) for row in B for x in row), default=0)
-        if amax * bmax * inner < 2 ** 62:
-            return (np.asarray(A, dtype=np.int64) @
-                    np.asarray(B, dtype=np.int64)).tolist()
-    except OverflowError:
-        pass
-    return (a @ b).tolist()
+    """Exact product of integer matrices."""
+    return _matmul(_int_matrix(A), _int_matrix(B)).tolist()
 
 
 def det_bareiss(M) -> int:
@@ -97,69 +140,85 @@ class RcfResult(NamedTuple):
     pivots: list        # pivot column per pivot row
 
 
+def _echelon(M) -> tuple:
+    """Fraction-free Gauss-Jordan: (A, pivots), pivot rows on top.
+
+    Row i < rank is the RCF row i times A[i, pivots[i]]; the other rows are
+    zero.  Rational rows are first scaled by their denominators' LCM.  Each
+    pivot step clears column c from every other row at once by
+    fa*A[i] - fb*A[r] and divides the changed rows by their content.
+    """
+    if np.asarray(M).dtype == object:      # Fractions or big ints
+        scaled = []
+        for row in M:
+            row = [x if isinstance(x, Fraction) else Fraction(int(x))
+                   for x in row]
+            L = math.lcm(*(x.denominator for x in row))
+            scaled.append([int(x * L) for x in row])
+        M = scaled
+    A = _int_matrix(M)
+    m, n = A.shape
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        if r == m:
+            break
+        nz = np.flatnonzero(A[r:, c])
+        if not nz.size:
+            continue
+        i = r + int(nz[0])
+        if i != r:
+            A[[r, i]] = A[[i, r]]
+        others = np.flatnonzero(A[:, c])
+        others = others[others != r]
+        if others.size:
+            a, b = A[r, c], A[others, c]
+            g = np.gcd(b, a)
+            X = _lincomb((a // g)[:, None], A[others], (b // g)[:, None], A[r])
+            content = np.gcd.reduce(X, axis=1)
+            content[content == 0] = 1
+            A = _put(A, others, X // content[:, None])
+        pivots.append(c)
+    return A, pivots
+
+
 def rcf(M) -> RcfResult:
     """Unique reduced row echelon form over the rationals."""
-    rows = [[x if isinstance(x, Fraction) else Fraction(int(x)) for x in row]
-            for row in M]
-    if not rows:
-        return RcfResult([], 0, [])
-    ncols = len(rows[0])
-    r = 0
-    pivots = []
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c]:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        if inv != 1:
-            rows[r] = [x * inv for x in rows[r]]
-        rr = rows[r]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                ri = rows[i]
-                rows[i] = [x - f * y for x, y in zip(ri, rr)]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return RcfResult(rows, r, pivots)
+    A, pivots = _echelon(M)
+    m, n = A.shape
+    rows = [[Fraction(x, row[c]) for x in row]
+            for row, c in zip(A[:len(pivots)].tolist(), pivots)]
+    rows += [[Fraction(0)] * n for _ in range(m - len(pivots))]
+    return RcfResult(rows, len(pivots), pivots)
 
 
 def rcf_nullspace(M) -> list:
     """Canonical integer nullspace basis from the RCF.
 
     One vector per free column: free coordinate set to 1, pivots back-solved,
-    then the vector is scaled by the LCM of its denominators and divided by
-    the GCD of its entries.  Returned in free-column order.
+    then the vector is scaled by the LCM of its denominators, which leaves
+    its entries coprime.  Returned in free-column order.
     """
-    R = rcf(M)
-    ncols = len(R.rows[0]) if R.rows else 0
-    pivset = set(R.pivots)
-    basis = []
-    for f in range(ncols):
-        if f in pivset:
-            continue
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for i, pc in enumerate(R.pivots):
-            v[pc] = -R.rows[i][f]
-        lcm = 1
-        for x in v:
-            lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-        w = [int(x * lcm) for x in v]
-        g = 0
-        for x in w:
-            g = math.gcd(g, x)
-        if g > 1:
-            w = [x // g for x in w]
-        basis.append(w)
-    return basis
+    A, pivots = _echelon(M)
+    n = A.shape[1]
+    free = np.setdiff1d(np.arange(n), pivots)
+    k = len(pivots)
+    P = A[:k]
+    a = P[np.arange(k), pivots]
+    # RCF entry (i, f) is N[i, f] / a[i] = num / den in lowest terms
+    N = P[:, free] * np.sign(a)[:, None]
+    a = np.abs(a)[:, None]
+    g = np.gcd(N, a)
+    num, den = N // g, a // g
+    L = np.lcm.reduce(den.astype(object), axis=0, initial=1)
+    if _absmax(num) * _absmax(L) < _SAFE:
+        L = L.astype(np.int64)
+    else:
+        num = num.astype(object)
+    W = np.zeros((n, len(free)), dtype=np.result_type(num, L))
+    W[pivots] = -num * (L // den)
+    W[free, np.arange(len(free))] = L
+    return W.T.tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -178,95 +237,147 @@ def hnf_with_transform(M) -> HnfResult:
 
     H satisfies: zeros left of each pivot, pivots >= 1, entries above a pivot
     reduced into [0, pivot), zero rows at the bottom.  H is unique; U is not.
-    Above-pivot entries are reduced as soon as each pivot settles, which
-    keeps the transform entries small.
+    Column by column, remainder rounds shrink the entries below the pivot
+    row until one is left; above-pivot entries are reduced as soon as each
+    pivot settles, which keeps the transform entries small.  Each round's
+    row operations use one fixed pivot row, so they run as one array step.
     """
-    h = [[int(x) for x in row] for row in M]
-    m = len(h)
-    n = len(h[0]) if m else 0
-    u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
+    h = _int_matrix(M)
+    m, n = h.shape
+    u = np.eye(m, dtype=np.int64)
     sign = 1
-    r = 0
     pivots = []
+
+    def reduce_rows(rows, q, r):
+        nonlocal h, u
+        sel = np.flatnonzero(q)
+        if sel.size:
+            rows, q = rows[sel], q[sel][:, None]
+            h = _put(h, rows, _lincomb(1, h[rows], q, h[r]))
+            u = _put(u, rows, _lincomb(1, u[rows], q, u[r]))
+
     for c in range(n):
-        # remainder loop: shrink entries in column c below row r until one is left
+        r = len(pivots)
+        if r == m:
+            break
         while True:
-            live = [i for i in range(r, m) if h[i][c] != 0]
-            if not live:
+            col = h[r:, c]
+            live = np.flatnonzero(col)
+            if not live.size:
                 break
-            i0 = min(live, key=lambda i: abs(h[i][c]))
+            i0 = r + int(live[np.argmin(np.abs(col[live]))])
             if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-                u[r], u[i0] = u[i0], u[r]
+                h[[r, i0]] = h[[i0, r]]
+                u[[r, i0]] = u[[i0, r]]
                 sign = -sign
-            if len(live) == 1:
+            if live.size == 1:
                 break
-            a = h[r][c]
-            for i in range(r + 1, m):
-                if h[i][c] == 0:
-                    continue
-                q = h[i][c] // a  # floor keeps remainders in [0, |a|)
-                if q:
-                    hi, hr = h[i], h[r]
-                    h[i] = [x - q * y for x, y in zip(hi, hr)]
-                    ui, ur = u[i], u[r]
-                    u[i] = [x - q * y for x, y in zip(ui, ur)]
-        if r < m and h[r][c]:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-                u[r] = [-x for x in u[r]]
+            # floor keeps remainders in [0, |a|)
+            reduce_rows(np.arange(r + 1, m), h[r + 1:, c] // h[r, c], r)
+        if h[r, c]:
+            if h[r, c] < 0:
+                h[r] = -h[r]
+                u[r] = -u[r]
                 sign = -sign
-            a = h[r][c]
-            for k in range(r):
-                q = h[k][c] // a
-                if q:
-                    hk, hr = h[k], h[r]
-                    h[k] = [x - q * y for x, y in zip(hk, hr)]
-                    uk, ur = u[k], u[r]
-                    u[k] = [x - q * y for x, y in zip(uk, ur)]
+            reduce_rows(np.arange(r), h[:r, c] // h[r, c], r)
             pivots.append(c)
-            r += 1
-            if r == m:
-                break
-    return HnfResult(h, u, r, pivots, sign)
+    return HnfResult(h.tolist(), u.tolist(), len(pivots), pivots, sign)
+
+
+def _xgcd(a: int, b: int) -> tuple:
+    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        q = a // b
+        a, b = b, a - q * b
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _reduce_by(v, H, slot) -> np.ndarray:
+    """v minus lattice rows of H, with v[c] in [0, pivot) at every pivot c.
+
+    H is fully reduced, so it is zero at every unit pivot column but the
+    row's own: v is cleared at all of those by one product, and the other
+    pivot columns, whose rows are zero at unit columns, follow in order.
+    """
+    cols = np.flatnonzero(slot >= 0)
+    rows = slot[cols]
+    a = H[rows, cols]
+    unit = a == 1
+    q = v[cols[unit]]
+    nz = np.flatnonzero(q)
+    if nz.size:
+        v = _lincomb(1, v, 1, _matmul(q[nz], H[rows[unit][nz]]))
+    for c, s, ac in zip(cols[~unit], rows[~unit], a[~unit]):
+        q = int(v[c]) // int(ac)
+        if q:
+            v = _lincomb(1, v, q, H[s])
+    return v
+
+
+def _place(H, slot, s, w) -> np.ndarray:
+    """Make w the pivot row of its leading column c, in row s of H.
+
+    c is not a pivot of H, which is fully reduced and stays so: w is
+    reduced by H, and the rows above c are reduced at c by w and then again
+    at the non-unit pivots right of c (w is zero at the unit ones).
+    """
+    c = int(np.flatnonzero(w)[0])
+    w = _reduce_by(w if w[c] > 0 else -w, H, slot)
+    if w.dtype != H.dtype:
+        H = H.astype(object)
+    cols = np.flatnonzero(slot >= 0)
+    above = slot[cols[cols < c]]
+    q = H[above, c] // w[c]
+    sel = np.flatnonzero(q)
+    if sel.size:
+        above = above[sel]
+        X = _lincomb(1, H[above], q[sel][:, None], w)
+        right = cols[cols > c]
+        for p, ap in zip(right, H[slot[right], right]):
+            if ap != 1:
+                X = _lincomb(1, X, (X[:, p] // ap)[:, None], H[slot[p]])
+        H = _put(H, above, X)
+    H = _put(H, s, w)
+    slot[c] = s
+    return H
 
 
 def hnf_rows(M) -> list:
-    """Nonzero rows of the HNF (no transform); canonical for lattice tests."""
-    h = [[int(x) for x in row] for row in M]
-    m = len(h)
-    n = len(h[0]) if m else 0
-    r = 0
-    for c in range(n):
+    """Nonzero rows of the HNF (no transform); canonical for lattice tests.
+
+    Rows are inserted one at a time into a fully reduced HNF, combining
+    with the pivot row by an extended gcd where the pivot does not divide
+    (Kannan and Bachem).  Entries stay small: 10 bits on the degree-7
+    lattice, where eliminating column by column reaches 1,251 bits.
+    """
+    A = _int_matrix(M)
+    m, n = A.shape
+    H = np.zeros((min(m, n), n), dtype=A.dtype)
+    slot = np.full(n, -1)       # row of H whose pivot is column c, or -1
+    used = 0
+    for v in A:
         while True:
-            live = [i for i in range(r, m) if h[i][c] != 0]
-            if not live:
+            v = _reduce_by(v, H, slot)
+            nz = np.flatnonzero(v)
+            if not nz.size:
                 break
-            i0 = min(live, key=lambda i: abs(h[i][c]))
-            if i0 != r:
-                h[r], h[i0] = h[i0], h[r]
-            if len(live) == 1:
+            c = int(nz[0])
+            s = slot[c]
+            if s < 0:
+                H = _place(H, slot, used, v)
+                used += 1
                 break
-            a = h[r][c]
-            for i in range(r + 1, m):
-                if h[i][c]:
-                    q = h[i][c] // a
-                    if q:
-                        hi, hr = h[i], h[r]
-                        h[i] = [x - q * y for x, y in zip(hi, hr)]
-        if r < m and h[r][c]:
-            if h[r][c] < 0:
-                h[r] = [-x for x in h[r]]
-            a = h[r][c]
-            for k in range(r):
-                q = h[k][c] // a
-                if q:
-                    hk, hr = h[k], h[r]
-                    h[k] = [x - q * y for x, y in zip(hk, hr)]
-            r += 1
-            if r == m:
-                break
-    return h[:r]
+            # 0 < v[c] < pivot: the gcd row replaces the pivot row
+            a, b = int(H[s, c]), int(v[c])
+            g, x, y = _xgcd(a, b)
+            w = _lincomb(x, H[s], -y, v)
+            v = _lincomb(a // g, v, b // g, H[s])
+            slot[c] = -1
+            H = _place(H, slot, s, w)
+    return H[slot[slot >= 0]].tolist()
 
 
 def nullspace_lattice(M) -> list:
@@ -275,8 +386,8 @@ def nullspace_lattice(M) -> list:
     Bottom rows of the transform U with U M^t = HNF(M^t); every integer
     nullspace vector is an integer combination of these rows.
     """
-    res = hnf_with_transform(transpose(M))
-    return [list(row) for row in res.u[res.rank:]]
+    res = hnf_with_transform(_int_matrix(M).T)
+    return res.u[res.rank:]
 
 
 def lattices_equal(A, B) -> bool:
@@ -314,38 +425,32 @@ def lattice_contains(basis, v, hnf=None) -> bool:
     return lattice_coordinates(basis, v, hnf) is not None
 
 
-def rational_span_equal(A, B) -> bool:
-    """Equal row spans over Q, by a mutual rank test.
-
-    Ranks come from integer HNFs: HNF rows are independent over Q, so the
-    nonzero-row count is the rational rank, without Fraction arithmetic.
-    """
-    ra = len(hnf_rows(A))
-    rb = len(hnf_rows(B))
-    if ra != rb:
-        return False
-    return len(hnf_rows(list(A) + list(B))) == ra
-
-
 # ---------------------------------------------------------------------------
 # integer LLL
 
 def _lll_initialize(b):
-    """Integer Gram-Schmidt data: d[i] = det Gram(b1..bi), lam scaled mu."""
-    k = len(b)
-    d = [1] * (k + 1)
-    lam = [[0] * k for _ in range(k)]
-    for i in range(k):
+    """Integer Gram-Schmidt data: d[i] = det Gram(b1..bi), lam scaled mu.
+
+    lam[i] holds lam[i][j] for j < i.  The Gram matrix is one exact product.
+    """
+    B = _int_matrix(b)
+    d = [1]
+    steps = []          # (d[s + 1], d[s]) for s < i
+    lam = []
+    for i, gram in enumerate(_matmul(B, B.T).tolist()):
+        li = []
         for j in range(i + 1):
-            u = sum(x * y for x, y in zip(b[i], b[j]))
-            for s in range(j):
-                u = (d[s + 1] * u - lam[i][s] * lam[j][s]) // d[s]
+            u = gram[j]
+            for x, y, (dn, dp) in zip(li, lam[j] if j < i else li, steps):
+                u = (dn * u - x * y) // dp
             if j < i:
-                lam[i][j] = u
+                li.append(u)
+            elif u <= 0:
+                raise DependentRowsError("rows are linearly dependent")
             else:
-                d[i + 1] = u
-                if u <= 0:
-                    raise DependentRowsError("rows are linearly dependent")
+                steps.append((u, d[i]))
+                d.append(u)
+        lam.append(li)
     return d, lam
 
 
@@ -394,32 +499,6 @@ def lll_reduce(basis, delta=(3, 4)) -> list:
                 red(kk, j)
             kk += 1
     return b
-
-
-def is_lll_reduced(basis, delta=(3, 4)) -> bool:
-    """Definition check with exact rational Gram-Schmidt (test oracle)."""
-    b = [[Fraction(int(x)) for x in row] for row in basis]
-    k = len(b)
-    star = []
-    mu = [[Fraction(0)] * k for _ in range(k)]
-    for i in range(k):
-        v = list(b[i])
-        for j in range(i):
-            denom = sum(x * x for x in star[j])
-            mu[i][j] = sum(x * y for x, y in zip(b[i], star[j])) / denom
-            v = [x - mu[i][j] * y for x, y in zip(v, star[j])]
-        star.append(v)
-    dlt = Fraction(delta[0], delta[1])
-    for i in range(k):
-        for j in range(i):
-            if abs(mu[i][j]) > Fraction(1, 2):
-                return False
-    for i in range(1, k):
-        lhs = sum(x * x for x in star[i])
-        rhs = (dlt - mu[i][i - 1] ** 2) * sum(x * x for x in star[i - 1])
-        if lhs < rhs:
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------

@@ -223,6 +223,9 @@ def _deg9_rank(sc, p) -> Report:
     rank, null_dim = expansion_rank(3, 9, p)
     rep.add(f"rank mod {p}", sc["expansion_rank"]["n3_d9"], rank)
     rep.add("nullspace dimension", sc["nullspace_dim"]["n3_d9"], null_dim)
+    q = sc["check_prime"] if p != sc["check_prime"] else sc["default_prime"]
+    rep.add(f"rank mod {q}", sc["expansion_rank"]["n3_d9"],
+            expansion_rank(3, 9, q)[0])
     return rep
 
 

@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from linalg_oracles import rational_span_equal
 from recomb import golden
 from recomb.expansion import build_expansion_matrix, expand_monomial, mass
 from recomb.identities import (
@@ -25,6 +26,7 @@ from recomb.identities import (
 )
 from recomb.linalg import (
     det_bareiss,
+    hnf_rows,
     hnf_with_transform,
     int_matmul,
     lattice_contains,
@@ -32,7 +34,6 @@ from recomb.linalg import (
     lll_reduce,
     modular_rank,
     nullspace_lattice,
-    rational_span_equal,
     rcf,
     rcf_nullspace,
     sort_vectors_by_norm,
@@ -212,7 +213,6 @@ def test_criterion_7_degree7_reduced_basis(deg7):
     ok &= max(squared_norm(v) for v in red) <= SC["lll_max_norm_n3_d7"]
     ok &= deg7["lat_eq"]
     ok &= rational_span_equal(red, ns)
-    from recomb.linalg import hnf_rows
     red_hnf = hnf_rows(red)
     ok &= all(lattice_contains(red, v, hnf=red_hnf) for v in ns)
     stretch = sorted(squared_norm(v) for v in red) == \

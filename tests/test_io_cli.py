@@ -140,6 +140,16 @@ class TestCli:
         assert "[FAIL]" not in out
         assert "11/11 checks passed" in out
 
+    def test_reproduce_deg9_rank_at_two_primes(self, capsys):
+        assert main(["reproduce", "deg9-rank"]) == 0
+        out = capsys.readouterr().out
+        assert "[PASS] deg9-rank: rank mod 101" in out
+        assert "[PASS] deg9-rank: rank mod 103" in out
+        assert "6/6 checks passed" in out
+        assert main(["reproduce", "deg9-rank", "-p", "103"]) == 0
+        out = capsys.readouterr().out
+        assert out.index("rank mod 103") < out.index("rank mod 101")
+
     def test_reproduce_unknown_scope_usage_error(self, capsys):
         assert main(["reproduce", "everything"]) == 2
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import random
 from fractions import Fraction
@@ -7,23 +9,26 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb import golden
+import linalg_oracles as ref
+from linalg_oracles import is_lll_reduced, rational_span_equal
+from recomb import golden, linalg
 from recomb.linalg import (
     DependentRowsError,
     ModularRankAccumulator,
+    _int_matrix,
+    _lincomb,
+    _matmul,
     _mod,
     det_bareiss,
     hnf_rows,
     hnf_with_transform,
     int_matmul,
-    is_lll_reduced,
     lattice_contains,
     lattice_coordinates,
     lattices_equal,
     lll_reduce,
     modular_rank,
     nullspace_lattice,
-    rational_span_equal,
     rcf,
     rcf_nullspace,
     sort_vectors_by_norm,
@@ -393,6 +398,163 @@ class TestModularRankAccumulator:
             v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
         grows = rank_mod_p(M + [v], p) > rank_mod_p(M, p)
         assert acc.add_batch(v) == int(grows)
+
+
+@st.composite
+def kernel_matrices(draw):
+    """Small integer matrices for the exact kernels, some of low rank.
+
+    Entries up to 6 stay in int64; 8 x 10 blocks with entries up to 60 make
+    the HNF and RCF entries outgrow int64 midway; entries of about 2^40
+    overflow the first product.
+    """
+    m = draw(st.integers(1, 8))
+    n = draw(st.integers(1, 10))
+    entry = draw(st.sampled_from([
+        st.integers(-6, 6),
+        st.integers(-60, 60),
+        st.builds(lambda hi, lo: hi * 2 ** 40 + lo,
+                  st.integers(-3, 3), st.integers(-6, 6)),
+    ]))
+    zeros = draw(st.sampled_from([1, 4]))
+    entry = st.one_of(*[st.just(0)] * zeros, entry)
+    if draw(st.booleans()):
+        return [draw(st.lists(entry, min_size=n, max_size=n))
+                for _ in range(m)]
+    k = draw(st.integers(1, 3))
+    base = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(k)]
+    coeffs = [draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+              for _ in range(m)]
+    return [[sum(c * b[j] for c, b in zip(cs, base)) for j in range(n)]
+            for cs in coeffs]
+
+
+def lll_or_error(reduce, M):
+    try:
+        return reduce(M)
+    except DependentRowsError:
+        return DependentRowsError
+
+
+class TestKernelsMatchReference:
+    """The numpy kernels return exactly what the list code returns."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=kernel_matrices())
+    def test_rcf(self, M):
+        R = rcf(M)
+        assert R == ref.rcf(M)
+        assert all(type(x) is Fraction for row in R.rows for x in row)
+
+    @settings(max_examples=60, deadline=None)
+    @given(M=kernel_matrices(), data=st.data())
+    def test_rcf_of_rational_rows(self, M, data):
+        dens = data.draw(st.lists(st.integers(1, 12), min_size=len(M),
+                                  max_size=len(M)))
+        Q = [[Fraction(x, q) for x in row] for row, q in zip(M, dens)]
+        assert rcf(Q) == ref.rcf(Q)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=kernel_matrices())
+    def test_rcf_nullspace(self, M):
+        assert rcf_nullspace(M) == ref.rcf_nullspace(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=kernel_matrices())
+    def test_hnf_with_transform(self, M):
+        res, want = hnf_with_transform(M), ref.hnf_with_transform(M)
+        assert (res.h, res.u, res.rank, res.pivots, res.det_sign) == \
+            (want.h, want.u, want.rank, want.pivots, want.det_sign)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=kernel_matrices())
+    def test_hnf_rows(self, M):
+        assert hnf_rows(M) == ref.hnf_rows(M)
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=kernel_matrices())
+    def test_lll_reduce(self, M):
+        assert lll_or_error(lll_reduce, M) == lll_or_error(ref.lll_reduce, M)
+
+    def test_hnf_rows_placing_pivots_out_of_column_order(self):
+        # sparse rows sorted so that each leads left of the rows before it:
+        # every new pivot row must be cleared at the unit pivots right of it
+        rnd = random.Random(5)
+        for _ in range(200):
+            n = rnd.randint(2, 9)
+            M = [[rnd.choice([0, 0, 0, rnd.randint(-6, 6)]) for _ in range(n)]
+                 for _ in range(rnd.randint(2, 7))]
+            M.sort(key=lambda row: next((j for j, x in enumerate(row) if x),
+                                        -1), reverse=True)
+            assert hnf_rows(M) == ref.hnf_rows(M)
+
+    def test_explosive_blocks_widen_midway(self, monkeypatch):
+        # entries up to 60 in 8 x 10 blocks: the fraction-free RCF and both
+        # HNFs outgrow int64 before their results shrink back into it
+        widened = []
+        put = linalg._put
+
+        def spy(A, idx, X):
+            widened.append(A.dtype != object and X.dtype == object)
+            return put(A, idx, X)
+
+        monkeypatch.setattr(linalg, "_put", spy)
+        rnd = random.Random(60)
+        blocks = [random_int_matrix(rnd, 8, 10, -60, 60) for _ in range(5)]
+        for kernel in (rcf, rcf_nullspace, hnf_with_transform, hnf_rows):
+            widened.clear()
+            for M in blocks:
+                assert kernel(M) == getattr(ref, kernel.__name__)(M)
+            assert any(widened)
+
+    def test_outputs_are_python_ints(self):
+        M = [[2 ** 40, 3, 0], [5, -7, 2 ** 41], [1, 1, 1]]
+        for out in (rcf_nullspace(M), hnf_with_transform(M).u, hnf_rows(M),
+                    lll_reduce(M), int_matmul(M, M)):
+            assert all(type(x) is int for row in out for x in row)
+
+    def test_degree7_lattice_digests(self, E37):
+        # sha256 of the JSON lists the list code produced: the lattice's
+        # HNF, and the hnf-lll basis that `recomb nullspace` publishes
+        def digest(rows):
+            return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+        lat = nullspace_lattice(E37.array.tolist())
+        assert digest(lat) == ("7dee0a63ae2774517925e656f2505900"
+                               "ccd9963a53f9266e295decaa40d80146")
+        assert digest(hnf_rows(lat)) == ("442b8f9922ae2197da22c9ea72667728"
+                                         "866696ee84fd6dfb5734671ea2bc02a0")
+        assert digest(lll_reduce(lat)) == ("54f513a7aa6c705b3ca7f3063f4f2359"
+                                           "5111f425ff9f60aa533090392b5460e1")
+
+
+class TestMagnitudeGuard:
+    LIMIT = 2 ** 62
+
+    def test_int_matrix_dtype(self):
+        assert _int_matrix([[self.LIMIT - 1, 0]]).dtype == np.int64
+        assert _int_matrix([[-self.LIMIT + 1, 0]]).dtype == np.int64
+        for big in (self.LIMIT, -self.LIMIT, -2 ** 63, 2 ** 63, 2 ** 70):
+            A = _int_matrix([[big, 1]])
+            assert A.dtype == object and A.tolist() == [[big, 1]]
+        assert _int_matrix(np.array([[-2 ** 63]])).dtype == object
+
+    def test_lincomb_widens_at_the_bound(self):
+        x = np.array([self.LIMIT - 1 - 3 * 5], dtype=np.int64)
+        y = np.array([5], dtype=np.int64)
+        assert _lincomb(1, x, 3, y).dtype == np.int64
+        out = _lincomb(1, x + 1, 3, y)
+        assert out.dtype == object and out.tolist() == [self.LIMIT - 2 * 15]
+        out = _lincomb(1, x + 1, -3, y)
+        assert out.tolist() == [self.LIMIT]
+
+    def test_matmul_widens_at_the_bound(self):
+        a = np.array([[2 ** 30, 2 ** 30]], dtype=np.int64)
+        b = np.array([[2 ** 31 - 1], [2 ** 31 - 1]], dtype=np.int64)
+        assert _matmul(a, b).dtype == np.int64
+        b = b + 1
+        out = _matmul(a, b)
+        assert out.dtype == object and out.tolist() == [[2 ** 62]]
 
 
 class TestSortVectors:
