@@ -169,6 +169,10 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'an allocation failed'}",
+              file=sys.stderr)
+        return 2
     raise AssertionError("unreachable")
 
 

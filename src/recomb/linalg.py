@@ -12,10 +12,13 @@ Python ints once it does not.  The same numpy code runs on both, and the
 results are lists of Python ints either way.
 
 The mod-p accumulator keeps the reduced echelon basis as [I | C] and
-stores only C, the rows on the non-pivot columns, as float64 residues, so
+stores only C, the rows on the non-pivot columns, as float residues, so
 that reducing, echelonising and merging are matrix products run through
 BLAS.  They are exact because every subtraction is done as an addition of
-nonnegative terms, so each sum is bounded by p^2 * width < 2^53.
+nonnegative terms below p^2 and no sum takes more than K of them, where
+K p^2 + p stays within the dtype's exact integers: float32 (below 2^24,
+K = 1644 at p = 101) for p <= 4093, float64 (below 2^53, with
+p^2 * width < 2^53 besides) for larger primes.
 """
 
 from __future__ import annotations
@@ -510,17 +513,19 @@ _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 
 
 def _mod(X: np.ndarray, p: int) -> np.ndarray:
-    """X mod p into [0, p), in place, for C-ordered float64 |X| <= 2^53 - p.
+    """X mod p into [0, p), in place, for a C-ordered float array.
 
+    Exact for |X| <= 2^24 - p in float32 and |X| <= 2^53 - p in float64:
     floor(X * (1/p)) can be one off, leaving X - q*p in [-p, 2p), which one
-    step each way corrects.  This is several times faster than np.fmod or %
-    on the large quotients a product leaves; blocks keep the passes in cache.
+    step each way corrects, and q*p stays within the exact integers.  This
+    is several times faster than np.fmod or % on the large quotients a
+    product leaves; blocks keep the passes in cache.
     """
     rows = X[None] if X.ndim == 1 else X
     if not rows.size:
         return X
     step = max(1, _MOD_BLOCK // rows.shape[1])
-    q = np.empty((min(step, len(rows)), rows.shape[1]))
+    q = np.empty((min(step, len(rows)), rows.shape[1]), dtype=X.dtype)
     for lo in range(0, len(rows), step):
         x = rows[lo:lo + step]
         t = q[:len(x)]
@@ -533,6 +538,22 @@ def _mod(X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
+def _row_parts(S, k: int) -> list:
+    """CSR matrices with at most k nonzeros per row that sum to CSR S."""
+    n = np.diff(S.indptr)
+    top = int(n.max(initial=0))
+    if top <= k:
+        return [S]
+    place = np.arange(S.nnz) - np.repeat(S.indptr[:-1], n)   # within its row
+    parts = []
+    for lo in range(0, top, k):
+        sel = (place >= lo) & (place < lo + k)
+        indptr = np.concatenate([[0], np.cumsum(np.clip(n - lo, 0, k))])
+        parts.append(_sparse.csr_matrix(
+            (S.data[sel], S.indices[sel], indptr), shape=S.shape))
+    return parts
+
+
 class ModularRankAccumulator:
     """Incremental reduced row echelon form mod p, stored as [I | C].
 
@@ -542,9 +563,19 @@ class ModularRankAccumulator:
     one product, Y = X[:, free] - X[:, piv] @ C (sparse for COO input), and
     echelonised by a recursive kernel whose updates are products; one more
     product clears the new pivots from C, whose columns are then compacted
-    out in place.  Residues are float64 in [0, p) for BLAS.  a - b*c is done
-    as a + (p - b)*c, so every term is nonnegative and a sum of up to width
-    of them stays below p^2 * width < 2^53, where float64 is exact.
+    out in place.
+
+    Residues in [0, p) are floats for BLAS.  a - b*c is done as
+    a + (p - b)*c, so every term is nonnegative and below p^2, and a residue
+    plus K terms stays exact and in _mod's range while K p^2 <= 2^m - p,
+    with 2^m = 2^24 in float32 and 2^53 in float64.  The dtype is float32
+    when K >= 1 there, i.e. p*p + p <= 2^24 (p <= 4093), else float64, and
+    K = (2^m - p) // p^2 (1644 at p = 101).  Batches go in K rows at a
+    time, each block reduced against the pivots of the blocks before it,
+    which bounds the kernel's and the merge's inner dimensions by K; the
+    reducing product runs over K-row slices of C (K-nonzero parts of each
+    sparse row), reduced mod p in between.  p^2 * width < 2^53 is required
+    as well.
     """
 
     def __init__(self, width: int, p: int = 101):
@@ -554,12 +585,15 @@ class ModularRankAccumulator:
             raise ValueError("width too large for exact float64 products")
         self.width = width
         self.p = p
+        exact = 2 ** 24 if p * p + p <= 2 ** 24 else 2 ** 53
+        self._dtype = np.float32 if exact == 2 ** 24 else np.float64
+        self._k = (exact - p) // (p * p)    # terms one exact sum may take
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(width, dtype=np.int64)
         # column c is free column pos[c] when pos[c] >= 0, else the pivot
         # of row -1 - pos[c]
         self._pos = np.arange(width, dtype=np.int64)
-        self._buf = np.empty(0, dtype=np.float64)   # C, row-major
+        self._buf = np.empty(0, dtype=self._dtype)   # C, row-major
 
     def rank(self) -> int:
         return len(self._piv)
@@ -572,39 +606,66 @@ class ModularRankAccumulator:
         if X.shape[1] != self.width:
             raise ValueError(
                 f"rows have {X.shape[1]} columns, not {self.width}")
-        Y = _mod(np.take(X, self._free, axis=1), self.p)
-        if self.rank() and Y.size:
-            A = _mod(np.take(X, self._piv, axis=1), self.p)
-            Y += np.subtract(self.p, A, out=A) @ self._c()
-        return self._absorb(Y)
+        k = self._k
+        return sum(self._add_dense(X[lo:lo + k]) for lo in range(0, len(X), k))
 
     def add_sparse_batch(self, row_idx, col_idx, vals, nrows: int) -> int:
         """Reduce nrows COO rows (duplicates summed); returns new pivots."""
-        p = self.p
-        f = len(self._free)
-        pos = self._pos[np.asarray(col_idx, dtype=np.int64)]
-        # free columns first, then the pivot columns in row order
         X = _sparse.csr_matrix(
             (np.asarray(vals, dtype=np.float64),
              (np.asarray(row_idx, dtype=np.int64),
-              np.where(pos >= 0, pos, f - 1 - pos))),
+              np.asarray(col_idx, dtype=np.int64))),
             shape=(nrows, self.width))
-        _mod(X.data, p)
-        F = X[:, :f].tocoo()
-        if self.rank() and f:
-            S = X[:, f:]
-            S.data = p - S.data
-            Y = S @ self._c()
-            Y[F.row, F.col] += F.data     # X is summed: no repeated entries
-        else:
-            Y = F.toarray()
-        return self._absorb(Y)
+        X.data = self._residues(X.data)
+        k = self._k
+        return sum(self._add_sparse(X[lo:lo + k]) for lo in range(0, nrows, k))
 
     # -- internals -----------------------------------------------------------
 
     def _c(self) -> np.ndarray:
         r, f = self.rank(), len(self._free)
         return self._buf[:r * f].reshape(r, f)
+
+    def _residues(self, X: np.ndarray) -> np.ndarray:
+        """Float64 integers X (|X| < 2^53 - p) as residues in the dtype."""
+        return _mod(X, self.p).astype(self._dtype, copy=False)
+
+    def _add_dense(self, X: np.ndarray) -> int:
+        """Reduce and absorb at most K float64 rows."""
+        p, k, r = self.p, self._k, self.rank()
+        Y = self._residues(np.take(X, self._free, axis=1))
+        if r and Y.size:
+            N = self._residues(np.take(X, self._piv, axis=1))
+            np.subtract(p, N, out=N)
+            C = self._c()
+            for lo in range(0, r, k):
+                if lo:
+                    _mod(Y, p)
+                Y += N[:, lo:lo + k] @ C[lo:lo + k]
+        return self._absorb(Y)
+
+    def _add_sparse(self, X) -> int:
+        """Reduce and absorb at most K CSR rows of residues."""
+        p, f = self.p, len(self._free)
+        X = X.tocoo()
+        pos = self._pos[X.col]
+        # free columns first, then the pivot columns in row order
+        X = _sparse.csr_matrix(
+            (X.data, (X.row, np.where(pos >= 0, pos, f - 1 - pos))),
+            shape=X.shape)
+        F = X[:, :f].tocoo()
+        if not (self.rank() and f):
+            return self._absorb(F.toarray())
+        S = X[:, f:]
+        S.data = p - S.data
+        C = self._c()
+        parts = _row_parts(S, self._k)
+        Y = parts[0] @ C
+        Y[F.row, F.col] += F.data     # X is summed: no repeated entries
+        for part in parts[1:]:
+            _mod(Y, p)
+            Y += part @ C
+        return self._absorb(Y)
 
     def _absorb(self, Y: np.ndarray) -> int:
         """Echelonise reduced rows Y (free columns) and merge their pivots."""
@@ -701,8 +762,8 @@ class ModularRankAccumulator:
         """
         r, f, fk = self.rank(), len(self._free), len(keep)
         step = max(1, min(r, _CHUNK // f))
-        G = np.empty((step, len(P)))
-        T = np.empty((step, fk))
+        G = np.empty((step, len(P)), dtype=self._dtype)
+        T = np.empty((step, fk), dtype=self._dtype)
         for lo in range(0, r, step):
             n = min(step, r - lo)
             old = self._buf[lo * f:(lo + n) * f].reshape(n, f)

@@ -153,6 +153,21 @@ class TestCli:
     def test_reproduce_unknown_scope_usage_error(self, capsys):
         assert main(["reproduce", "everything"]) == 2
 
+    @pytest.mark.parametrize("reason, shown", [
+        ("Unable to allocate 474. MiB", "Unable to allocate 474. MiB"),
+        ("", "an allocation failed"),
+    ])
+    def test_out_of_memory_exits_2_with_a_message(self, capsys, monkeypatch,
+                                                  reason, shown):
+        def exhausted(*args, **kwargs):
+            raise MemoryError(reason)
+
+        monkeypatch.setattr("recomb.cli.run_scope", exhausted)
+        assert main(["reproduce", "deg9-closure"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: out of memory: {shown}\n"
+        assert captured.out == ""
+
     def test_deterministic_output(self, capsys):
         main(["nullspace", "-n", "2", "-d", "4", "--method", "hnf-lll"])
         first = capsys.readouterr().out

@@ -241,7 +241,9 @@ def coo(rows):
     return ri, ci, vi
 
 
-PRIMES = st.sampled_from([2, 3, 101, 103])
+# 4093 is the largest prime run in float32, where every sum takes K = 1
+# term; 4099 is the smallest run in float64
+PRIMES = st.sampled_from([2, 3, 101, 103, 4093, 4099])
 
 
 @st.composite
@@ -342,6 +344,69 @@ class TestModularRankAccumulator:
         xs += [-x for x in xs[-3000:]]
         X = np.array(xs, dtype=np.float64)
         assert [int(x) for x in _mod(X, p)] == [x % p for x in xs]
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 103, 4093])
+    def test_mod_is_exact_up_to_2_24_in_float32(self, p):
+        # the float32 quotient can be one off near 2^24; both corrections run
+        rnd = random.Random(p)
+        top = 2 ** 24 - p
+        xs = [rnd.randint(-top, top) for _ in range(2000)]
+        xs += [m * p + e for m in range(top // p - 2000, top // p)
+               for e in (-1, 0, 1)]
+        xs += [-x for x in xs[-3000:]]
+        X = np.array(xs, dtype=np.float32)
+        assert _mod(X, p).dtype == np.float32
+        assert [int(x) for x in X] == [x % p for x in xs]
+
+    @pytest.mark.parametrize("p, dtype, k", [
+        (101, np.float32, 1644),
+        (103, np.float32, 1581),
+        (4093, np.float32, 1),
+        (4099, np.float64, (2 ** 53 - 4099) // 4099 ** 2),
+    ])
+    def test_dtype_and_terms_per_sum_follow_from_p(self, p, dtype, k):
+        acc = ModularRankAccumulator(8, p)
+        assert (acc._dtype, acc._k) == (dtype, k)
+        # K terms below p^2 and one residue stay in _mod's exact range
+        exact = 2 ** (np.finfo(dtype).nmant + 1)
+        assert k * p * p + p <= exact < (k + 1) * p * p + p
+
+    def test_merge_of_more_than_k_pivots_is_exact(self):
+        # h is 99 at the 2000 columns the batch makes pivots, so clearing
+        # them from h sums 2000 terms 99 * (101 - B[j, c]) near 10^4, many
+        # odd, past 2^24: exact only when the batch goes in at most K = 1644
+        # rows at a time
+        p, n, m = 101, 2000, 1000
+        rnd = np.random.default_rng(5)
+        h = np.zeros(1 + n + m, dtype=np.int64)
+        h[0], h[1:n + 1] = 1, 99
+        B = np.hstack([np.zeros((n, 1), dtype=np.int64),
+                       np.eye(n, dtype=np.int64),
+                       rnd.integers(0, 4, (n, m))])
+        acc = ModularRankAccumulator(1 + n + m, p)
+        assert acc.add_batch(h) == 1
+        assert acc.add_batch(B) == n
+        assert acc.add_batch((3 * h + B.sum(axis=0)) % p) == 0
+        assert acc.add_batch(rnd.integers(0, p, 1 + n + m)) == 1
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_reduction_by_more_than_k_pivots_is_exact(self, sparse):
+        # 2 * (sum of the rows [e_j | D_j]) reduces by 2000 terms 99 * D_j
+        # near 10^4, past 2^24: exact only in slices of at most K = 1644
+        # rows of C, or K-nonzero parts of the sparse row
+        p, r, m = 101, 2000, 1400
+        rnd = np.random.default_rng(6)
+        M = np.hstack([np.eye(r, dtype=np.int64), rnd.integers(95, p, (r, m))])
+        acc = ModularRankAccumulator(r + m, p)
+        assert acc.add_batch(M) == r
+
+        def add(v):
+            if sparse:
+                return acc.add_sparse_batch(*coo([v]), 1)
+            return acc.add_batch(v)
+
+        assert add(2 * M.sum(axis=0)) == 0
+        assert add(rnd.integers(0, p, r + m)) == 1
 
     def test_exactness_guard_bounds_p_squared_width(self):
         # Subtractions are done as a + (p - b) * c with p - b up to p, so a
