@@ -10,11 +10,24 @@ Expanding a monomial with k operation applications yields total coefficient
 mass (n!)^k; the expansion matrix E collects these coefficients with one row
 per slot tuple and one column per monomial, and polynomial identities are
 exactly the integer nullspace vectors of E.
+
+E has only C(d,n) distinct rows: the n! orderings of one set of n
+variables share a row.  Column j of E is the expansion of its type's
+template (leaves 0..d-1 in order) relabelled by the leaf row of monomial j,
+because expansion commutes with relabelling.  So E is built with one row
+per sorted n-subset, from one expansion per type, and each template is
+checked to be slot-symmetric: every ordering of each of its subsets occurs,
+all with one coefficient.  A relabelling maps the orderings of a subset
+onto the orderings of its image with the same coefficients, so the check
+on the templates proves the row identity for every column of E.  The full
+slot-tuple matrix is the subset matrix with each row repeated.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from functools import cached_property
 
 import numpy as np
 
@@ -114,40 +127,89 @@ def is_identity(idc: IdentityCombination) -> bool:
     return not evaluate_identity(idc)
 
 
-class ExpansionMatrix:
-    """Integer matrix: rows = slot tuples, columns = canonical monomials."""
+# elements of E per block of columns, bounding the builders' temporaries
+_BLOCK = 1 << 20
 
-    def __init__(self, ctx: DegreeContext, array: np.ndarray):
+
+def _subset_template(shape, n: int, d: int) -> tuple:
+    """(sorted n-subsets, coefficients) of a type's template expansion.
+
+    Raises RuntimeError unless each subset's n! orderings all occur in the
+    expansion with one coefficient.
+    """
+    template = expand_monomial(tree_from(shape, range(d)), n)
+    tuples = np.array(list(template), dtype=np.int64).reshape(-1, n)
+    coeffs = np.fromiter(template.values(), dtype=np.int64, count=len(template))
+    subsets = np.sort(tuples, axis=1)
+    _, first, inverse, counts = np.unique(
+        row_codes(subsets, d), return_index=True, return_inverse=True,
+        return_counts=True)
+    if ((subsets[:, 1:] == subsets[:, :-1]).any()
+            or (counts != math.factorial(n)).any()
+            or (coeffs != coeffs[first][inverse]).any()):
+        raise RuntimeError(f"the expansion of type {shape} is not "
+                           "slot-symmetric")
+    return subsets[first], coeffs[first]
+
+
+def _subset_rows(n: int, d: int, tuples) -> np.ndarray:
+    """Row of the sorted n-subset of each slot tuple, subsets in lex order."""
+    index = np.full(d ** n, -1, dtype=np.int64)
+    subsets = np.array(list(itertools.combinations(range(d), n)),
+                       dtype=np.int64).reshape(-1, n)
+    index[row_codes(subsets, d)] = np.arange(len(subsets))
+    return index[row_codes(np.sort(tuples, axis=-1), d)]
+
+
+def column_blocks(ctx: DegreeContext):
+    """Blocks of columns of E on the subset rows, as (first column, block).
+
+    A block holds consecutive columns of one type as its rows, int64 with
+    C(d,n) entries each.
+    """
+    n, d = ctx.n, ctx.d
+    height = math.comb(d, n)
+    if not height:
+        return
+    step = max(1, _BLOCK // height)
+    for ti, (shape, lvs) in enumerate(zip(ctx.types, ctx.leaves_by_type)):
+        subsets, coeffs = _subset_template(shape, n, d)
+        for lo in range(0, len(lvs), step):
+            rows = _subset_rows(n, d, lvs[lo:lo + step][:, subsets])
+            block = np.zeros((len(rows), height), dtype=np.int64)
+            block[np.arange(len(rows))[:, None], rows] = coeffs
+            yield ctx.offsets[ti] + lo, block
+
+
+class ExpansionMatrix:
+    """Integer matrix: rows = slot tuples, columns = canonical monomials.
+
+    Held as `subset_rows`, one row per sorted n-subset of variables in lex
+    order; `array` is the full matrix, the row of each slot tuple's subset
+    repeated for every slot tuple, built on first use.
+    """
+
+    def __init__(self, ctx: DegreeContext, subset_rows: np.ndarray):
         self.ctx = ctx
         self.n = ctx.n
         self.d = ctx.d
-        self.array = array
+        self.subset_rows = subset_rows
+
+    @cached_property
+    def array(self) -> np.ndarray:
+        tuples = np.array(self.ctx.slot_tuples, dtype=np.int64)
+        return self.subset_rows[_subset_rows(
+            self.n, self.d, tuples.reshape(-1, self.n))]
 
     @property
     def shape(self):
-        return self.array.shape
+        return len(self.ctx.slot_tuples), self.ctx.num_monomials
 
 
 def build_expansion_matrix(n: int, d: int) -> ExpansionMatrix:
-    """Expansion matrix for all degree-d monomials; deterministic layout.
-
-    Expansion commutes with relabelling, and monomial j of a type is the
-    type's template (leaves 0..d-1 in order) relabelled by its leaf row lv_j.
-    So each type is expanded once, and column j holds the template's
-    coefficients in the rows of the slot tuples mapped through lv_j.
-    """
+    """Expansion matrix for all degree-d monomials; deterministic layout."""
     ctx = get_context(n, d)
-    arr = np.zeros((len(ctx.slot_tuples), ctx.num_monomials), dtype=np.int64)
-    if not ctx.slot_tuples:
-        return ExpansionMatrix(ctx, arr)
-    slot_row = np.full(d ** n, -1, dtype=np.int64)
-    slot_row[row_codes(ctx.slot_tuples, d)] = np.arange(len(ctx.slot_tuples))
-    for ti, (shape, lvs) in enumerate(zip(ctx.types, ctx.leaves_by_type)):
-        template = expand_monomial(tree_from(shape, range(d)), n)
-        tuples = np.array(list(template), dtype=np.intp)
-        rows = slot_row[row_codes(lvs[:, tuples], d)]
-        if (rows < 0).any():
-            raise RuntimeError("a relabelled slot tuple has no matrix row")
-        cols = np.arange(ctx.offsets[ti], ctx.offsets[ti + 1])
-        arr[rows, cols[:, None]] = np.fromiter(template.values(), dtype=np.int64)
-    return ExpansionMatrix(ctx, arr)
+    rows = np.zeros((math.comb(d, n), ctx.num_monomials), dtype=np.int64)
+    for lo, block in column_blocks(ctx):
+        rows[:, lo:lo + len(block)] = block.T
+    return ExpansionMatrix(ctx, rows)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import golden
-from .expansion import build_expansion_matrix, evaluate_identity
+from .expansion import column_blocks, evaluate_identity
 from .linalg import ModularRankAccumulator, squared_norm
 from .monomials import (
     DegreeContext,
@@ -38,17 +38,6 @@ from .monomials import (
 )
 
 _TABLE_LIMIT = 45000  # largest d! worth tabulating
-
-
-def _term_groups(ctx: DegreeContext, idc: IdentityCombination) -> list:
-    """Terms of a combination by type: [(type index, leaf rows, coeffs)]."""
-    by_type: dict = {}
-    for tree, coeff in idc.terms.items():
-        by_type.setdefault(ctx.type_index[shape_of(tree)], []).append(
-            (leaves(tree), coeff))
-    return [(ti, np.array([lv for lv, _ in g], dtype=np.int8),
-             np.array([c for _, c in g], dtype=np.int64))
-            for ti, g in sorted(by_type.items())]
 
 
 def _permuted_rows(ctx: DegreeContext, terms: list, sigmas) -> tuple:
@@ -87,16 +76,18 @@ def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
     if math.factorial(ctx.d) <= _TABLE_LIMIT:
         acc.add_batch(v.astype(np.float64)[ctx.perm_table_inv()])
         return
-    cols, coeffs = _permuted_rows(ctx, _term_groups(ctx, idc),
+    cols, coeffs = _permuted_rows(ctx, ctx.term_groups(idc),
                                   permutation_rows(ctx.d))
     order = np.argsort(cols, axis=1)
     cols = np.take_along_axis(cols, order, axis=1)
     coeffs = np.take_along_axis(coeffs, order, axis=1)
+    del order
     _, first = np.unique(np.hstack([cols, coeffs]), axis=0, return_index=True)
     first.sort()
+    # keep only the distinct rows: the d!-row arrays go before the batches
+    cols, coeffs = cols[first], coeffs[first]
     for lo in range(0, len(first), 2048):
-        sel = first[lo:lo + 2048]
-        _add_sparse_rows(acc, [(cols[sel], coeffs[sel])])
+        _add_sparse_rows(acc, [(cols[lo:lo + 2048], coeffs[lo:lo + 2048])])
 
 
 def module_rank(ids, p: int = 101, *, n: int | None = None,
@@ -215,18 +206,20 @@ def lift_identity(idc: IdentityCombination) -> list:
 class ClosureResult:
     """Degree-d nullspace against the span of the lifted consequences.
 
-    Dimensions are ranks mod p.  Since rank_p <= rank_Q, `nullspace_dim` =
-    width - rank_p(E) is an upper bound on the rational nullspace dimension
-    and `final_dim` = rank_p(consequences) a lower bound on the consequences'
-    rational rank.  Every consequence lies in ker_Q(E), so
-    final_dim <= rank_Q(consequences) <= dim ker_Q(E) <= nullspace_dim, and
-    equality of the two ends forces equality throughout: "no new identities"
-    is then exact over Q.  A shortfall may come from an unlucky prime, so
-    exact mode reports "new identities" only when a second prime gives the
-    same dimensions, and "inconclusive" when it does not.  Certify mode
-    reports "inconclusive" when it runs out of samples; when it stops short
-    of the nullspace before that (there are no consequences to sample), it
-    applies exact mode's rule.
+    Dimensions are ranks mod p, and rank_p <= rank_Q.  E has only C(d,n)
+    distinct rows, so rank_p(E) <= rank_Q(E) <= C(d,n): `nullspace_dim` =
+    width - rank_p(E) is exact over Q when rank_p(E) = C(d,n), as in every
+    case computed so far, and an upper bound on the rational nullspace
+    dimension otherwise.  `final_dim` = rank_p(consequences) is a lower
+    bound on the consequences' rational rank.  Every consequence lies in
+    ker_Q(E), so final_dim <= rank_Q(consequences) <= dim ker_Q(E) <=
+    nullspace_dim, and equality of the two ends forces equality throughout:
+    "no new identities" is then exact over Q.  A shortfall may come from an
+    unlucky prime, so exact mode reports "new identities" only when a
+    second prime gives the same dimensions, and "inconclusive" when it does
+    not.  Certify mode reports "inconclusive" when it runs out of samples;
+    when it stops short of the nullspace before that (there are no
+    consequences to sample), it applies exact mode's rule.
     """
 
     degree: int
@@ -239,14 +232,19 @@ class ClosureResult:
 
 
 def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
-    """(rank of E mod p, nullspace dimension) for degree d."""
-    E = build_expansion_matrix(n, d)
-    acc = ModularRankAccumulator(E.array.shape[0], p)
-    step = 4096
-    for lo in range(0, E.array.shape[1], step):
-        acc.add_batch(E.array[:, lo:lo + step].T)
+    """(rank of E mod p, nullspace dimension) for degree d.
+
+    E has C(d,n) distinct rows, so rank_p(E) <= rank_Q(E) <= C(d,n): when
+    the rank mod p reaches C(d,n) it is the rational rank and the nullspace
+    dimension is exact over Q.  The columns of E on its subset rows stream
+    through the accumulator block by block.
+    """
+    ctx = get_context(n, d)
+    acc = ModularRankAccumulator(math.comb(d, n), p)
+    for _, block in column_blocks(ctx):
+        acc.add_batch(block)
     rank = acc.rank()
-    return rank, E.array.shape[1] - rank
+    return rank, ctx.num_monomials - rank
 
 
 def _consequence_dims(ctx: DegreeContext, consequences, p: int) -> list:
@@ -307,7 +305,7 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
     if max_samples is None:
         max_samples = 40 * null_dim + 10000
     rng = np.random.default_rng(seed)
-    groups = [_term_groups(ctx, idc) for idc in consequences]
+    groups = [ctx.term_groups(idc) for idc in consequences]
     samples = 0
     # the rank only moves between batches of 512 samples, so the sample
     # count at which the span is complete is a multiple of 512

@@ -17,8 +17,8 @@ that reducing, echelonising and merging are matrix products run through
 BLAS.  They are exact because every subtraction is done as an addition of
 nonnegative terms below p^2 and no sum takes more than K of them, where
 K p^2 + p stays within the dtype's exact integers: float32 (below 2^24,
-K = 1644 at p = 101) for p <= 4093, float64 (below 2^53, with
-p^2 * width < 2^53 besides) for larger primes.
+K = 1644 at p = 101) while K >= 64, that is p <= 509, float64 (below 2^53,
+with p^2 * width < 2^53 besides) for larger primes.
 """
 
 from __future__ import annotations
@@ -510,6 +510,13 @@ def lll_reduce(basis, delta=(3, 4)) -> list:
 _BASE_ROWS = 12         # rows the echelon kernel eliminates one at a time
 _CHUNK = 1 << 21        # elements of C updated per step of a merge
 _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
+# Fewest terms per exact sum (K) at which residues are float32.  Batches go
+# in K rows at a time, and at small K the fixed cost of each block swamps
+# the halved bytes: at K = 1 (p = 4093) the degree-9 expansion rank took
+# 3.8 s in float32 against 0.09 s in float64, and a degree-7 module rank
+# 19 s against 0.27 s.  On both, float32 overtakes float64 between K = 32
+# and K = 64 (2 vCPUs, OpenBLAS).
+_FLOAT32_MIN_TERMS = 64
 
 
 def _mod(X: np.ndarray, p: int) -> np.ndarray:
@@ -569,7 +576,7 @@ class ModularRankAccumulator:
     a + (p - b)*c, so every term is nonnegative and below p^2, and a residue
     plus K terms stays exact and in _mod's range while K p^2 <= 2^m - p,
     with 2^m = 2^24 in float32 and 2^53 in float64.  The dtype is float32
-    when K >= 1 there, i.e. p*p + p <= 2^24 (p <= 4093), else float64, and
+    when K >= _FLOAT32_MIN_TERMS = 64 there (p <= 509), else float64, and
     K = (2^m - p) // p^2 (1644 at p = 101).  Batches go in K rows at a
     time, each block reduced against the pivots of the blocks before it,
     which bounds the kernel's and the merge's inner dimensions by K; the
@@ -585,8 +592,9 @@ class ModularRankAccumulator:
             raise ValueError("width too large for exact float64 products")
         self.width = width
         self.p = p
-        exact = 2 ** 24 if p * p + p <= 2 ** 24 else 2 ** 53
-        self._dtype = np.float32 if exact == 2 ** 24 else np.float64
+        float32 = (2 ** 24 - p) // (p * p) >= _FLOAT32_MIN_TERMS
+        exact = 2 ** 24 if float32 else 2 ** 53
+        self._dtype = np.float32 if float32 else np.float64
         self._k = (exact - p) // (p * p)    # terms one exact sum may take
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(width, dtype=np.int64)

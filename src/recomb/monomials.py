@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 import string
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -327,20 +327,60 @@ def permutation_rows(d: int) -> np.ndarray:
     return rows
 
 
-def enumerate_monomial_leaves(shape) -> np.ndarray:
+def _ordered_set_partitions(d: int, sizes) -> np.ndarray:
+    """Ordered partitions of 0..d-1 into blocks of the given sizes.
+
+    One int8 row per partition: the elements of each block in increasing
+    order, blocks in the order of `sizes`.
+    """
+    rows = np.zeros((1, 0), dtype=np.int8)
+    rest = np.arange(d, dtype=np.int8)[None, :]
+    for s in sizes:
+        m = rest.shape[1]
+        pick = list(itertools.combinations(range(m), s))
+        left = np.array([[i for i in range(m) if i not in c] for c in pick],
+                        dtype=np.intp).reshape(len(pick), m - s)
+        pick = np.array(pick, dtype=np.intp).reshape(len(pick), s)
+        rows = np.hstack([np.repeat(rows, len(pick), axis=0),
+                          rest[:, pick].reshape(-1, s)])
+        rest = rest[:, left].reshape(len(rows), m - s)
+    return rows
+
+
+def enumerate_monomial_leaves(shape, _cache: dict | None = None) -> np.ndarray:
     """Canonical leaf rows of a type on variables 0..d-1, lex sorted.
 
-    The rows of the lex-ordered permutation array that straightening leaves
-    fixed; their number must be d!/|Aut(shape)|.
+    A canonical row gives each child a block of variables and, on that block,
+    a canonical row of the child's type (order-preserving relabellings keep
+    rows canonical).  The candidates are all such choices, d!/prod|Aut(child)|
+    of them, and the canonical rows are those straightening leaves fixed:
+    equal-type children must come in order of their first leaves.  Their
+    number must be d!/|Aut(shape)|.  `_cache` shares the children's rows
+    between calls.
     """
+    if shape == LEAF:
+        return np.zeros((1, 1), dtype=np.int8)
+    cache = {} if _cache is None else _cache
     d = shape_degree(shape)
-    perms = permutation_rows(d)
-    out = perms[(straighten_many(shape, perms) == perms).all(axis=1)]
+    parts = _ordered_set_partitions(d, [shape_degree(c) for c in shape])
+    # positions in a partition row of every combination of child rows
+    where = np.zeros((1, 0), dtype=np.intp)
+    lo = 0
+    for child in shape:
+        if child not in cache:
+            cache[child] = enumerate_monomial_leaves(child, cache)
+        kid = cache[child].astype(np.intp) + lo
+        where = np.hstack([np.repeat(where, len(kid), axis=0),
+                           np.tile(kid, (len(where), 1))])
+        lo += shape_degree(child)
+    rows = parts[:, where].reshape(-1, d)
+    rows = rows[(straighten_many(shape, rows) == rows).all(axis=1)]
+    rows = rows[np.argsort(row_codes(rows, d))]
     expected = math.factorial(d) // automorphism_order(shape)
-    if len(out) != expected:
-        raise RuntimeError(f"{len(out)} canonical monomials of type {shape}, "
+    if len(rows) != expected:
+        raise RuntimeError(f"{len(rows)} canonical monomials of type {shape}, "
                            f"expected d!/|Aut| = {expected}")
-    return out
+    return rows
 
 
 def enumerate_monomials(shape) -> list:
@@ -493,9 +533,10 @@ class DegreeContext:
     """Monomial and slot-tuple bookkeeping for one (arity, degree).
 
     Monomials of type t are the rows of leaves_by_type[t] (int8, lex sorted)
-    and occupy columns offsets[t] to offsets[t+1]-1.  Every relabelling is
-    canonicalised by straighten_many and mapped back to columns through the
-    sorted row codes of each type.
+    and occupy columns offsets[t] to offsets[t+1]-1.  A leaf row finds its
+    column through the sorted row codes of its type; every relabelling is
+    canonicalised by straighten_many first.  The monomials as trees, the
+    tree -> column map and the slot tuples are built on first use.
     """
 
     # leaf rows straightened per step; bounds the engine's temporaries
@@ -507,37 +548,71 @@ class DegreeContext:
         self.d = d
         self.types = list(enumerate_canonical_types(n, d))
         self.type_index = {s: i for i, s in enumerate(self.types)}
-        self.leaves_by_type = [enumerate_monomial_leaves(s) for s in self.types]
+        cache: dict = {}
+        self.leaves_by_type = [enumerate_monomial_leaves(s, cache)
+                               for s in self.types]
         self._codes = [row_codes(lvs, d) for lvs in self.leaves_by_type]
         self.offsets = [0]
-        self.monomials = []
-        for shape, lvs in zip(self.types, self.leaves_by_type):
-            self.monomials.extend(tree_from(shape, lv) for lv in lvs.tolist())
-            self.offsets.append(len(self.monomials))
-        self.column_of = {t: j for j, t in enumerate(self.monomials)}
-        self.slot_tuples = order_slot_tuples(n, d) if d >= n else []
+        for lvs in self.leaves_by_type:
+            self.offsets.append(self.offsets[-1] + len(lvs))
         self._perm_table_inv = None
+
+    @cached_property
+    def monomials(self) -> list:
+        """The canonical monomials as trees, in column order."""
+        return [tree_from(shape, lv)
+                for shape, lvs in zip(self.types, self.leaves_by_type)
+                for lv in lvs.tolist()]
+
+    @cached_property
+    def column_of(self) -> dict:
+        return {t: j for j, t in enumerate(self.monomials)}
+
+    @cached_property
+    def slot_tuples(self) -> list:
+        return order_slot_tuples(self.n, self.d) if self.d >= self.n else []
 
     @property
     def num_monomials(self) -> int:
-        return len(self.monomials)
+        return self.offsets[-1]
 
     @property
     def type_counts(self) -> list:
         return [len(lvs) for lvs in self.leaves_by_type]
+
+    def term_groups(self, idc: IdentityCombination) -> list:
+        """Terms of a combination by type: [(type index, leaf rows, coeffs)]."""
+        by_type: dict = {}
+        for tree, coeff in idc.terms.items():
+            by_type.setdefault(self.type_index[shape_of(tree)], []).append(
+                (leaves(tree), coeff))
+        return [(ti, np.array([lv for lv, _ in g], dtype=np.int8),
+                 np.array([c for _, c in g], dtype=np.int64))
+                for ti, g in sorted(by_type.items())]
 
     def vector_of(self, idc: IdentityCombination):
         """Dense integer coefficient vector over the monomial basis."""
         if (idc.n, idc.degree) != (self.n, self.d):
             raise ValueError("combination does not match context")
         v = np.zeros(self.num_monomials, dtype=np.int64)
-        for tree, coeff in idc.terms.items():
-            v[self.column_of[tree]] = coeff
+        for ti, rows, coeffs in self.term_groups(idc):
+            v[self._columns(ti, rows)] = coeffs
         return v
 
     def combination_of(self, vector) -> IdentityCombination:
         terms = {self.monomials[j]: int(c) for j, c in enumerate(vector) if c}
         return IdentityCombination(self.n, self.d, terms, _trusted=True)
+
+    def _columns(self, ti: int, rows) -> np.ndarray:
+        """Columns of canonical leaf rows of type ti, one per row."""
+        codes = self._codes[ti]
+        want = row_codes(rows, self.d)
+        pos = np.searchsorted(codes, want)
+        pos.clip(max=len(codes) - 1, out=pos)
+        if not np.array_equal(codes[pos], want):
+            raise RuntimeError("a leaf row is not a canonical monomial "
+                               f"of type {ti}")
+        return pos + self.offsets[ti]
 
     def relabelled_columns(self, ti: int, leaf_rows, sigmas) -> np.ndarray:
         """Columns of sigma . m for every permutation row sigma and monomial m.
@@ -548,17 +623,11 @@ class DegreeContext:
         leaf_rows = np.asarray(leaf_rows, dtype=np.int8)
         sigmas = np.asarray(sigmas, dtype=np.int8)
         out = np.empty((len(sigmas), len(leaf_rows)), dtype=np.int32)
-        codes = self._codes[ti]
         step = max(1, self._CHUNK_ROWS // len(leaf_rows))
         for lo in range(0, len(sigmas), step):
             moved = sigmas[lo:lo + step][:, leaf_rows].reshape(-1, self.d)
-            want = row_codes(straighten_many(self.types[ti], moved), self.d)
-            pos = np.searchsorted(codes, want)
-            pos.clip(max=len(codes) - 1, out=pos)
-            if not np.array_equal(codes[pos], want):
-                raise RuntimeError("a straightened leaf row is not a "
-                                   f"canonical monomial of type {ti}")
-            out[lo:lo + step] = (pos + self.offsets[ti]).reshape(-1, len(leaf_rows))
+            cols = self._columns(ti, straighten_many(self.types[ti], moved))
+            out[lo:lo + step] = cols.reshape(-1, len(leaf_rows))
         return out
 
     def permuted_columns(self, sigma) -> np.ndarray:

@@ -1,10 +1,12 @@
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from recomb import golden
+import expansion_oracles as oracles
+from recomb import expansion, golden
 from recomb.expansion import (
     build_expansion_matrix,
     evaluate_identity,
@@ -14,12 +16,15 @@ from recomb.expansion import (
     mass,
     variable_combination,
 )
+from recomb.identities import expansion_rank
+from recomb.linalg import rcf
 from recomb.monomials import (
     IdentityCombination,
     MultilinearityError,
     get_context,
     parse_bracket,
     relabel,
+    tree_degree,
 )
 
 
@@ -143,6 +148,13 @@ def column_reference(ctx, j):
     return col
 
 
+def sampled_columns(ctx, k, seed):
+    """k random columns plus the first and last column of every type."""
+    cols = set(random.Random(seed).sample(range(ctx.num_monomials), k))
+    cols |= {o for o in ctx.offsets[:-1]} | {o - 1 for o in ctx.offsets[1:]}
+    return sorted(cols)
+
+
 class TestTemplateExpansion:
     def test_degree7_matches_per_column_expansion(self, E37):
         ctx = get_context(3, 7)
@@ -151,11 +163,59 @@ class TestTemplateExpansion:
         assert E37.array.dtype == np.int64
         assert (E37.array == ref).all()
 
+    def test_binary_degree4_matches_per_column_expansion(self, E24):
+        ctx = get_context(2, 4)
+        ref = np.column_stack([column_reference(ctx, j)
+                               for j in range(ctx.num_monomials)])
+        assert (E24.array == ref).all()
+
     def test_degree9_sampled_columns_match_per_column_expansion(self):
         E = build_expansion_matrix(3, 9)
-        ctx = E.ctx
-        rnd = random.Random(9)
-        cols = set(rnd.sample(range(ctx.num_monomials), 40))
-        cols |= {o for o in ctx.offsets[:-1]} | {o - 1 for o in ctx.offsets[1:]}
-        for j in sorted(cols):
-            assert (E.array[:, j] == column_reference(ctx, j)).all(), j
+        for j in sampled_columns(E.ctx, 40, 9):
+            assert (E.array[:, j] == column_reference(E.ctx, j)).all(), j
+
+    def test_quaternary_degree10_sampled_columns_match_per_column_expansion(
+            self):
+        E = build_expansion_matrix(4, 10)
+        for j in sampled_columns(E.ctx, 30, 10):
+            assert (E.array[:, j] == column_reference(E.ctx, j)).all(), j
+
+    @pytest.mark.parametrize("n,d", [(3, 3), (2, 4), (2, 5), (3, 5), (3, 7),
+                                     (4, 10)])
+    def test_matches_slot_tuple_builder(self, n, d):
+        E = build_expansion_matrix(n, d)
+        assert E.subset_rows.shape == (math.comb(d, n), E.ctx.num_monomials)
+        assert E.shape == E.array.shape
+        assert np.array_equal(E.array, oracles.slot_tuple_matrix(n, d))
+
+    @pytest.mark.parametrize("broken", ["coefficient", "ordering"])
+    def test_asymmetric_template_is_rejected(self, monkeypatch, broken):
+        real = expansion.expand_monomial
+
+        def asymmetric(tree, n, _memo=None):
+            out = dict(real(tree, n, _memo))
+            if n == 3 and tree_degree(tree) == 5:
+                first = min(out)
+                if broken == "coefficient":
+                    out[first] += 1
+                else:
+                    del out[first]
+            return out
+
+        monkeypatch.setattr(expansion, "expand_monomial", asymmetric)
+        with pytest.raises(RuntimeError):
+            build_expansion_matrix(3, 5)
+        with pytest.raises(RuntimeError):
+            expansion_rank(3, 5)
+
+
+class TestExpansionRank:
+    @pytest.mark.parametrize("n,d,expected", [
+        (2, 4, (6, 9)), (3, 5, (10, 0)), (3, 7, (35, 245)), (4, 7, (35, 0))])
+    def test_matches_exact_rank(self, n, d, expected):
+        E = build_expansion_matrix(n, d)
+        rank = rcf(E.array.tolist()).rank
+        assert (rank, E.shape[1] - rank) == expected
+        assert expansion_rank(n, d) == expansion_rank(n, d, 103) == expected
+        # E has C(d,n) distinct rows, all independent here
+        assert rank == math.comb(d, n)

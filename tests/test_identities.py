@@ -254,7 +254,7 @@ class TestSparseOrbitRows:
            k=st.integers(0, 7))
     def test_rows_match_tree_straightening(self, lifted, sigmas, k):
         ctx = get_context(3, 9)
-        terms = identities._term_groups(ctx, lifted[k])
+        terms = ctx.term_groups(lifted[k])
         got = dense_rows(ctx, *identities._permuted_rows(
             ctx, terms, np.array(sigmas, dtype=np.int8)))
         ref = [ctx.vector_of(apply_permutation(lifted[k], s)) for s in sigmas]

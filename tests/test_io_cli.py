@@ -1,4 +1,5 @@
 import os
+from importlib.resources import files
 
 import numpy as np
 import pytest
@@ -73,6 +74,11 @@ class TestCli:
         out = capsys.readouterr().out
         assert parse_matrix(out) == \
             [list(r) for r in golden.load_matrix("expansion_matrix_n2_d4")]
+
+    def test_matrix_stdout_is_the_golden_file_byte_for_byte(self, capsys):
+        assert main(["matrix", "-n", "2", "-d", "4"]) == 0
+        golden_file = files("recomb.data") / "expansion_matrix_n2_d4.txt"
+        assert capsys.readouterr().out.encode() == golden_file.read_bytes()
 
     def test_matrix_to_file(self, tmp_path):
         path = tmp_path / "m.txt"

@@ -13,6 +13,7 @@ import linalg_oracles as ref
 from linalg_oracles import is_lll_reduced, rational_span_equal
 from recomb import golden, linalg
 from recomb.linalg import (
+    _FLOAT32_MIN_TERMS,
     DependentRowsError,
     ModularRankAccumulator,
     _int_matrix,
@@ -241,9 +242,10 @@ def coo(rows):
     return ri, ci, vi
 
 
-# 4093 is the largest prime run in float32, where every sum takes K = 1
-# term; 4099 is the smallest run in float64
-PRIMES = st.sampled_from([2, 3, 101, 103, 4093, 4099])
+# 509 is the largest prime run in float32, where every sum takes K = 64
+# terms, the fewest float32 runs with; 521 is the smallest run in float64,
+# and 4093 ran in float32 at K = 1 before that floor
+PRIMES = st.sampled_from([2, 3, 101, 103, 509, 521, 4093, 4099])
 
 
 @st.composite
@@ -361,7 +363,9 @@ class TestModularRankAccumulator:
     @pytest.mark.parametrize("p, dtype, k", [
         (101, np.float32, 1644),
         (103, np.float32, 1581),
-        (4093, np.float32, 1),
+        (509, np.float32, 64),
+        (521, np.float64, (2 ** 53 - 521) // 521 ** 2),
+        (4093, np.float64, (2 ** 53 - 4093) // 4093 ** 2),
         (4099, np.float64, (2 ** 53 - 4099) // 4099 ** 2),
     ])
     def test_dtype_and_terms_per_sum_follow_from_p(self, p, dtype, k):
@@ -370,6 +374,9 @@ class TestModularRankAccumulator:
         # K terms below p^2 and one residue stay in _mod's exact range
         exact = 2 ** (np.finfo(dtype).nmant + 1)
         assert k * p * p + p <= exact < (k + 1) * p * p + p
+        # float32 exactly when its K reaches the floor
+        k32 = (2 ** 24 - p) // (p * p)
+        assert (dtype == np.float32) == (k32 >= _FLOAT32_MIN_TERMS)
 
     def test_merge_of_more_than_k_pivots_is_exact(self):
         # h is 99 at the 2000 columns the batch makes pivots, so clearing

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb import monomials
+import expansion_oracles as oracles
+from recomb import golden, monomials
 from recomb.monomials import (
     IdentityCombination,
     InvalidDegreeError,
@@ -113,6 +114,32 @@ class TestMonomials:
     def test_every_monomial_is_canonical(self):
         for m in get_context(3, 7).monomials[:50]:
             assert straighten(m, 3) == m
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (2, 7), (3, 5), (3, 7),
+                                     (3, 9), (4, 7), (4, 10)])
+    def test_enumeration_matches_permutation_filter(self, n, d):
+        for s in enumerate_canonical_types(n, d):
+            got = enumerate_monomial_leaves(s)
+            assert got.dtype == np.int8
+            assert np.array_equal(got, oracles.enumerate_monomial_leaves(s))
+
+    def test_rank_path_builds_no_trees_or_slot_tuples(self):
+        from recomb.identities import expansion_rank
+        get_context.cache_clear()
+        assert expansion_rank(3, 9) == (84, 15316)
+        ctx = get_context(3, 9)
+        assert not {"monomials", "column_of", "slot_tuples"} & set(vars(ctx))
+        # they are built on first use, in column order
+        assert ctx.column_of[ctx.monomials[-1]] == ctx.num_monomials - 1
+        assert len(ctx.slot_tuples) == 504
+
+    def test_vector_of_matches_tree_columns(self):
+        ctx = get_context(3, 7)
+        idc = golden.load_identity("ternary_recombination")
+        ref = np.zeros(ctx.num_monomials, dtype=np.int64)
+        for tree, c in idc.terms.items():
+            ref[ctx.monomials.index(tree)] = c
+        assert ctx.vector_of(idc).tolist() == ref.tolist()
 
 
 class TestStraighten:
