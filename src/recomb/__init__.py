@@ -14,8 +14,6 @@ from .expansion import (
     evaluate_identity,
     expand_monomial,
     expand_operation,
-    is_identity,
-    mass,
 )
 from .identities import (
     ClosureResult,
@@ -36,11 +34,8 @@ from .linalg import (
     RcfResult,
     hnf_rows,
     hnf_with_transform,
-    lattice_contains,
-    lattice_coordinates,
     lattices_equal,
     lll_reduce,
-    modular_rank,
     nullspace_lattice,
     rcf,
     rcf_nullspace,
@@ -54,7 +49,6 @@ from .monomials import (
     MultilinearityError,
     apply_permutation,
     enumerate_canonical_types,
-    enumerate_monomials,
     get_context,
     order_slot_tuples,
     parse_bracket,

@@ -128,13 +128,15 @@ def main(argv=None) -> int:
             return 1
 
         if args.command == "generators":
-            p = args.prime or golden.scalars()["default_prime"]
+            p = (args.prime if args.prime is not None
+                 else golden.scalars()["default_prime"])
             ctx, vs = _nullspace_vectors(args.arity, args.degree,
                                          args.basis)
+            # checks p before anything is printed
+            gens = generator_sieve(vs, args.arity, args.degree, p)
             if not vs:
                 print("empty nullspace: no identities in this degree")
                 return 0
-            gens = generator_sieve(vs, args.arity, args.degree, p)
             print(f"{len(gens)} module generator(s) from the {args.basis} "
                   f"basis (p = {p}):")
             for g in gens:

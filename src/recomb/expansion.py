@@ -53,10 +53,6 @@ def combination_variables(comb: dict) -> set:
     return out
 
 
-def mass(comb: dict) -> int:
-    return sum(comb.values())
-
-
 def expand_operation(args, n: int | None = None) -> dict:
     """Multilinear extension of the operation to slot combinations.
 
@@ -121,10 +117,6 @@ def evaluate_identity(idc: IdentityCombination, _memo: dict | None = None) -> di
             else:
                 acc.pop(tup, None)
     return acc
-
-
-def is_identity(idc: IdentityCombination) -> bool:
-    return not evaluate_identity(idc)
 
 
 # elements of E per block of columns, bounding the builders' temporaries

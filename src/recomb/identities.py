@@ -5,13 +5,11 @@ permutations of its coefficient vector.  Ranks of such spans (mod p) decide
 which nullspace vectors are genuinely new generators and whether higher
 degrees contain identities that are not consequences of lower ones.
 
-One orbit engine feeds the rank accumulator: DegreeContext's vectorised
-straightening, which maps leaf rows relabelled by any block of permutations
-to monomial columns.  Where d! is small enough to tabulate (degree <= 7
-here) it builds a gather table once and orbits are dense gathers; at degree
-9 it turns each permutation of a combination into a sparse row of a
-handful of columns.  An orbit whose seed already lies in the accumulated
-(S_d-invariant) span is skipped.
+One orbit engine feeds the rank accumulator at every degree:
+DegreeContext's vectorised straightening maps leaf rows relabelled by a
+block of permutations to monomial columns, so each permutation of a
+combination becomes a sparse row of a handful of columns.  An orbit whose
+seed already lies in the accumulated (S_d-invariant) span is skipped.
 """
 
 from __future__ import annotations
@@ -37,7 +35,11 @@ from .monomials import (
     tree_degree,
 )
 
-_TABLE_LIMIT = 45000  # largest d! worth tabulating
+
+def _check_prime(p: int, d: int) -> None:
+    """Orbit ranks are taken mod a prime p > d."""
+    if p <= d:
+        raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
 
 
 def _permuted_rows(ctx: DegreeContext, terms: list, sigmas) -> tuple:
@@ -62,19 +64,16 @@ def _add_sparse_rows(acc: ModularRankAccumulator, blocks) -> None:
 
 
 def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
-               idc: IdentityCombination, p: int) -> None:
+               idc: IdentityCombination) -> None:
     """Add the S_d-orbit of a combination to the accumulator.
 
     The accumulator only ever holds whole orbits, so its span is
     S_d-invariant: when the combination alone adds no rank, its whole orbit
-    is already inside and is skipped.  Above the table limit the orbit goes
-    in as sparse rows, duplicates dropped, in first-occurrence order.
+    is already inside and is skipped.  Otherwise the orbit goes in as one
+    sparse row per permutation, duplicates dropped, in first-occurrence
+    order.
     """
-    v = ctx.vector_of(idc) % p
-    if not acc.add_batch(v):
-        return
-    if math.factorial(ctx.d) <= _TABLE_LIMIT:
-        acc.add_batch(v.astype(np.float64)[ctx.perm_table_inv()])
+    if not acc.add_batch(ctx.vector_of(idc)):
         return
     cols, coeffs = _permuted_rows(ctx, ctx.term_groups(idc),
                                   permutation_rows(ctx.d))
@@ -98,15 +97,14 @@ def module_rank(ids, p: int = 101, *, n: int | None = None,
         return 0
     n = ids[0].n if n is None else n
     d = ids[0].degree if d is None else d
-    if p <= d:
-        raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
+    _check_prime(p, d)
     for idc in ids:
         if (idc.n, idc.degree) != (n, d):
             raise ValueError("mixed arities or degrees")
     ctx = get_context(n, d)
     acc = ModularRankAccumulator(ctx.num_monomials, p)
     for idc in ids:
-        _add_orbit(acc, ctx, idc, p)
+        _add_orbit(acc, ctx, idc)
     return acc.rank()
 
 
@@ -126,6 +124,7 @@ def generator_sieve(vectors, n: int, d: int, p: int = 101,
     the accumulated S_d-module.  Stops once the cumulative rank reaches
     `target` (defaults to the number of vectors, i.e. the nullspace dim).
     """
+    _check_prime(p, d)
     vectors = [list(map(int, v)) for v in vectors]
     if target is None:
         target = len(vectors)
@@ -135,7 +134,7 @@ def generator_sieve(vectors, n: int, d: int, p: int = 101,
     rank = 0
     for pos, vec in enumerate(vectors, start=1):
         idc = ctx.combination_of(vec)
-        _add_orbit(acc, ctx, idc, p)
+        _add_orbit(acc, ctx, idc)
         new_rank = acc.rank()
         if new_rank > rank:
             out.append(SieveGenerator(pos, squared_norm(vec),
@@ -176,23 +175,14 @@ def lift_identity(idc: IdentityCombination) -> list:
     out: list = []
     for x in range(d):
         node = (x,) + fresh
-        terms: dict = {}
-        for tree, coeff in idc.terms.items():
-            t2 = straighten(_substitute_leaf(tree, x, node), n)
-            terms[t2] = terms.get(t2, 0) + coeff
-        res = IdentityCombination(n, d + n - 1,
-                                  {t: c for t, c in terms.items() if c},
-                                  _trusted=True)
+        res = IdentityCombination.from_terms(
+            n, [(c, _substitute_leaf(t, x, node)) for t, c in idc.terms.items()],
+            d + n - 1)
         if not res.terms:
             raise ValueError(f"substitution consequence for {x} collapsed")
         out.append(LiftedConsequence(idc, "substitute", x, res))
-    terms = {}
-    for tree, coeff in idc.terms.items():
-        t2 = straighten((tree,) + fresh, n)
-        terms[t2] = terms.get(t2, 0) + coeff
-    res = IdentityCombination(n, d + n - 1,
-                              {t: c for t, c in terms.items() if c},
-                              _trusted=True)
+    res = IdentityCombination.from_terms(
+        n, [(c, (t,) + fresh) for t, c in idc.terms.items()], d + n - 1)
     if not res.terms:
         raise ValueError("embedding consequence collapsed")
     out.append(LiftedConsequence(idc, "embed", None, res))
@@ -252,7 +242,7 @@ def _consequence_dims(ctx: DegreeContext, consequences, p: int) -> list:
     acc = ModularRankAccumulator(ctx.num_monomials, p)
     dims = []
     for idc in consequences:
-        _add_orbit(acc, ctx, idc, p)
+        _add_orbit(acc, ctx, idc)
         dims.append(acc.rank())
     return dims
 
@@ -275,6 +265,7 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
         if not known:
             raise ValueError("need identities or an explicit arity")
         n = known[0].n
+    _check_prime(p, d)
     rank, null_dim = expansion_rank(n, d, p)
     consequences = [lc.result for idc in known for lc in lift_identity(idc)]
     for idc in consequences:
@@ -367,15 +358,9 @@ def rewrite_second_type(m, n: int | None = None) -> IdentityCombination:
     sigma = [0] * d
     for a, b in zip(src, dst):
         sigma[a] = b
-    terms: dict = {}
-    for tree, coeff in template.terms.items():
-        if tree == t0:
-            continue
-        t2 = straighten(relabel(tree, sigma), n)
-        terms[t2] = terms.get(t2, 0) - coeff * c0
-    return IdentityCombination(n, d, {t: c for t, c in terms.items() if c},
-                               _trusted=True)
-
+    return IdentityCombination.from_terms(
+        n, [(-coeff * c0, relabel(tree, sigma))
+            for tree, coeff in template.terms.items() if tree != t0], d)
 
 
 def verify_identity(idc: IdentityCombination) -> int:

@@ -3,8 +3,8 @@
 Identity files:  a `# arity=<n> degree=<d>` header line, then one term per
 line as `<signed integer> <bracket monomial>`, e.g. ``-1 [[[a,c,g],e,f],b,d]``.
 Matrix files:  first line `<rows> <cols>`, then rows of space-separated
-decimal integers.  Writers emit canonical forms, so write-then-parse is the
-identity on both formats.
+decimal integers.  The formatters emit canonical forms, so parse after
+format is the identity on both formats.
 """
 
 from __future__ import annotations
@@ -100,13 +100,3 @@ def parse_matrix(text: str) -> list:
             raise ParseError(f"row has {len(row)} entries, expected {n}")
         rows.append(row)
     return rows
-
-
-def write_matrix_file(rows, path) -> None:
-    with open(path, "w") as f:
-        f.write(format_matrix(rows))
-
-
-def read_matrix_file(path) -> list:
-    with open(path) as f:
-        return parse_matrix(f.read())

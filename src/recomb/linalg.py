@@ -398,36 +398,6 @@ def lattices_equal(A, B) -> bool:
     return hnf_rows(A) == hnf_rows(B)
 
 
-def lattice_coordinates(basis, v, hnf=None):
-    """Coordinates of v in the lattice spanned by basis rows, or None.
-
-    Works through the HNF of the basis, so it decides membership in the
-    lattice (integer combinations), not just the rational span.  Pass a
-    precomputed `hnf_rows(basis)` as `hnf` when testing many vectors.
-    """
-    H = hnf_rows(basis) if hnf is None else hnf
-    v = [int(x) for x in v]
-    piv = []
-    for row in H:
-        j = next(k for k, x in enumerate(row) if x)
-        piv.append(j)
-    coords = []
-    for row, j in zip(H, piv):
-        if v[j] % row[j] != 0:
-            return None
-        q = v[j] // row[j]
-        coords.append(q)
-        if q:
-            v = [x - q * y for x, y in zip(v, row)]
-    if any(v):
-        return None
-    return coords
-
-
-def lattice_contains(basis, v, hnf=None) -> bool:
-    return lattice_coordinates(basis, v, hnf) is not None
-
-
 # ---------------------------------------------------------------------------
 # integer LLL
 
@@ -781,13 +751,3 @@ class ModularRankAccumulator:
             np.matmul(G[:n], N, out=new)
             new += T[:n]
             _mod(new, self.p)
-
-
-def modular_rank(M, p: int = 101) -> int:
-    """Rank of an integer matrix mod p via the accumulator."""
-    M = np.asarray(M)
-    if M.size == 0:
-        return 0
-    acc = ModularRankAccumulator(M.shape[1], p)
-    acc.add_batch(M)
-    return acc.rank()

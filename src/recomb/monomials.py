@@ -383,12 +383,6 @@ def enumerate_monomial_leaves(shape, _cache: dict | None = None) -> np.ndarray:
     return rows
 
 
-def enumerate_monomials(shape) -> list:
-    """All distinct canonical monomials of a type, as trees, in order."""
-    return [tree_from(shape, lv)
-            for lv in enumerate_monomial_leaves(shape).tolist()]
-
-
 def order_slot_tuples(n: int, d: int) -> list:
     """All n-permutations of {0..d-1}, lexicographic; length n! * C(d,n)."""
     if d < n:
@@ -398,18 +392,6 @@ def order_slot_tuples(n: int, d: int) -> list:
 
 # ---------------------------------------------------------------------------
 # permutations of variables
-
-def compose(tau, sigma) -> tuple:
-    """(tau o sigma)(i) = tau(sigma(i))."""
-    return tuple(tau[s] for s in sigma)
-
-
-def invert(sigma) -> tuple:
-    out = [0] * len(sigma)
-    for i, s in enumerate(sigma):
-        out[s] = i
-    return tuple(out)
-
 
 def check_permutation(sigma, d: int) -> None:
     if len(sigma) != d or sorted(sigma) != list(range(d)):
@@ -424,28 +406,18 @@ class IdentityCombination:
 
     __slots__ = ("n", "degree", "terms")
 
-    def __init__(self, n: int, degree: int, terms: dict, *, _trusted=False):
-        if _trusted:
-            self.n, self.degree, self.terms = n, degree, dict(terms)
-            return
-        clean: dict = {}
-        for tree, coeff in terms.items():
-            coeff = int(coeff)
-            if coeff == 0:
-                continue
-            tree = straighten(tree, n)
-            if tree_degree(tree) != degree:
-                raise ValueError("mixed degrees in combination")
-            clean[tree] = clean.get(tree, 0) + coeff
-        self.n = n
-        self.degree = degree
-        self.terms = {t: c for t, c in clean.items() if c != 0}
+    def __init__(self, n: int, degree: int, terms: dict):
+        """Wrap terms as they are: straightened trees of one degree mapped
+        to nonzero ints.  Build from any trees with from_terms."""
+        self.n, self.degree, self.terms = n, degree, terms
 
     @classmethod
-    def from_terms(cls, n: int, pairs) -> "IdentityCombination":
-        """Build from (coeff, tree) pairs; trees are straightened and merged."""
+    def from_terms(cls, n: int, pairs,
+                   degree: int | None = None) -> "IdentityCombination":
+        """Build from (coeff, tree) pairs: trees are straightened, equal
+        trees merged and zero sums dropped.  All trees must have one degree,
+        `degree` when it is given (as it must be for no pairs)."""
         acc: dict = {}
-        degree = None
         for coeff, tree in pairs:
             tree = straighten(tree, n)
             dg = tree_degree(tree)
@@ -456,8 +428,7 @@ class IdentityCombination:
             acc[tree] = acc.get(tree, 0) + int(coeff)
         if degree is None:
             raise ValueError("empty combination needs an explicit degree")
-        acc = {t: c for t, c in acc.items() if c != 0}
-        return cls(n, degree, acc, _trusted=True)
+        return cls(n, degree, {t: c for t, c in acc.items() if c != 0})
 
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
@@ -472,29 +443,8 @@ class IdentityCombination:
         lead = min(self.terms, key=monomial_key)
         if self.terms[lead] < 0:
             return IdentityCombination(
-                self.n, self.degree, {t: -c for t, c in self.terms.items()},
-                _trusted=True)
+                self.n, self.degree, {t: -c for t, c in self.terms.items()})
         return self
-
-    def scaled(self, k: int) -> "IdentityCombination":
-        if k == 0:
-            return IdentityCombination(self.n, self.degree, {}, _trusted=True)
-        return IdentityCombination(
-            self.n, self.degree, {t: k * c for t, c in self.terms.items()},
-            _trusted=True)
-
-    def __add__(self, other: "IdentityCombination") -> "IdentityCombination":
-        if (self.n, self.degree) != (other.n, other.degree):
-            raise ValueError("degree/arity mismatch")
-        acc = dict(self.terms)
-        for t, c in other.terms.items():
-            acc[t] = acc.get(t, 0) + c
-            if acc[t] == 0:
-                del acc[t]
-        return IdentityCombination(self.n, self.degree, acc, _trusted=True)
-
-    def __sub__(self, other: "IdentityCombination") -> "IdentityCombination":
-        return self + other.scaled(-1)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, IdentityCombination)
@@ -515,15 +465,13 @@ class IdentityCombination:
 def apply_permutation(idc: IdentityCombination, sigma) -> IdentityCombination:
     """Relabel variables of every term by sigma and re-straighten.
 
-    Group action: apply(apply(I, sigma), tau) == apply(I, compose(tau, sigma)).
+    Group action: apply(apply(I, sigma), tau) == apply(I, tau o sigma),
+    where (tau o sigma)[i] = tau[sigma[i]].
     """
     check_permutation(sigma, idc.degree)
-    acc: dict = {}
-    for tree, coeff in idc.terms.items():
-        t2 = straighten(relabel(tree, sigma), idc.n)
-        acc[t2] = acc.get(t2, 0) + coeff
-    acc = {t: c for t, c in acc.items() if c != 0}
-    return IdentityCombination(idc.n, idc.degree, acc, _trusted=True)
+    return IdentityCombination.from_terms(
+        idc.n, [(c, relabel(t, sigma)) for t, c in idc.terms.items()],
+        idc.degree)
 
 
 # ---------------------------------------------------------------------------
@@ -535,8 +483,8 @@ class DegreeContext:
     Monomials of type t are the rows of leaves_by_type[t] (int8, lex sorted)
     and occupy columns offsets[t] to offsets[t+1]-1.  A leaf row finds its
     column through the sorted row codes of its type; every relabelling is
-    canonicalised by straighten_many first.  The monomials as trees, the
-    tree -> column map and the slot tuples are built on first use.
+    canonicalised by straighten_many first.  The monomials as trees and
+    the slot tuples are built on first use.
     """
 
     # leaf rows straightened per step; bounds the engine's temporaries
@@ -563,10 +511,6 @@ class DegreeContext:
         return [tree_from(shape, lv)
                 for shape, lvs in zip(self.types, self.leaves_by_type)
                 for lv in lvs.tolist()]
-
-    @cached_property
-    def column_of(self) -> dict:
-        return {t: j for j, t in enumerate(self.monomials)}
 
     @cached_property
     def slot_tuples(self) -> list:
@@ -601,7 +545,7 @@ class DegreeContext:
 
     def combination_of(self, vector) -> IdentityCombination:
         terms = {self.monomials[j]: int(c) for j, c in enumerate(vector) if c}
-        return IdentityCombination(self.n, self.d, terms, _trusted=True)
+        return IdentityCombination(self.n, self.d, terms)
 
     def _columns(self, ti: int, rows) -> np.ndarray:
         """Columns of canonical leaf rows of type ti, one per row."""
@@ -642,6 +586,7 @@ class DegreeContext:
         Row s holds, for each column k, the source column j with
         sigma_s . monomial_j = monomial_k, where sigma_s is the s-th
         permutation in lexicographic order.  Only built for d! <= 45000.
+        No path in recomb uses it: orbits go in as sparse rows instead.
         """
         if self._perm_table_inv is None:
             nperm = math.factorial(self.d)

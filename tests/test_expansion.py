@@ -12,8 +12,6 @@ from recomb.expansion import (
     evaluate_identity,
     expand_monomial,
     expand_operation,
-    is_identity,
-    mass,
     variable_combination,
 )
 from recomb.identities import expansion_rank
@@ -54,7 +52,7 @@ class TestExpandOperation:
 class TestExpandMonomial:
     def test_degree5_ternary(self):
         e = expand_monomial(parse_bracket("[[a,b,c],d,e]"), 3)
-        assert len(e) == 18 and set(e.values()) == {2} and mass(e) == 36
+        assert len(e) == 18 and set(e.values()) == {2} and sum(e.values()) == 36
         assert e[(0, 3, 4)] == 2 and e[(4, 3, 2)] == 2
 
     def test_degree7_type1(self):
@@ -70,7 +68,7 @@ class TestExpandMonomial:
                     t[rest[0]], t[rest[1]] = fg
                     expected[tuple(t)] = w
         assert e == expected
-        assert len(e) == 30 and mass(e) == 216
+        assert len(e) == 30 and sum(e.values()) == 216
 
     def test_degree7_type2(self):
         e = expand_monomial(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)
@@ -78,7 +76,7 @@ class TestExpandMonomial:
                     for x in range(3) for y in range(3, 6)
                     for t in itertools.permutations((x, y, 6))}
         assert e == expected
-        assert len(e) == 54 and mass(e) == 216
+        assert len(e) == 54 and sum(e.values()) == 216
 
     @pytest.mark.parametrize("s,n,k", [
         ("[a,b]", 2, 1), ("[[a,b],[c,d]]", 2, 3), ("[[a,b,c],d,e]", 3, 2),
@@ -87,7 +85,7 @@ class TestExpandMonomial:
     def test_mass_conservation(self, s, n, k):
         import math
         e = expand_monomial(parse_bracket(s), n)
-        assert mass(e) == math.factorial(n) ** k
+        assert sum(e.values()) == math.factorial(n) ** k
 
     def test_equivariance_sample(self):
         m = parse_bracket("[[a,c,e],b,d]")
@@ -128,16 +126,16 @@ class TestMatrix:
 
 class TestEvaluateIdentity:
     def test_binary_recombination_vanishes(self):
-        assert is_identity(golden.load_identity("binary_recombination"))
+        assert not evaluate_identity(golden.load_identity("binary_recombination"))
 
     def test_reduced_binary_vanishes(self):
-        assert is_identity(golden.load_identity("binary_recombination_reduced"))
+        assert not evaluate_identity(
+            golden.load_identity("binary_recombination_reduced"))
 
     def test_non_identity(self):
         one = IdentityCombination.from_terms(3, [(1, parse_bracket("[a,b,c]"))])
         residual = evaluate_identity(one)
         assert len(residual) == 6
-        assert not is_identity(one)
 
 
 def column_reference(ctx, j):

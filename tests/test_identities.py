@@ -17,6 +17,7 @@ from recomb.identities import (
 )
 from recomb.linalg import rcf_nullspace, sort_vectors_by_norm
 from recomb.monomials import (
+    DegreeContext,
     IdentityCombination,
     apply_permutation,
     get_context,
@@ -73,15 +74,33 @@ class TestModuleRank:
             module_rank([named["binary_recombination"],
                          named["reduced_generator_1"]])
 
-    def test_sparse_orbit_path_matches_table_path(self, named, monkeypatch):
-        # the sparse rows (with dedup) normally run only above d! = 45000
+    def test_orbits_need_no_permutation_table(self, named, monkeypatch,
+                                              E24):
+        def no_table(self):
+            raise AssertionError("orbit built from the permutation table")
+
+        monkeypatch.setattr(DegreeContext, "perm_table_inv", no_table)
         mr = golden.scalars()["module_ranks_n3_d7"]
-        monkeypatch.setattr(identities, "_TABLE_LIMIT", 0)
-        assert module_rank([named["reduced_generator_1"]]) == \
-            mr["reduced_generator_1"]
-        assert module_rank([named["reduced_generator_1"],
-                            named["reduced_generator_2"]]) == \
-            mr["reduced_generators_1_2"]
+        P, Q = named["reduced_generator_1"], named["reduced_generator_2"]
+        assert module_rank([P]) == mr["reduced_generator_1"]
+        assert module_rank([Q]) == mr["reduced_generator_2"]
+        assert module_rank([P, Q]) == mr["reduced_generators_1_2"]
+        assert module_rank([named["ternary_recombination"]]) == \
+            mr["ternary_recombination"]
+        ns = sort_vectors_by_norm(rcf_nullspace(E24.array.tolist()))
+        gens = generator_sieve(ns, 2, 4)
+        assert [(g.position, g.norm_sq, g.cumulative_rank) for g in gens] \
+            == [(1, 6, 3), (2, 8, 9)]
+
+    @pytest.mark.parametrize("p", [0, 5, 7])
+    def test_prime_must_exceed_the_degree(self, named, p):
+        R = named["ternary_recombination"]
+        with pytest.raises(ValueError, match="p > degree"):
+            module_rank([R], p)
+        with pytest.raises(ValueError, match="p > degree"):
+            generator_sieve([get_context(3, 7).vector_of(R)], 3, 7, p)
+        with pytest.raises(ValueError, match="p > degree"):
+            new_identity_test(9, [R], p, mode="exact")
 
 
 class TestGeneratorSieve:
@@ -223,7 +242,8 @@ class TestRewriteSecondType:
             tree = straighten(((perm[0], perm[1], perm[2]),
                                (perm[3], perm[4], perm[5]), perm[6]), 3)
             rw = rewrite_second_type(tree, 3)
-            diff = rw - IdentityCombination.from_terms(3, [(1, tree)])
+            diff = IdentityCombination.from_terms(
+                3, [(c, t) for t, c in rw.terms.items()] + [(-1, tree)])
             assert not evaluate_identity(diff)
 
     def test_rejects_first_type(self):
@@ -231,7 +251,9 @@ class TestRewriteSecondType:
             rewrite_second_type(parse_bracket("[[[a,b,c],d,e],f,g]"), 3)
 
     def test_template_coefficient_is_checked(self, monkeypatch):
-        template = golden.load_identity("second_type_rewrite_n3").scaled(2)
+        real = golden.load_identity("second_type_rewrite_n3")
+        template = IdentityCombination(
+            real.n, real.degree, {t: 2 * c for t, c in real.terms.items()})
         monkeypatch.setattr(identities, "_rewrite_template", lambda n: template)
         with pytest.raises(ValueError):
             rewrite_second_type(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)

@@ -1,8 +1,9 @@
 import os
 from importlib.resources import files
 
-import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from recomb import golden
 from recomb.cli import main
@@ -15,7 +16,25 @@ from recomb.io_formats import (
     read_identity_file,
     write_identity_file,
 )
-from recomb.monomials import IdentityCombination, parse_bracket
+from recomb.monomials import IdentityCombination, get_context, parse_bracket
+
+
+@st.composite
+def combinations(draw):
+    n, d = draw(st.sampled_from([(2, 4), (2, 5), (3, 5), (3, 7)]))
+    monomials = get_context(n, d).monomials
+    terms = draw(st.dictionaries(
+        st.integers(0, len(monomials) - 1),
+        st.integers(-10 ** 6, 10 ** 6).filter(bool), min_size=1, max_size=12))
+    return IdentityCombination(n, d, {monomials[j]: c for j, c in terms.items()})
+
+
+@st.composite
+def int_matrices(draw):
+    m = draw(st.integers(0, 6))
+    width = draw(st.integers(1, 8))
+    return draw(st.lists(st.lists(st.integers(), min_size=width,
+                                  max_size=width), min_size=m, max_size=m))
 
 
 class TestIdentityFiles:
@@ -30,6 +49,13 @@ class TestIdentityFiles:
                 (-2, parse_bracket("[[c,d,e],b,a]"))])
         text = format_identity(idc)
         assert text.splitlines()[0] == "# arity=3 degree=5"
+        assert format_identity(parse_identity(text)) == text
+
+    @settings(max_examples=60, deadline=None)
+    @given(idc=combinations())
+    def test_random_combinations_round_trip(self, idc):
+        text = format_identity(idc)
+        assert parse_identity(text) == idc
         assert format_identity(parse_identity(text)) == text
 
     def test_file_round_trip(self, tmp_path):
@@ -56,6 +82,13 @@ class TestMatrixFiles:
     def test_round_trip(self):
         rows = [[1, -2, 3], [0, 5, -6]]
         assert parse_matrix(format_matrix(rows)) == rows
+
+    @settings(max_examples=60, deadline=None)
+    @given(rows=int_matrices())
+    def test_random_matrices_round_trip(self, rows):
+        text = format_matrix(rows)
+        assert parse_matrix(text) == rows
+        assert format_matrix(parse_matrix(text)) == text
 
     def test_golden_file_is_writer_format(self):
         raw = open(os.path.join(os.path.dirname(golden.__file__),
@@ -139,6 +172,16 @@ class TestCli:
     def test_generators_empty(self, capsys):
         assert main(["generators", "-n", "3", "-d", "5"]) == 0
         assert "empty nullspace" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("n, d, prime", [
+        ("2", "4", "0"), ("3", "7", "5"), ("3", "5", "0")])
+    def test_generators_prime_not_above_degree_exits_2(self, capsys,
+                                                       n, d, prime):
+        assert main(["generators", "-n", n, "-d", d, "-p", prime]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: need a prime p > degree, " \
+            f"got p={prime}, d={d}\n"
 
     def test_reproduce_binary(self, capsys):
         assert main(["reproduce", "binary"]) == 0
