@@ -7,7 +7,8 @@ consequences; random permutation sampling certifies that their
 symmetric-group span already fills all 15316 dimensions.
 
 Pass --exact to replay the full 9! orbit of every consequence instead
-(about ten minutes; reproduces the cumulative dimension sequence).
+(about 36 s and 460 MB on 2 vCPUs; reproduces the cumulative dimension
+sequence).
 """
 
 import sys

@@ -13,7 +13,12 @@ import sys
 
 from . import golden
 from .expansion import build_expansion_matrix
-from .identities import generator_sieve, module_rank, verify_identity
+from .identities import (
+    _check_prime,
+    generator_sieve,
+    module_rank,
+    verify_identity,
+)
 from .io_formats import (
     ParseError,
     format_identity,
@@ -130,9 +135,9 @@ def main(argv=None) -> int:
         if args.command == "generators":
             p = (args.prime if args.prime is not None
                  else golden.scalars()["default_prime"])
+            _check_prime(p, args.degree)
             ctx, vs = _nullspace_vectors(args.arity, args.degree,
                                          args.basis)
-            # checks p before anything is printed
             gens = generator_sieve(vs, args.arity, args.degree, p)
             if not vs:
                 print("empty nullspace: no identities in this degree")

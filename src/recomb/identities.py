@@ -21,7 +21,7 @@ import numpy as np
 
 from . import golden
 from .expansion import column_blocks, evaluate_identity
-from .linalg import ModularRankAccumulator, squared_norm
+from .linalg import ModularRankAccumulator, _is_prime, squared_norm
 from .monomials import (
     DegreeContext,
     IdentityCombination,
@@ -40,6 +40,8 @@ def _check_prime(p: int, d: int) -> None:
     """Orbit ranks are taken mod a prime p > d."""
     if p <= d:
         raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def _permuted_rows(ctx: DegreeContext, terms: list, sigmas) -> tuple:

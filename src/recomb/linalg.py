@@ -11,6 +11,14 @@ product, max|a| max|b| inner) stays below 2^62, dtype=object holding
 Python ints once it does not.  The same numpy code runs on both, and the
 results are lists of Python ints either way.
 
+LLL starts from the integral Gram-Schmidt data d_j and lam_ij (Cohen,
+Alg. 2.6.7), which are unique to the basis, so they are computed from
+residues: a blocked elimination of the Gram matrix mod each of a few
+primes below 2^21, in float64, and CRT.  Integer checks, not floats, prove
+the result exact: d_j |b_j|^2 < M for every j fixes d in [0, M), M being
+the product of the primes, and 4 max |b_i|^2 max d_j d_{j+1} < M^2 fixes
+lam in (-M/2, M/2); primes are added until both hold.
+
 The mod-p accumulator keeps the reduced echelon basis as [I | C] and
 stores only C, the rows on the non-pivot columns, as float residues, so
 that reducing, echelonising and merging are matrix products run through
@@ -401,44 +409,147 @@ def lattices_equal(A, B) -> bool:
 # ---------------------------------------------------------------------------
 # integer LLL
 
+_LOVASZ = (3, 4)        # delta = 3/4, the classical Lovasz condition
+_PRIME_BITS = 21        # Gram-Schmidt residues are taken mod primes < 2^21
+# Columns per panel of the mod-p elimination.  Every float64 sum in it is a
+# residue plus at most _GS_BLOCK products below p^2: p + 64 p^2 < 2^49 stays
+# within 2^53 - p, so it is exact and in _mod's range.
+_GS_BLOCK = 64
+
+
+def _is_prime(p: int) -> bool:
+    return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _primes():
+    """The primes below 2^_PRIME_BITS, largest first."""
+    return (p for p in range((1 << _PRIME_BITS) - 1, 1, -1) if _is_prime(p))
+
+
+def _gram_residues(G, p: int):
+    """d and the lower triangle of lam mod p, or None at a zero pivot.
+
+    Symmetric elimination of G mod p in float64, row by row: pivot j is
+    a_j = d_{j+1} / d_j and row j, once reduced, holds U_ij = lam_ij / d_j
+    for i > j.  Within a panel of _GS_BLOCK rows each pivot row updates the
+    rows below it by a rank-1 step and is reduced when it is eliminated;
+    the trailing block then takes one product and one _mod.  Returns
+    (d mod p as ints, lam mod p packed row by row as int32).
+    """
+    A = (G % p).astype(np.float64)      # reduced as integers: G may be big
+    k = len(A)
+    inv = np.empty(k)
+    for lo in range(0, k, _GS_BLOCK):
+        hi = min(lo + _GS_BLOCK, k)
+        for j in range(lo, hi):
+            row = _mod(A[j, j:], p)
+            a = int(row[0])
+            if not a:
+                return None
+            inv[j] = pow(a, -1, p)
+            if j + 1 < hi:
+                w = _mod(row[1:] * inv[j], p)
+                A[j + 1:hi, j + 1:] += np.outer(p - row[1:hi - j], w)
+        if hi < k:
+            X = A[lo:hi, hi:]
+            W = _mod(X * inv[lo:hi, None], p)
+            T = A[hi:, hi:]
+            T += (p - X).T @ W
+            _mod(T, p)
+    d = [1]
+    for a in np.diagonal(A).tolist():
+        d.append(d[-1] * int(a) % p)
+    i, j = np.tril_indices(k, -1)
+    lam = A[j, i] * np.array(d[:-1], dtype=np.float64)[j]
+    return d, _mod(lam, p).astype(np.int32)
+
+
 def _lll_initialize(b):
     """Integer Gram-Schmidt data: d[i] = det Gram(b1..bi), lam scaled mu.
 
-    lam[i] holds lam[i][j] for j < i.  The Gram matrix is one exact product.
+    lam[i] holds lam[i][j] = d[j + 1] mu[i][j] for j < i.  Both are unique
+    to the basis, so they are computed mod primes p < 2^21 by elimination
+    of the Gram matrix G = B B^T (_gram_residues) and rebuilt exactly by
+    CRT over M, the product of the primes.  Exactness rests on two integer
+    checks, never on floats: d is rebuilt in [0, M), exact by induction
+    when d_j G_jj < M for every j, since d_{j+1} <= d_j |b_j|^2; lam is
+    rebuilt in (-M/2, M/2), exact when 4 max G_ii max d_j d_{j+1} < M^2,
+    since lam_ij^2 <= |b_i|^2 d_j d_{j+1}.  Primes are added one at a
+    time until both hold; the checks cost O(k) integer steps each, against
+    O(k^3) for a prime's residues, so no estimate of the count is needed.
+    A zero pivot mod p means p divides some d_j, and the prime is
+    skipped, or the rows are dependent, which one exact rank decides.
+    Each prime is folded into Garner mixed-radix digits of lam as it comes.
     """
     B = _int_matrix(b)
-    d = [1]
-    steps = []          # (d[s + 1], d[s]) for s < i
-    lam = []
-    for i, gram in enumerate(_matmul(B, B.T).tolist()):
-        li = []
-        for j in range(i + 1):
-            u = gram[j]
-            for x, y, (dn, dp) in zip(li, lam[j] if j < i else li, steps):
-                u = (dn * u - x * y) // dp
-            if j < i:
-                li.append(u)
-            elif u <= 0:
+    k = len(B)
+    G = _matmul(B, B.T)
+    g = [int(x) for x in np.diagonal(G).tolist()]
+    d = [0] * (k + 1)           # d mod M, in [0, M)
+    M = 1
+    digits, primes = [], []     # lam = sum_t digits[t] * primes[0] ... primes[t-1]
+    independent = None
+    for p in _primes():
+        res = _gram_residues(G, p)
+        if res is None:
+            if independent is None:
+                independent = len(_echelon(B)[1]) == k
+            if not independent:
                 raise DependentRowsError("rows are linearly dependent")
-            else:
-                steps.append((u, d[i]))
-                d.append(u)
-        lam.append(li)
-    return d, lam
+            continue
+        dp, lp = res
+        c = pow(M, -1, p)
+        d = [x + M * ((r - x) * c % p) for x, r in zip(d, dp)]
+        # digit t = (lam - (digits so far)) / (p_0 ... p_{t-1}) mod p
+        h = np.zeros(len(lp), dtype=np.int64)
+        for q, v in zip(reversed(primes), reversed(digits)):
+            h = (h * q + v) % p
+        digits.append(((lp - h) % p * c % p).astype(np.int32))
+        primes.append(p)
+        M *= p
+        if (all(x * y < M for x, y in zip(d, g)) and
+                4 * max(g, default=0) *
+                max(map(math.prod, zip(d, d[1:])), default=0) < M * M):
+            break
+    return d, _lam_rows(digits, primes, M, k)
 
 
-def lll_reduce(basis, delta=(3, 4)) -> list:
+def _lam_rows(digits, primes, M, k) -> list:
+    """Rows of lam in (-M/2, M/2) from its Garner digits, one at a time.
+
+    Three digits at a time are one int64 (p^3 < 2^63), so the Python-int
+    Horner steps over a row are a third as many as the primes.
+    """
+    words, radix = [], []
+    for t in range(0, len(primes), 3):
+        w = np.zeros(len(digits[0]), dtype=np.int64)
+        for q, v in zip(reversed(primes[t:t + 3]), reversed(digits[t:t + 3])):
+            w = w * q + v
+        words.append(w)
+        radix.append(math.prod(primes[t:t + 3]))
+    lam = []
+    for i in range(k):
+        s = slice(i * (i - 1) // 2, i * (i + 1) // 2)
+        x = words[-1][s].astype(object)
+        for w, r in zip(reversed(words[:-1]), reversed(radix[:-1])):
+            x = x * r + w[s]
+        x[x > M // 2] -= M
+        lam.append(x.tolist())
+    return lam
+
+
+def lll_reduce(basis) -> list:
     """LLL-reduced basis of the same lattice, in exact integer arithmetic.
 
-    delta is the Lovasz parameter as an integer pair (num, den); the default
-    3/4 gives the classical guarantees.  Raises DependentRowsError when the
-    input rows are dependent.
+    The Lovasz parameter is delta = 3/4 (_LOVASZ), which gives the classical
+    guarantees.  Raises DependentRowsError when the input rows are
+    dependent.
     """
     b = [[int(x) for x in row] for row in basis]
     k = len(b)
     if k <= 1:
         return [row[:] for row in b]
-    num, den = delta
+    num, den = _LOVASZ
     d, lam = _lll_initialize(b)
 
     def red(i, j):
@@ -490,7 +601,7 @@ _FLOAT32_MIN_TERMS = 64
 
 
 def _mod(X: np.ndarray, p: int) -> np.ndarray:
-    """X mod p into [0, p), in place, for a C-ordered float array.
+    """X mod p into [0, p), in place, for a float array or a view of one.
 
     Exact for |X| <= 2^24 - p in float32 and |X| <= 2^53 - p in float64:
     floor(X * (1/p)) can be one off, leaving X - q*p in [-p, 2p), which one
@@ -556,7 +667,7 @@ class ModularRankAccumulator:
     """
 
     def __init__(self, width: int, p: int = 101):
-        if p < 2 or any(p % q == 0 for q in range(2, min(p, int(p ** 0.5) + 2))):
+        if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
         if p * p * max(width, 1) >= 2 ** 53:
             raise ValueError("width too large for exact float64 products")

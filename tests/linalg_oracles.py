@@ -2,8 +2,9 @@
 
 `rcf`, `rcf_nullspace`, `hnf_with_transform`, `hnf_rows` and `lll_reduce`
 are the list-of-ints versions that `recomb.linalg` replaced by numpy
-integer kernels; the tests require the kernels to return exactly what these
-return.  `is_lll_reduced` and `rational_span_equal` are test oracles that
+integer kernels, and `_lll_initialize` the integral Gram-Schmidt recurrence
+it replaced by residues mod word-size primes and CRT; the tests require the
+kernels to return exactly what these return.  `is_lll_reduced` and `rational_span_equal` are test oracles that
 the package itself never needed.
 """
 
@@ -191,7 +192,11 @@ def rational_span_equal(A, B) -> bool:
 
 
 def _lll_initialize(b):
-    """Integer Gram-Schmidt data: d[i] = det Gram(b1..bi), lam scaled mu."""
+    """Integer Gram-Schmidt data: d[i] = det Gram(b1..bi), lam scaled mu.
+
+    The integral recurrence of Cohen, Alg. 2.6.7, in Python ints; lam[i]
+    holds lam[i][j] for j < i.
+    """
     k = len(b)
     d = [1] * (k + 1)
     lam = [[0] * k for _ in range(k)]
@@ -206,7 +211,7 @@ def _lll_initialize(b):
                 d[i + 1] = u
                 if u <= 0:
                     raise DependentRowsError("rows are linearly dependent")
-    return d, lam
+    return d, [row[:i] for i, row in enumerate(lam)]
 
 
 def lll_reduce(basis, delta=(3, 4)) -> list:

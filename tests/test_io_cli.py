@@ -174,14 +174,32 @@ class TestCli:
         assert "empty nullspace" in capsys.readouterr().out
 
     @pytest.mark.parametrize("n, d, prime", [
-        ("2", "4", "0"), ("3", "7", "5"), ("3", "5", "0")])
+        ("2", "4", "0"), ("3", "7", "5"), ("3", "5", "0"), ("3", "7", "9")])
     def test_generators_prime_not_above_degree_exits_2(self, capsys,
                                                        n, d, prime):
         assert main(["generators", "-n", n, "-d", d, "-p", prime]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == f"error: need a prime p > degree, " \
-            f"got p={prime}, d={d}\n"
+        if int(prime) <= int(d):
+            assert captured.err == f"error: need a prime p > degree, " \
+                f"got p={prime}, d={d}\n"
+        else:
+            assert captured.err == f"error: p = {prime} is not prime\n"
+
+    @pytest.mark.parametrize("prime", ["5", "9"])
+    def test_generators_checks_p_before_the_nullspace(self, capsys,
+                                                      monkeypatch, prime):
+        def unreachable(*args):
+            raise AssertionError("nullspace computed before p was checked")
+
+        monkeypatch.setattr("recomb.cli.nullspace_lattice", unreachable)
+        monkeypatch.setattr("recomb.cli.rcf_nullspace", unreachable)
+        for basis in ("hnf-lll", "rcf"):
+            assert main(["generators", "-n", "3", "-d", "7", "--basis", basis,
+                         "-p", prime]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
 
     def test_reproduce_binary(self, capsys):
         assert main(["reproduce", "binary"]) == 0

@@ -593,6 +593,66 @@ class TestKernelsMatchReference:
                                            "5111f425ff9f60aa533090392b5460e1")
 
 
+class TestLllInitialize:
+    """The multi-modular Gram-Schmidt data equal the integral recurrence."""
+
+    @staticmethod
+    def spy_primes(monkeypatch):
+        """Record each prime's residues, None where a pivot was zero."""
+        seen = []
+        residues = linalg._gram_residues
+
+        def spy(G, p):
+            seen.append((p, residues(G, p)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(linalg, "_gram_residues", spy)
+        return seen
+
+    @settings(max_examples=150, deadline=None)
+    @given(M=kernel_matrices())
+    def test_matches_reference(self, M):
+        # entries of about 2^40 give dtype=object Gram matrices
+        assert lll_or_error(linalg._lll_initialize, M) == \
+            lll_or_error(ref._lll_initialize, M)
+
+    def test_panels_and_trailing_products(self):
+        # 100 rows: one full panel of _GS_BLOCK rows, then a trailing block
+        rnd = random.Random(12)
+        M = random_int_matrix(rnd, 100, 110, -9, 9)
+        assert len(M) > linalg._GS_BLOCK
+        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+
+    def test_prime_dividing_a_d_is_skipped(self, monkeypatch):
+        # d_1 = |b_1|^2 = p^2 for the first prime p: its first pivot is zero
+        seen = self.spy_primes(monkeypatch)
+        p = next(linalg._primes())
+        M = [[p, 0, 0], [1, 1, 0], [2, -1, 3]]
+        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        assert seen[0] == (p, None)
+        assert all(res is not None for _, res in seen[1:])
+
+    def test_dependent_rows_are_decided_by_rank(self, monkeypatch):
+        seen = self.spy_primes(monkeypatch)
+        with pytest.raises(DependentRowsError):
+            linalg._lll_initialize([[1, 2, 3], [0, 1, 1], [2, 5, 7]])
+        assert [res for _, res in seen] == [None]
+
+    # Each case passes one check but not the other when M is the first
+    # prime p alone: with b_0 = (1446, 78, 12), |b_0|^2 = p + 1, so d is 1
+    # mod p throughout; with |<b_2, b_0>| = 1400^2 > p / 2, lam_20 is not
+    # its symmetric residue although every d_j g_j < p.
+    @pytest.mark.parametrize("M", [
+        [[1446, 78, 12, 0], [0, 0, 0, 1]],
+        [[1400, 1, 0], [1, 0, 0], [1400, 0, 1]],
+    ])
+    def test_primes_are_added_until_both_checks_hold(self, monkeypatch, M):
+        assert 1446 ** 2 + 78 ** 2 + 12 ** 2 == next(linalg._primes()) + 1
+        seen = self.spy_primes(monkeypatch)
+        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        assert len(seen) == 2
+
+
 class TestMagnitudeGuard:
     LIMIT = 2 ** 62
 
