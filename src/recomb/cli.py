@@ -170,10 +170,7 @@ def main(argv=None) -> int:
             print(f"{rep.scope}: {n_ok}/{n_hard} checks passed")
             return 0 if rep.passed else 1
 
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:

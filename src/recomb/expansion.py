@@ -53,20 +53,12 @@ def combination_variables(comb: dict) -> set:
     return out
 
 
-def expand_operation(args, n: int | None = None) -> dict:
+def expand_operation(combos) -> dict:
     """Multilinear extension of the operation to slot combinations.
 
-    args: sequence of slot combinations or bare variable indices over
-    pairwise disjoint variable sets.
+    combos: one slot combination per argument, over pairwise disjoint
+    variable sets.
     """
-    combos = []
-    for a in args:
-        if isinstance(a, int):
-            if n is None:
-                n = len(args)
-            combos.append(variable_combination(a, n))
-        else:
-            combos.append(a)
     n = len(combos)
     seen: set = set()
     for c in combos:
@@ -98,7 +90,7 @@ def expand_monomial(tree, n: int, _memo: dict | None = None) -> dict:
     if is_leaf(tree):
         out = variable_combination(tree, n)
     else:
-        out = expand_operation([expand_monomial(c, n, _memo) for c in tree], n)
+        out = expand_operation([expand_monomial(c, n, _memo) for c in tree])
     _memo[tree] = out
     return out
 

@@ -91,14 +91,12 @@ def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
         _add_sparse_rows(acc, [(cols[lo:lo + 2048], coeffs[lo:lo + 2048])])
 
 
-def module_rank(ids, p: int = 101, *, n: int | None = None,
-                d: int | None = None) -> int:
+def module_rank(ids, p: int = 101) -> int:
     """Dimension mod p of the S_d-module spanned by the given identities."""
     ids = list(ids)
     if not ids:
         return 0
-    n = ids[0].n if n is None else n
-    d = ids[0].degree if d is None else d
+    n, d = ids[0].n, ids[0].degree
     _check_prime(p, d)
     for idc in ids:
         if (idc.n, idc.degree) != (n, d):
@@ -118,18 +116,15 @@ class SieveGenerator:
     cumulative_rank: int
 
 
-def generator_sieve(vectors, n: int, d: int, p: int = 101,
-                    target: int | None = None) -> list:
+def generator_sieve(vectors, n: int, d: int, p: int = 101) -> list:
     """Scan nullspace vectors in the given order, keeping module generators.
 
     A vector is a generator when its orbit strictly increases the rank of
-    the accumulated S_d-module.  Stops once the cumulative rank reaches
-    `target` (defaults to the number of vectors, i.e. the nullspace dim).
+    the accumulated S_d-module.  Stops once the cumulative rank reaches the
+    number of vectors, the nullspace dimension for a nullspace basis.
     """
     _check_prime(p, d)
     vectors = [list(map(int, v)) for v in vectors]
-    if target is None:
-        target = len(vectors)
     ctx = get_context(n, d)
     acc = ModularRankAccumulator(ctx.num_monomials, p)
     out: list = []
@@ -142,7 +137,7 @@ def generator_sieve(vectors, n: int, d: int, p: int = 101,
             out.append(SieveGenerator(pos, squared_norm(vec),
                                       idc.normalized(), new_rank))
             rank = new_rank
-        if rank >= target:
+        if rank >= len(vectors):
             break
     return out
 

@@ -240,7 +240,6 @@ class HnfResult(NamedTuple):
     u: list             # m x m unimodular transform, u @ M = h
     rank: int
     pivots: list        # pivot column per nonzero row
-    det_sign: int       # sign of det(u); |det(u)| = 1 by construction
 
 
 def hnf_with_transform(M) -> HnfResult:
@@ -256,7 +255,6 @@ def hnf_with_transform(M) -> HnfResult:
     h = _int_matrix(M)
     m, n = h.shape
     u = np.eye(m, dtype=np.int64)
-    sign = 1
     pivots = []
 
     def reduce_rows(rows, q, r):
@@ -280,7 +278,6 @@ def hnf_with_transform(M) -> HnfResult:
             if i0 != r:
                 h[[r, i0]] = h[[i0, r]]
                 u[[r, i0]] = u[[i0, r]]
-                sign = -sign
             if live.size == 1:
                 break
             # floor keeps remainders in [0, |a|)
@@ -289,10 +286,9 @@ def hnf_with_transform(M) -> HnfResult:
             if h[r, c] < 0:
                 h[r] = -h[r]
                 u[r] = -u[r]
-                sign = -sign
             reduce_rows(np.arange(r), h[:r, c] // h[r, c], r)
             pivots.append(c)
-    return HnfResult(h.tolist(), u.tolist(), len(pivots), pivots, sign)
+    return HnfResult(h.tolist(), u.tolist(), len(pivots), pivots)
 
 
 def _xgcd(a: int, b: int) -> tuple:

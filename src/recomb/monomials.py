@@ -123,10 +123,6 @@ def tree_from(shape, leaf_seq):
     return out
 
 
-def _child_key(t):
-    return (shape_key(shape_of(t)), leaves(t))
-
-
 def straighten(t, arity: int | None = None):
     """Canonical representative of a tree under complete symmetry.
 
@@ -148,7 +144,7 @@ def _straighten(t, arity):
         return t
     if arity is not None and len(t) != arity:
         raise ValueError(f"node arity {len(t)} != {arity}")
-    kids = sorted((_straighten(c, arity) for c in t), key=_child_key)
+    kids = sorted((_straighten(c, arity) for c in t), key=monomial_key)
     return tuple(kids)
 
 

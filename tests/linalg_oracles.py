@@ -92,7 +92,6 @@ def hnf_with_transform(M) -> HnfResult:
     m = len(h)
     n = len(h[0]) if m else 0
     u = [[1 if i == j else 0 for j in range(m)] for i in range(m)]
-    sign = 1
     r = 0
     pivots = []
     for c in range(n):
@@ -105,7 +104,6 @@ def hnf_with_transform(M) -> HnfResult:
             if i0 != r:
                 h[r], h[i0] = h[i0], h[r]
                 u[r], u[i0] = u[i0], u[r]
-                sign = -sign
             if len(live) == 1:
                 break
             a = h[r][c]
@@ -122,7 +120,6 @@ def hnf_with_transform(M) -> HnfResult:
             if h[r][c] < 0:
                 h[r] = [-x for x in h[r]]
                 u[r] = [-x for x in u[r]]
-                sign = -sign
             a = h[r][c]
             for k in range(r):
                 q = h[k][c] // a
@@ -135,7 +132,7 @@ def hnf_with_transform(M) -> HnfResult:
             r += 1
             if r == m:
                 break
-    return HnfResult(h, u, r, pivots, sign)
+    return HnfResult(h, u, r, pivots)
 
 
 def hnf_rows(M) -> list:

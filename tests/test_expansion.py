@@ -28,7 +28,7 @@ from recomb.monomials import (
 
 class TestExpandOperation:
     def test_single_application_ternary(self):
-        e = expand_operation([0, 1, 2])
+        e = expand_operation([variable_combination(v, 3) for v in range(3)])
         expected = {t: 1 for t in itertools.permutations((0, 1, 2))}
         assert e == expected
 

@@ -52,7 +52,7 @@ class TestGoldenIdentities:
 
 class TestModuleRank:
     def test_empty(self):
-        assert module_rank([], n=3, d=7) == 0
+        assert module_rank([]) == 0
 
     def test_binary_identity_spans_nullspace(self, named):
         assert module_rank([named["binary_recombination"]]) == 9
@@ -118,13 +118,13 @@ class TestGeneratorSieve:
         ctx = get_context(2, 4)
         ns = sort_vectors_by_norm(rcf_nullspace(E24.array.tolist()))
         rank1 = module_rank([ctx.combination_of(ns[0])])
-        gens = generator_sieve([ns[0]], 2, 4, target=rank1)
+        gens = generator_sieve([ns[0]], 2, 4)
         assert len(gens) == 1 and gens[0].cumulative_rank == rank1
 
     def test_one_dimensional_orbit_yields_single_generator(self):
         # the all-ones vector is permutation-invariant: 1-dim module span
         ones = [1] * 15
-        gens = generator_sieve([ones, ones], 2, 4, target=1)
+        gens = generator_sieve([ones, ones], 2, 4)
         assert len(gens) == 1
         assert gens[0].cumulative_rank == 1
 

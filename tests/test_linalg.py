@@ -129,7 +129,6 @@ class TestHnf:
             self.check_hnf_conditions(res.h, res.rank, res.pivots)
             assert int_matmul(res.u, M) == res.h
             assert abs(det_bareiss(res.u)) == 1
-            assert res.det_sign == det_bareiss(res.u)
             assert hnf_rows(M) == res.h[:res.rank]
 
 
@@ -197,6 +196,7 @@ class TestLll:
         lat = nullspace_lattice(E24.array.tolist())
         red = lll_reduce(lat)
         norms = [squared_norm(v) for v in red]
+        assert len(red) == 9
         assert max(norms) <= golden.scalars()["lll_norm_bound_n2_d4"]
         assert lattices_equal(lat, red)
         assert is_lll_reduced(red)
@@ -528,8 +528,7 @@ class TestKernelsMatchReference:
     @given(M=kernel_matrices())
     def test_hnf_with_transform(self, M):
         res, want = hnf_with_transform(M), ref.hnf_with_transform(M)
-        assert (res.h, res.u, res.rank, res.pivots, res.det_sign) == \
-            (want.h, want.u, want.rank, want.pivots, want.det_sign)
+        assert res == want
 
     @settings(max_examples=150, deadline=None)
     @given(M=kernel_matrices())
@@ -578,19 +577,19 @@ class TestKernelsMatchReference:
                     lll_reduce(M), int_matmul(M, M)):
             assert all(type(x) is int for row in out for x in row)
 
-    def test_degree7_lattice_digests(self, E37):
+    def test_degree7_lattice_digests(self, deg7_bases):
         # sha256 of the JSON lists the list code produced: the lattice's
         # HNF, and the hnf-lll basis that `recomb nullspace` publishes
         def digest(rows):
             return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
 
-        lat = nullspace_lattice(E37.array.tolist())
+        _, lat, red = deg7_bases
         assert digest(lat) == ("7dee0a63ae2774517925e656f2505900"
                                "ccd9963a53f9266e295decaa40d80146")
         assert digest(hnf_rows(lat)) == ("442b8f9922ae2197da22c9ea72667728"
                                          "866696ee84fd6dfb5734671ea2bc02a0")
-        assert digest(lll_reduce(lat)) == ("54f513a7aa6c705b3ca7f3063f4f2359"
-                                           "5111f425ff9f60aa533090392b5460e1")
+        assert digest(red) == ("54f513a7aa6c705b3ca7f3063f4f2359"
+                               "5111f425ff9f60aa533090392b5460e1")
 
 
 class TestLllInitialize:
