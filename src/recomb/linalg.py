@@ -13,11 +13,13 @@ results are lists of Python ints either way.
 
 LLL starts from the integral Gram-Schmidt data d_j and lam_ij (Cohen,
 Alg. 2.6.7), which are unique to the basis, so they are computed from
-residues: a blocked elimination of the Gram matrix mod each of a few
-primes below 2^21, in float64, and CRT.  Integer checks, not floats, prove
-the result exact: d_j |b_j|^2 < M for every j fixes d in [0, M), M being
-the product of the primes, and 4 max |b_i|^2 max d_j d_{j+1} < M^2 fixes
-lam in (-M/2, M/2); primes are added until both hold.
+residues: one elimination of the Gram matrix mod a whole stack of primes
+below 2^21, in float64, and CRT.  A float64 Cholesky estimate of d
+sizes the stack, but integer checks, not floats, prove the result exact:
+d_j |b_j|^2 < M for every j fixes d in [0, M), M being the product of the
+primes, and 4 max |b_i|^2 max d_j d_{j+1} < M^2 fixes lam in (-M/2, M/2);
+primes are added while either fails.  The reduction loop then keeps the
+basis as one int64 array under the same magnitude guard.
 
 The mod-p accumulator keeps the reduced echelon basis as [I | C] and
 stores only C, the rows on the non-pivot columns, as float residues, so
@@ -33,10 +35,10 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
-from scipy import sparse as _sparse
 
 
 class DependentRowsError(ValueError):
@@ -407,10 +409,10 @@ def lattices_equal(A, B) -> bool:
 
 _LOVASZ = (3, 4)        # delta = 3/4, the classical Lovasz condition
 _PRIME_BITS = 21        # Gram-Schmidt residues are taken mod primes < 2^21
-# Columns per panel of the mod-p elimination.  Every float64 sum in it is a
-# residue plus at most _GS_BLOCK products below p^2: p + 64 p^2 < 2^49 stays
-# within 2^53 - p, so it is exact and in _mod's range.
-_GS_BLOCK = 64
+# Products one float64 sum of the mod-p elimination may take: with p < 2^21
+# a residue plus 2047 terms below p^2 stays within 2^53 - p, so it is exact
+# and in _mod's range.
+_GS_TERMS = (1 << 11) - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -422,42 +424,114 @@ def _primes():
     return (p for p in range((1 << _PRIME_BITS) - 1, 1, -1) if _is_prime(p))
 
 
-def _gram_residues(G, p: int):
-    """d and the lower triangle of lam mod p, or None at a zero pivot.
+def _prime_count(G) -> int:
+    """How many primes the checks of _lll_initialize will likely ask for.
 
-    Symmetric elimination of G mod p in float64, row by row: pivot j is
-    a_j = d_{j+1} / d_j and row j, once reduced, holds U_ij = lam_ij / d_j
-    for i > j.  Within a panel of _GS_BLOCK rows each pivot row updates the
-    rows below it by a rank-1 step and is reduced when it is eliminated;
-    the trailing block then takes one product and one _mod.  Returns
-    (d mod p as ints, lam mod p packed row by row as int32).
+    A float64 Cholesky G = L D L^T, the elimination of _gram_residues
+    without the modulus, gives the pivots a_j = d_{j+1} / d_j, hence log2 d
+    and the bits of both checks; the count covers one bit more at
+    _PRIME_BITS - 0.1 bits a prime.  Only a hint, and 1 when G is not
+    numerically positive definite.
     """
-    A = (G % p).astype(np.float64)      # reduced as integers: G may be big
-    k = len(A)
-    inv = np.empty(k)
-    for lo in range(0, k, _GS_BLOCK):
-        hi = min(lo + _GS_BLOCK, k)
-        for j in range(lo, hi):
-            row = _mod(A[j, j:], p)
-            a = int(row[0])
-            if not a:
-                return None
-            inv[j] = pow(a, -1, p)
-            if j + 1 < hi:
-                w = _mod(row[1:] * inv[j], p)
-                A[j + 1:hi, j + 1:] += np.outer(p - row[1:hi - j], w)
-        if hi < k:
-            X = A[lo:hi, hi:]
-            W = _mod(X * inv[lo:hi, None], p)
-            T = A[hi:, hi:]
-            T += (p - X).T @ W
-            _mod(T, p)
-    d = [1]
-    for a in np.diagonal(A).tolist():
-        d.append(d[-1] * int(a) % p)
+    try:
+        A = G.astype(np.float64)
+    except OverflowError:
+        return 1
+    a = np.diagonal(A)
+    for j in range(len(A)):
+        A[j, j:] -= (A[:j, j] / a[:j]) @ A[:j, j:]
+        if not a[j] > 0:
+            return 1
+    ld = np.concatenate([[0.0], np.cumsum(np.log2(a))])
+    g = np.log2(np.diagonal(G).astype(np.float64))
+    bits = np.max([np.max(ld[:-1] + g, initial=0),
+                   (2 + np.max(g, initial=0) +
+                    np.max(ld[:-1] + ld[1:], initial=0)) / 2])
+    if not np.isfinite(bits):
+        return 1
+    return max(1, math.ceil((bits + 1) / (_PRIME_BITS - 0.1)))
+
+
+def _gram_residues(G, P):
+    """Residues of d and lam mod every prime of P, and which primes live.
+
+    Symmetric elimination of G mod all the primes at once, in one float64
+    stack of shape (t, k, k), p broadcast along its first axis: pivot j is
+    a_j = d_{j+1} / d_j and row j, once reduced, holds lam_ij / d_j at
+    column i > j.  Row j takes the updates of all earlier pivot rows by one
+    matrix-vector product per prime just before it is reduced; each pivot
+    row, divided by its pivot, is kept transposed in the unused lower
+    triangle.  A zero pivot mod p kills p (its inverse becomes 0, so its
+    slab stays in range); the others go on, and the elimination stops early
+    only when none is left.  Returns (R, live): live[s] is False where P[s]
+    met a zero pivot, and row s of the int64 array R holds, for a live
+    P[s], d mod P[s] and then the lower triangle of lam mod P[s] packed row
+    by row.
+    """
+    t, k = len(P), len(G)
+    A = np.empty((t, k, k))
+    for a, p in zip(A, P.tolist()):
+        # reduced as integers, G may be big, straight into the stack
+        np.remainder(G, p, out=a, casting="unsafe")
+    p2 = P[:, None].astype(np.float64)
+    live = np.ones(t, dtype=bool)
+    for j in range(k):
+        row = A[:, j, j:]
+        for lo in range(0, j, _GS_TERMS):
+            if lo:
+                _mod(row, p2)
+            hi = min(lo + _GS_TERMS, j)
+            row += np.matmul(A[:, j:, lo:hi],
+                             (p2 - A[:, lo:hi, j])[:, :, None])[:, :, 0]
+        _mod(row, p2)
+        live &= row[:, 0] > 0
+        if not live.any():
+            return None, live
+        inv = [pow(int(a), -1, p) if a else 0
+               for a, p in zip(row[:, 0].tolist(), P.tolist())]
+        A[:, j + 1:, j] = _mod(row[:, 1:] * np.array(inv, float)[:, None], p2)
+    a = np.diagonal(A, axis1=1, axis2=2).astype(np.int64)
+    R = np.empty((t, k + 1 + k * (k - 1) // 2), dtype=np.int64)
+    R[:, :k + 1] = [list(accumulate(x, lambda y, z: y * z % p, initial=1))
+                    for x, p in zip(a.tolist(), P.tolist())]
     i, j = np.tril_indices(k, -1)
-    lam = A[j, i] * np.array(d[:-1], dtype=np.float64)[j]
-    return d, _mod(lam, p).astype(np.int32)
+    lam = A[:, j, i]
+    lam *= R[:, j]
+    R[:, k + 1:] = _mod(lam, p2)
+    return R, live
+
+
+def _shortfall(d, g, M) -> int:
+    """Bits M lacks for the two checks of _lll_initialize; 0 when both hold.
+
+    The checks are d_j g_j < M for every j and 4 max g max d_j d_{j+1} <
+    M^2.  Where d_j g_j >= M first, the rebuilt d may be wrong from
+    d_{j+1} on; there it is bounded by d_{j+1} <= d_j g_j instead, so that
+    primes of the returned bits (over 20 each) make both checks hold.
+    """
+    D, exact = [1], True
+    for j, x in enumerate(g):
+        exact = exact and D[j] * x < M
+        D.append(d[j + 1] if exact else D[j] * x)
+    top = max(max(map(math.prod, zip(D, g)), default=0),
+              math.isqrt(4 * max(g, default=0) *
+                         max(map(math.prod, zip(D, D[1:])), default=0)))
+    return top.bit_length() - M.bit_length() + 1 if top >= M else 0
+
+
+def _crt(digits, primes) -> np.ndarray:
+    """Values in [0, M) from their Garner digits, as Python ints.
+
+    Three digits make one int64 word (p^3 < 2^63), so the Python-int Horner
+    steps are a third as many as the primes.
+    """
+    x = 0
+    for t in reversed(range(0, len(primes), 3)):
+        w = np.zeros(len(digits[0]), dtype=np.int64)
+        for q, v in zip(reversed(primes[t:t + 3]), reversed(digits[t:t + 3])):
+            w = w * q + v
+        x = x * math.prod(primes[t:t + 3]) + w.astype(object)
+    return x
 
 
 def _lll_initialize(b):
@@ -465,73 +539,53 @@ def _lll_initialize(b):
 
     lam[i] holds lam[i][j] = d[j + 1] mu[i][j] for j < i.  Both are unique
     to the basis, so they are computed mod primes p < 2^21 by elimination
-    of the Gram matrix G = B B^T (_gram_residues) and rebuilt exactly by
-    CRT over M, the product of the primes.  Exactness rests on two integer
-    checks, never on floats: d is rebuilt in [0, M), exact by induction
-    when d_j G_jj < M for every j, since d_{j+1} <= d_j |b_j|^2; lam is
-    rebuilt in (-M/2, M/2), exact when 4 max G_ii max d_j d_{j+1} < M^2,
-    since lam_ij^2 <= |b_i|^2 d_j d_{j+1}.  Primes are added one at a
-    time until both hold; the checks cost O(k) integer steps each, against
-    O(k^3) for a prime's residues, so no estimate of the count is needed.
-    A zero pivot mod p means p divides some d_j, and the prime is
-    skipped, or the rows are dependent, which one exact rank decides.
-    Each prime is folded into Garner mixed-radix digits of lam as it comes.
+    of the Gram matrix G = B B^T (_gram_residues, a stack of primes at a
+    time) and rebuilt exactly by CRT over M, the product of the primes.
+    Exactness rests on two integer checks, never on floats (_shortfall): d
+    is rebuilt in [0, M), exact by induction when d_j G_jj < M for every j,
+    since d_{j+1} <= d_j |b_j|^2; lam is rebuilt in (-M/2, M/2), exact when
+    4 max G_ii max d_j d_{j+1} < M^2, since lam_ij^2 <= |b_i|^2 d_j d_{j+1}.
+    The first stack has as many primes as a float64 estimate of d asks for
+    (_prime_count); while the checks fail, a stack of the primes they lack
+    follows.  A zero pivot mod p means p divides some d_j, and the prime is
+    replaced, or the rows are dependent, which one exact rank decides.  A
+    stack holds at most _CHUNK float64 entries, and at least one prime.
+    Each prime is folded into Garner mixed-radix digits as it comes.
     """
     B = _int_matrix(b)
     k = len(B)
     G = _matmul(B, B.T)
     g = [int(x) for x in np.diagonal(G).tolist()]
-    d = [0] * (k + 1)           # d mod M, in [0, M)
-    M = 1
-    digits, primes = [], []     # lam = sum_t digits[t] * primes[0] ... primes[t-1]
-    independent = None
-    for p in _primes():
-        res = _gram_residues(G, p)
-        if res is None:
-            if independent is None:
-                independent = len(_echelon(B)[1]) == k
-            if not independent:
-                raise DependentRowsError("rows are linearly dependent")
-            continue
-        dp, lp = res
-        c = pow(M, -1, p)
-        d = [x + M * ((r - x) * c % p) for x, r in zip(d, dp)]
-        # digit t = (lam - (digits so far)) / (p_0 ... p_{t-1}) mod p
-        h = np.zeros(len(lp), dtype=np.int64)
-        for q, v in zip(reversed(primes), reversed(digits)):
-            h = (h * q + v) % p
-        digits.append(((lp - h) % p * c % p).astype(np.int32))
-        primes.append(p)
-        M *= p
-        if (all(x * y < M for x, y in zip(d, g)) and
-                4 * max(g, default=0) *
-                max(map(math.prod, zip(d, d[1:])), default=0) < M * M):
+    source, stack = _primes(), max(1, _CHUNK // max(k * k, 1))
+    digits, primes = [], []     # value = sum_t digits[t] * prod(primes[:t])
+    M, want, independent = 1, _prime_count(G), None
+    while True:
+        while len(primes) < want:
+            P = np.array(list(islice(source, min(want - len(primes), stack))))
+            R, live = _gram_residues(G, P)
+            if not live.all():
+                if independent is None:
+                    independent = len(_echelon(B)[1]) == k
+                if not independent:
+                    raise DependentRowsError("rows are linearly dependent")
+            for s in np.flatnonzero(live):
+                # digit t = (value - (digits so far)) / (p_0 ... p_{t-1}) mod p
+                p, r = int(P[s]), R[s]
+                h = np.zeros(len(r), dtype=np.int64)
+                for q, v in zip(reversed(primes), reversed(digits)):
+                    h = (h * q + v) % p
+                digits.append((r - h) % p * pow(M, -1, p) % p)
+                primes.append(p)
+                M *= p
+        d = _crt([x[:k + 1] for x in digits], primes).tolist()
+        short = _shortfall(d, g, M)
+        if not short:
             break
-    return d, _lam_rows(digits, primes, M, k)
-
-
-def _lam_rows(digits, primes, M, k) -> list:
-    """Rows of lam in (-M/2, M/2) from its Garner digits, one at a time.
-
-    Three digits at a time are one int64 (p^3 < 2^63), so the Python-int
-    Horner steps over a row are a third as many as the primes.
-    """
-    words, radix = [], []
-    for t in range(0, len(primes), 3):
-        w = np.zeros(len(digits[0]), dtype=np.int64)
-        for q, v in zip(reversed(primes[t:t + 3]), reversed(digits[t:t + 3])):
-            w = w * q + v
-        words.append(w)
-        radix.append(math.prod(primes[t:t + 3]))
-    lam = []
-    for i in range(k):
-        s = slice(i * (i - 1) // 2, i * (i + 1) // 2)
-        x = words[-1][s].astype(object)
-        for w, r in zip(reversed(words[:-1]), reversed(radix[:-1])):
-            x = x * r + w[s]
-        x[x > M // 2] -= M
-        lam.append(x.tolist())
-    return lam
+        want = len(primes) + -(-short // (_PRIME_BITS - 1))
+    lam = _crt([x[k + 1:] for x in digits], primes)
+    lam[lam > M // 2] -= M
+    lam = lam.tolist()
+    return d, [lam[i * (i - 1) // 2:i * (i + 1) // 2] for i in range(k)]
 
 
 def lll_reduce(basis) -> list:
@@ -539,46 +593,59 @@ def lll_reduce(basis) -> list:
 
     The Lovasz parameter is delta = 3/4 (_LOVASZ), which gives the classical
     guarantees.  Raises DependentRowsError when the input rows are
-    dependent.
+    dependent, a single zero row included.  The basis is one integer array
+    whose rows swap through an index list; a size reduction is one row step,
+    in int64 while a bound on its entries stays below 2^62, else widened to
+    Python ints (_lincomb, _put).
     """
-    b = [[int(x) for x in row] for row in basis]
+    b = _int_matrix(basis)
     k = len(b)
-    if k <= 1:
-        return [row[:] for row in b]
+    if not k:
+        return []
     num, den = _LOVASZ
     d, lam = _lll_initialize(b)
+    at = list(range(k))                     # row of b holding basis vector i
+    top = [_absmax(row) for row in b]       # bounds |entries| of each row of b
 
     def red(i, j):
-        if 2 * abs(lam[i][j]) > d[j + 1]:
-            q = (2 * lam[i][j] + d[j + 1]) // (2 * d[j + 1])
-            bi, bj = b[i], b[j]
-            b[i] = [x - q * y for x, y in zip(bi, bj)]
-            lam[i][j] -= q * d[j + 1]
-            li, lj = lam[i], lam[j]
-            for s in range(j):
-                li[s] -= q * lj[s]
+        """b_i -= q b_j for q the integer nearest to mu_ij."""
+        nonlocal b
+        li, dj, r, s = lam[i], d[j + 1], at[i], at[j]
+        q = (2 * li[j] + dj) // (2 * dj)
+        bound = top[r] + abs(q) * top[s]
+        if bound < _SAFE:
+            b[r] -= q * b[s]
+            top[r] = bound
+        else:
+            b = _put(b, r, _lincomb(1, b[r], q, b[s]))
+            top[r], top[s] = _absmax(b[r]), _absmax(b[s])
+        li[j] -= q * dj
+        li[:j] = [x - q * y for x, y in zip(li, lam[j])]
 
     kk = 1
     while kk < k:
-        red(kk, kk - 1)
-        lam_k = lam[kk][kk - 1]
+        lk = lam[kk]
+        if 2 * abs(lk[kk - 1]) > d[kk]:
+            red(kk, kk - 1)
+        lam_k = lk[kk - 1]
         if den * (d[kk + 1] * d[kk - 1] + lam_k * lam_k) < num * d[kk] * d[kk]:
             # swap b[kk-1], b[kk] and patch the Gram data
-            b[kk - 1], b[kk] = b[kk], b[kk - 1]
-            for s in range(kk - 1):
-                lam[kk - 1][s], lam[kk][s] = lam[kk][s], lam[kk - 1][s]
-            B = (d[kk - 1] * d[kk + 1] + lam_k * lam_k) // d[kk]
-            for i in range(kk + 1, k):
-                t = lam[i][kk]
-                lam[i][kk] = (d[kk + 1] * lam[i][kk - 1] - lam_k * t) // d[kk]
-                lam[i][kk - 1] = (B * t + lam_k * lam[i][kk]) // d[kk + 1]
+            at[kk - 1], at[kk] = at[kk], at[kk - 1]
+            lam[kk - 1], lam[kk] = lk[:kk - 1], lam[kk - 1] + [lam_k]
+            dk, dk1 = d[kk], d[kk + 1]
+            B = (d[kk - 1] * dk1 + lam_k * lam_k) // dk
+            for li in lam[kk + 1:]:
+                t = li[kk]
+                li[kk] = u = (dk1 * li[kk - 1] - lam_k * t) // dk
+                li[kk - 1] = (B * t + lam_k * u) // dk1
             d[kk] = B
             kk = max(kk - 1, 1)
         else:
             for j in range(kk - 2, -1, -1):
-                red(kk, j)
+                if 2 * abs(lk[j]) > d[j + 1]:
+                    red(kk, j)
             kk += 1
-    return b
+    return b[at].tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -596,9 +663,10 @@ _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 _FLOAT32_MIN_TERMS = 64
 
 
-def _mod(X: np.ndarray, p: int) -> np.ndarray:
+def _mod(X: np.ndarray, p) -> np.ndarray:
     """X mod p into [0, p), in place, for a float array or a view of one.
 
+    p is an int, or a (t, 1) array of moduli, one for each row of X.
     Exact for |X| <= 2^24 - p in float32 and |X| <= 2^53 - p in float64:
     floor(X * (1/p)) can be one off, leaving X - q*p in [-p, 2p), which one
     step each way corrects, and q*p stays within the exact integers.  This
@@ -612,13 +680,14 @@ def _mod(X: np.ndarray, p: int) -> np.ndarray:
     q = np.empty((min(step, len(rows)), rows.shape[1]), dtype=X.dtype)
     for lo in range(0, len(rows), step):
         x = rows[lo:lo + step]
+        m = p[lo:lo + step] if isinstance(p, np.ndarray) else p
         t = q[:len(x)]
-        np.multiply(x, 1.0 / p, out=t)
+        np.multiply(x, 1.0 / m, out=t)
         np.floor(t, out=t)
-        t *= p
+        t *= m
         x -= t
-        np.add(x, p, out=x, where=x < 0)
-        np.subtract(x, p, out=x, where=x >= p)
+        np.add(x, m, out=x, where=x < 0)
+        np.subtract(x, m, out=x, where=x >= m)
     return X
 
 
@@ -633,8 +702,8 @@ def _row_parts(S, k: int) -> list:
     for lo in range(0, top, k):
         sel = (place >= lo) & (place < lo + k)
         indptr = np.concatenate([[0], np.cumsum(np.clip(n - lo, 0, k))])
-        parts.append(_sparse.csr_matrix(
-            (S.data[sel], S.indices[sel], indptr), shape=S.shape))
+        parts.append(type(S)((S.data[sel], S.indices[sel], indptr),
+                             shape=S.shape))
     return parts
 
 
@@ -695,8 +764,13 @@ class ModularRankAccumulator:
         return sum(self._add_dense(X[lo:lo + k]) for lo in range(0, len(X), k))
 
     def add_sparse_batch(self, row_idx, col_idx, vals, nrows: int) -> int:
-        """Reduce nrows COO rows (duplicates summed); returns new pivots."""
-        X = _sparse.csr_matrix(
+        """Reduce nrows COO rows (duplicates summed); returns new pivots.
+
+        scipy.sparse is imported here, not with the module: it doubles the
+        import time and memory of every command that never gets here.
+        """
+        from scipy.sparse import csr_matrix
+        X = csr_matrix(
             (np.asarray(vals, dtype=np.float64),
              (np.asarray(row_idx, dtype=np.int64),
               np.asarray(col_idx, dtype=np.int64))),
@@ -735,9 +809,8 @@ class ModularRankAccumulator:
         X = X.tocoo()
         pos = self._pos[X.col]
         # free columns first, then the pivot columns in row order
-        X = _sparse.csr_matrix(
-            (X.data, (X.row, np.where(pos >= 0, pos, f - 1 - pos))),
-            shape=X.shape)
+        X.col = np.where(pos >= 0, pos, f - 1 - pos)
+        X = X.tocsr()
         F = X[:, :f].tocoo()
         if not (self.rank() and f):
             return self._absorb(F.toarray())

@@ -216,12 +216,10 @@ def lll_reduce(basis, delta=(3, 4)) -> list:
 
     delta is the Lovasz parameter as an integer pair (num, den); the default
     3/4 gives the classical guarantees.  Raises DependentRowsError when the
-    input rows are dependent.
+    input rows are dependent, a single zero row included.
     """
     b = [[int(x) for x in row] for row in basis]
     k = len(b)
-    if k <= 1:
-        return [row[:] for row in b]
     num, den = delta
     d, lam = _lll_initialize(b)
 

@@ -1,5 +1,8 @@
 import os
+import subprocess
+import sys
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -250,3 +253,18 @@ class TestCli:
         first = capsys.readouterr().out
         main(["nullspace", "-n", "2", "-d", "4", "--method", "hnf-lll"])
         assert capsys.readouterr().out == first
+
+    def test_scipy_is_not_imported_outside_the_sparse_path(self):
+        # scipy.sparse is half the import time and memory of the CLI, and
+        # only the accumulator's sparse batches use it
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = (
+            "import sys; sys.path.insert(0, sys.argv[1])\n"
+            "import recomb.cli\n"
+            "assert 'scipy' not in sys.modules, 'import'\n"
+            "assert recomb.cli.main(['reproduce', 'binary']) == 0\n"
+            "assert 'scipy' not in sys.modules, 'reproduce binary'\n")
+        run = subprocess.run([sys.executable, "-c", code, str(src)],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert "checks passed" in run.stdout

@@ -175,6 +175,13 @@ class TestLll:
         with pytest.raises(DependentRowsError):
             lll_reduce([[1, 2], [2, 4]])
 
+    def test_single_zero_row_is_dependent(self):
+        for reduce in (lll_reduce, ref.lll_reduce):
+            with pytest.raises(DependentRowsError):
+                reduce([[0, 0]])
+            assert reduce([[0, -3]]) == [[0, -3]]
+            assert reduce([]) == []
+
     def test_random_lattices(self):
         rnd = random.Random(99)
         for _ in range(25):
@@ -339,6 +346,18 @@ class TestModularRankAccumulator:
         xs += [-x for x in xs[-3000:]]
         X = np.array(xs, dtype=np.float64)
         assert [int(x) for x in _mod(X, p)] == [x % p for x in xs]
+
+    def test_mod_takes_one_prime_per_row(self):
+        # the stacked Gram-Schmidt elimination reduces row s mod P[s]; rows
+        # of 20000 go three to a block, so the blocks cut the primes apart
+        rnd = random.Random(21)
+        P = np.array([2097143, 2097133, 101, 3, 2, 13036379, 4093])
+        top = 2 ** 53 - int(P.max())
+        xs = [[rnd.randint(-top, top) for _ in range(20000)] for _ in P]
+        X = np.array(xs, dtype=np.float64)
+        _mod(X, P[:, None])
+        assert X.tolist() == [[x % int(p) for x in row]
+                              for row, p in zip(xs, P)]
 
     @pytest.mark.parametrize("p", [2, 3, 101, 103, 4093])
     def test_mod_is_exact_up_to_2_24_in_float32(self, p):
@@ -571,6 +590,27 @@ class TestKernelsMatchReference:
                 assert kernel(M) == getattr(ref, kernel.__name__)(M)
             assert any(widened)
 
+    def test_lll_rows_widen_midway(self, monkeypatch):
+        # entries up to 2^62 fit int64, but b_i - q b_j may not: after the
+        # small rows' int64 steps, a row step widens the basis to Python ints
+        widened = []
+        put = linalg._put
+
+        def spy(A, idx, X):
+            widened.append(A.dtype != object and X.dtype == object)
+            return put(A, idx, X)
+
+        monkeypatch.setattr(linalg, "_put", spy)
+        rnd = random.Random(61)
+        for _ in range(5):
+            M = random_int_matrix(rnd, 2, 5, -9, 9)
+            M += random_int_matrix(rnd, 2, 5, 1 - 2 ** 62, 2 ** 62 - 1)
+            assert _int_matrix(M).dtype == np.int64
+            red = lll_reduce(M)
+            assert red == ref.lll_reduce(M)
+            assert all(type(x) is int for row in red for x in row)
+        assert any(widened)
+
     def test_outputs_are_python_ints(self):
         M = [[2 ** 40, 3, 0], [5, -7, 2 ** 41], [1, 1, 1]]
         for out in (rcf_nullspace(M), hnf_with_transform(M).u, hnf_rows(M),
@@ -596,17 +636,31 @@ class TestLllInitialize:
     """The multi-modular Gram-Schmidt data equal the integral recurrence."""
 
     @staticmethod
-    def spy_primes(monkeypatch):
-        """Record each prime's residues, None where a pivot was zero."""
+    def spy_stacks(monkeypatch):
+        """Record each stack's primes and which of them lived."""
         seen = []
         residues = linalg._gram_residues
 
-        def spy(G, p):
-            seen.append((p, residues(G, p)))
-            return seen[-1][1]
+        def spy(G, P):
+            R, live = residues(G, P)
+            seen.append((P.tolist(), live.tolist()))
+            return R, live
 
         monkeypatch.setattr(linalg, "_gram_residues", spy)
         return seen
+
+    @staticmethod
+    def spy_ranks(monkeypatch):
+        """Count the exact ranks taken."""
+        calls = []
+        echelon = linalg._echelon
+
+        def spy(M):
+            calls.append(len(M))
+            return echelon(M)
+
+        monkeypatch.setattr(linalg, "_echelon", spy)
+        return calls
 
     @settings(max_examples=150, deadline=None)
     @given(M=kernel_matrices())
@@ -615,41 +669,127 @@ class TestLllInitialize:
         assert lll_or_error(linalg._lll_initialize, M) == \
             lll_or_error(ref._lll_initialize, M)
 
-    def test_panels_and_trailing_products(self):
-        # 100 rows: one full panel of _GS_BLOCK rows, then a trailing block
+    def test_long_sums_are_split(self, monkeypatch):
+        # row j sums j products below p^2; past _GS_TERMS of them (2047,
+        # more rows than a test can afford) the sum is reduced mod p in
+        # between, so _mod never sees more than a residue plus _GS_TERMS
         rnd = random.Random(12)
         M = random_int_matrix(rnd, 100, 110, -9, 9)
-        assert len(M) > linalg._GS_BLOCK
-        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        want = ref._lll_initialize(M)
+        assert linalg._lll_initialize(M) == want
+        monkeypatch.setattr(linalg, "_GS_TERMS", 7)
+        mod, seen = linalg._mod, []
+
+        def spy(X, p):
+            seen.append(float(np.abs(X).max(initial=0)))
+            return mod(X, p)
+
+        monkeypatch.setattr(linalg, "_mod", spy)
+        assert linalg._lll_initialize(M) == want
+        assert max(seen) < (7 + 1) * 2.0 ** 42      # p < 2^21
 
     def test_prime_dividing_a_d_is_skipped(self, monkeypatch):
         # d_1 = |b_1|^2 = p^2 for the first prime p: its first pivot is zero
-        seen = self.spy_primes(monkeypatch)
+        seen = self.spy_stacks(monkeypatch)
+        ranks = self.spy_ranks(monkeypatch)
         p = next(linalg._primes())
         M = [[p, 0, 0], [1, 1, 0], [2, -1, 3]]
         assert linalg._lll_initialize(M) == ref._lll_initialize(M)
-        assert seen[0] == (p, None)
-        assert all(res is not None for _, res in seen[1:])
+        (first, live), *rest = seen
+        assert first[0] == p and live == [False] + [True] * (len(live) - 1)
+        # the stack's other primes went on; one more replaces p
+        assert [x for _, x in rest] == [[True]]
+        assert rest[0][0][0] not in first
+        assert ranks == [3]
+
+    def test_zero_pivot_of_one_prime_mid_stack(self, monkeypatch):
+        # row 66 is p e_70 and orthogonal to the rows before it, so
+        # d_67 = p^2 d_66: the first prime dies at pivot 66, and the others
+        # go on through the 12 rows after it
+        seen = self.spy_stacks(monkeypatch)
+        p = next(linalg._primes())
+        rnd = random.Random(66)
+        M = [[rnd.randint(-3, 3) if j < 66 else 0 for j in range(90)]
+             for _ in range(66)]
+        M.append([p if j == 70 else 0 for j in range(90)])
+        M += random_int_matrix(rnd, 12, 90, -3, 3)
+        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        (first, live), *rest = seen
+        assert first[0] == p and not live[0] and all(live[1:])
+        assert [x for _, x in rest] == [[True]]
 
     def test_dependent_rows_are_decided_by_rank(self, monkeypatch):
-        seen = self.spy_primes(monkeypatch)
+        # every prime of the stack meets the zero pivot d_3 = 0; one exact
+        # rank then decides, and no further stack is tried
+        seen = self.spy_stacks(monkeypatch)
+        ranks = self.spy_ranks(monkeypatch)
         with pytest.raises(DependentRowsError):
             linalg._lll_initialize([[1, 2, 3], [0, 1, 1], [2, 5, 7]])
-        assert [res for _, res in seen] == [None]
+        assert len(seen) == 1 and not any(seen[0][1])
+        assert ranks == [3]
 
     # Each case passes one check but not the other when M is the first
     # prime p alone: with b_0 = (1446, 78, 12), |b_0|^2 = p + 1, so d is 1
     # mod p throughout; with |<b_2, b_0>| = 1400^2 > p / 2, lam_20 is not
-    # its symmetric residue although every d_j g_j < p.
+    # its symmetric residue although every d_j g_j < p.  A first stack of
+    # one prime takes the top-up branch.
     @pytest.mark.parametrize("M", [
         [[1446, 78, 12, 0], [0, 0, 0, 1]],
         [[1400, 1, 0], [1, 0, 0], [1400, 0, 1]],
     ])
     def test_primes_are_added_until_both_checks_hold(self, monkeypatch, M):
         assert 1446 ** 2 + 78 ** 2 + 12 ** 2 == next(linalg._primes()) + 1
-        seen = self.spy_primes(monkeypatch)
+        monkeypatch.setattr(linalg, "_prime_count", lambda G: 1)
+        seen = self.spy_stacks(monkeypatch)
         assert linalg._lll_initialize(M) == ref._lll_initialize(M)
-        assert len(seen) == 2
+        assert [len(P) for P, _ in seen] == [1, 1]
+
+    def test_estimate_covers_the_checks(self, monkeypatch):
+        # the degree-7-sized case needs no top-up: one stack, and no prime
+        # more than the checks need
+        seen = self.spy_stacks(monkeypatch)
+        rnd = random.Random(7)
+        M = random_int_matrix(rnd, 40, 50, -9, 9)
+        d, _ = linalg._lll_initialize(M)
+        assert len(seen) == 1
+        P = seen[0][0]
+        g = [sum(x * x for x in row) for row in M]
+        assert linalg._shortfall(d, g, math.prod(P)) == 0
+        assert linalg._shortfall(d, g, math.prod(P[:-2])) > 0
+
+    @pytest.mark.parametrize("M, dependent", [
+        # exactly dependent: the float pivot is 0
+        ([[1, 2], [2, 4]], True),
+        # independent (det 1), but the float64 pivot cancels to 0 or less
+        ([[2 ** 40, 1], [2 ** 40 + 1, 1]], False),
+        # a Gram matrix too big for float64
+        ([[2 ** 600, 1], [3, 2 ** 600]], False),
+    ])
+    def test_estimate_failure_grows_from_one_prime(self, monkeypatch, M,
+                                                   dependent):
+        counts = []
+        estimate = linalg._prime_count
+        monkeypatch.setattr(linalg, "_prime_count",
+                            lambda G: counts.append(estimate(G)) or counts[-1])
+        seen = self.spy_stacks(monkeypatch)
+        assert lll_or_error(linalg._lll_initialize, M) == \
+            lll_or_error(ref._lll_initialize, M)
+        assert counts == [1] and len(seen[0][0]) == 1
+        if dependent:
+            with pytest.raises(DependentRowsError):
+                lll_reduce(M)
+        else:
+            assert len(seen) > 1
+
+    def test_stacks_stay_within_chunk(self, monkeypatch):
+        rnd = random.Random(3)
+        M = random_int_matrix(rnd, 20, 24, -9, 9)
+        for chunk, most in ((3 * 20 * 20, 3), (20 * 20 - 1, 1)):
+            monkeypatch.setattr(linalg, "_CHUNK", chunk)
+            seen = self.spy_stacks(monkeypatch)
+            assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+            assert len(seen) > 1
+            assert max(len(P) for P, _ in seen) == most
 
 
 class TestMagnitudeGuard:
