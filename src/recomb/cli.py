@@ -44,9 +44,9 @@ def _add_nd(sub, d_help="degree"):
 def _nullspace_vectors(n, d, method):
     E = build_expansion_matrix(n, d)
     if method == "rcf":
-        vs = rcf_nullspace(E.array.tolist())
+        vs = rcf_nullspace(E.subset_rows)
     else:
-        lat = nullspace_lattice(E.array.tolist())
+        lat = nullspace_lattice(E.subset_rows)
         vs = lll_reduce(lat) if lat else []
     return E.ctx, sort_vectors_by_norm(vs)
 

@@ -146,10 +146,11 @@ def _subset_rows(n: int, d: int, tuples) -> np.ndarray:
 
 
 def column_blocks(ctx: DegreeContext):
-    """Blocks of columns of E on the subset rows, as (first column, block).
+    """Blocks of columns of E on the subset rows, as (first column, rows,
+    coefficients).
 
-    A block holds consecutive columns of one type as its rows, int64 with
-    C(d,n) entries each.
+    A block holds consecutive columns of one type: column lo + i has
+    coefficient coeffs[j] in subset row rows[i, j].
     """
     n, d = ctx.n, ctx.d
     height = math.comb(d, n)
@@ -159,10 +160,8 @@ def column_blocks(ctx: DegreeContext):
     for ti, (shape, lvs) in enumerate(zip(ctx.types, ctx.leaves_by_type)):
         subsets, coeffs = _subset_template(shape, n, d)
         for lo in range(0, len(lvs), step):
-            rows = _subset_rows(n, d, lvs[lo:lo + step][:, subsets])
-            block = np.zeros((len(rows), height), dtype=np.int64)
-            block[np.arange(len(rows))[:, None], rows] = coeffs
-            yield ctx.offsets[ti] + lo, block
+            yield (ctx.offsets[ti] + lo,
+                   _subset_rows(n, d, lvs[lo:lo + step][:, subsets]), coeffs)
 
 
 class ExpansionMatrix:
@@ -194,6 +193,6 @@ def build_expansion_matrix(n: int, d: int) -> ExpansionMatrix:
     """Expansion matrix for all degree-d monomials; deterministic layout."""
     ctx = get_context(n, d)
     rows = np.zeros((math.comb(d, n), ctx.num_monomials), dtype=np.int64)
-    for lo, block in column_blocks(ctx):
-        rows[:, lo:lo + len(block)] = block.T
+    for lo, sub, coeffs in column_blocks(ctx):
+        rows[sub, np.arange(lo, lo + len(sub))[:, None]] = coeffs
     return ExpansionMatrix(ctx, rows)

@@ -57,12 +57,12 @@ def _permuted_rows(ctx: DegreeContext, terms: list, sigmas) -> tuple:
 
 
 def _add_sparse_rows(acc: ModularRankAccumulator, blocks) -> None:
-    """Reduce blocks of (columns, coefficients) rows as one sparse batch."""
-    width = np.concatenate([np.full(len(c), c.shape[1]) for c, _ in blocks])
-    acc.add_sparse_batch(np.repeat(np.arange(len(width)), width),
-                         np.concatenate([c.ravel() for c, _ in blocks]),
-                         np.concatenate([v.ravel() for _, v in blocks]),
-                         len(width))
+    """Reduce blocks of (columns, coefficients) rows as one batch, the
+    shorter rows padded with zero coefficients."""
+    t = max(c.shape[1] for c, _ in blocks)
+    cols, coeffs = (np.vstack([np.pad(a, ((0, 0), (0, t - a.shape[1])))
+                               for a in arrays]) for arrays in zip(*blocks))
+    acc.add_rows(cols, coeffs)
 
 
 def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
@@ -75,7 +75,9 @@ def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
     sparse row per permutation, duplicates dropped, in first-occurrence
     order.
     """
-    if not acc.add_batch(ctx.vector_of(idc)):
+    seed = ctx.vector_of(idc)
+    nz = np.flatnonzero(seed)
+    if not acc.add_rows(nz, seed[nz]):
         return
     cols, coeffs = _permuted_rows(ctx, ctx.term_groups(idc),
                                   permutation_rows(ctx.d))
@@ -88,7 +90,7 @@ def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
     # keep only the distinct rows: the d!-row arrays go before the batches
     cols, coeffs = cols[first], coeffs[first]
     for lo in range(0, len(first), 2048):
-        _add_sparse_rows(acc, [(cols[lo:lo + 2048], coeffs[lo:lo + 2048])])
+        acc.add_rows(cols[lo:lo + 2048], coeffs[lo:lo + 2048])
 
 
 def module_rank(ids, p: int = 101) -> int:
@@ -228,8 +230,8 @@ def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
     """
     ctx = get_context(n, d)
     acc = ModularRankAccumulator(math.comb(d, n), p)
-    for _, block in column_blocks(ctx):
-        acc.add_batch(block)
+    for _, rows, coeffs in column_blocks(ctx):
+        acc.add_rows(rows, coeffs)
     rank = acc.rank()
     return rank, ctx.num_monomials - rank
 

@@ -22,13 +22,18 @@ primes are added while either fails.  The reduction loop then keeps the
 basis as one int64 array under the same magnitude guard.
 
 The mod-p accumulator keeps the reduced echelon basis as [I | C] and
-stores only C, the rows on the non-pivot columns, as float residues, so
-that reducing, echelonising and merging are matrix products run through
-BLAS.  They are exact because every subtraction is done as an addition of
-nonnegative terms below p^2 and no sum takes more than K of them, where
-K p^2 + p stays within the dtype's exact integers: float32 (below 2^24,
-K = 1644 at p = 101) while K >= 64, that is p <= 509, float64 (below 2^53,
-with p^2 * width < 2^53 besides) for larger primes.
+stores only C, the rows on the non-pivot columns, as float residues.  Rows
+go in sparse, as (columns, coefficients): the free entries are scattered
+into a block Y and each pivot entry v adds (p - v) times its row of C, one
+pass per entry position across the whole block.  Echelonising and merging
+are matrix products run through BLAS.  All of it is exact because every
+subtraction is done as an addition of nonnegative terms below p^2 and no
+sum takes more than K of them, where K p^2 + p stays within the dtype's
+exact integers: a row's entries go in slabs of K, reduced mod p in
+between, and blocks of K rows bound the products' inner dimensions.  The
+dtype is float32 (below 2^24, K = 1644 at p = 101) while K >= 64, that is
+p <= 509, float64 (below 2^53, with p^2 * width < 2^53 besides) for larger
+primes.
 """
 
 from __future__ import annotations
@@ -652,14 +657,16 @@ def lll_reduce(basis) -> list:
 # incremental rank over F_p
 
 _BASE_ROWS = 12         # rows the echelon kernel eliminates one at a time
-_CHUNK = 1 << 21        # elements of C updated per step of a merge
+_CHUNK = 1 << 21        # elements of C gathered or updated per step
 _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 # Fewest terms per exact sum (K) at which residues are float32.  Batches go
 # in K rows at a time, and at small K the fixed cost of each block swamps
-# the halved bytes: at K = 1 (p = 4093) the degree-9 expansion rank took
-# 3.8 s in float32 against 0.09 s in float64, and a degree-7 module rank
-# 19 s against 0.27 s.  On both, float32 overtakes float64 between K = 32
-# and K = 64 (2 vCPUs, OpenBLAS).
+# the halved bytes: at K = 1 (p = 4093) the degree-9 expansion rank takes
+# 0.85 s in float32 against 0.05 s in float64, and the degree-7 module rank
+# of ternary_recombination 2.6 s against 0.07 s.  At K = 32 (p = 719)
+# float32 still loses (0.043 s against 0.033 s, 0.07-0.09 s against
+# 0.062 s); at K = 64 (p = 509) it wins over float64 at p = 521 (0.028 s
+# against 0.033 s, 0.045 s against 0.054 s; 2 vCPUs, OpenBLAS).
 _FLOAT32_MIN_TERMS = 64
 
 
@@ -691,44 +698,29 @@ def _mod(X: np.ndarray, p) -> np.ndarray:
     return X
 
 
-def _row_parts(S, k: int) -> list:
-    """CSR matrices with at most k nonzeros per row that sum to CSR S."""
-    n = np.diff(S.indptr)
-    top = int(n.max(initial=0))
-    if top <= k:
-        return [S]
-    place = np.arange(S.nnz) - np.repeat(S.indptr[:-1], n)   # within its row
-    parts = []
-    for lo in range(0, top, k):
-        sel = (place >= lo) & (place < lo + k)
-        indptr = np.concatenate([[0], np.cumsum(np.clip(n - lo, 0, k))])
-        parts.append(type(S)((S.data[sel], S.indices[sel], indptr),
-                             shape=S.shape))
-    return parts
-
-
 class ModularRankAccumulator:
     """Incremental reduced row echelon form mod p, stored as [I | C].
 
     Up to a column permutation the basis is [I | C]: row i is 1 in pivot
     column piv[i], 0 in the other pivot columns and C[i] on the free columns.
-    Only C is kept, at most width^2 / 4 residues.  A block X is reduced by
-    one product, Y = X[:, free] - X[:, piv] @ C (sparse for COO input), and
-    echelonised by a recursive kernel whose updates are products; one more
-    product clears the new pivots from C, whose columns are then compacted
-    out in place.
+    Only C is kept, at most width^2 / 4 residues.  add_rows is the one
+    input: sparse rows, reduced in blocks of K.  A block's free entries are
+    scattered into Y, and pass s adds (p - v) * C[row of the pivot] for the
+    s-th pivot entry v of every row that has one, so Y = X[:, free] -
+    X[:, piv] @ C without a product over the zeros of X.  Y is echelonised
+    by a recursive kernel whose updates are products; one more product
+    clears the new pivots from C, whose columns are then compacted out in
+    place.
 
     Residues in [0, p) are floats for BLAS.  a - b*c is done as
     a + (p - b)*c, so every term is nonnegative and below p^2, and a residue
     plus K terms stays exact and in _mod's range while K p^2 <= 2^m - p,
     with 2^m = 2^24 in float32 and 2^53 in float64.  The dtype is float32
     when K >= _FLOAT32_MIN_TERMS = 64 there (p <= 509), else float64, and
-    K = (2^m - p) // p^2 (1644 at p = 101).  Batches go in K rows at a
-    time, each block reduced against the pivots of the blocks before it,
-    which bounds the kernel's and the merge's inner dimensions by K; the
-    reducing product runs over K-row slices of C (K-nonzero parts of each
-    sparse row), reduced mod p in between.  p^2 * width < 2^53 is required
-    as well.
+    K = (2^m - p) // p^2 (1644 at p = 101).  Blocks of K rows, each reduced
+    against the pivots of the blocks before it, bound the kernel's and the
+    merge's inner dimensions by K; a row's entries go in K-entry slabs,
+    reduced mod p in between.  p^2 * width < 2^53 is required as well.
     """
 
     def __init__(self, width: int, p: int = 101):
@@ -752,32 +744,22 @@ class ModularRankAccumulator:
     def rank(self) -> int:
         return len(self._piv)
 
-    def add_batch(self, rows) -> int:
-        """Reduce a dense block of rows; returns the number of new pivots."""
-        X = np.asarray(rows, dtype=np.float64, order="C")
-        if X.ndim == 1:
-            X = X[None, :]
-        if X.shape[1] != self.width:
-            raise ValueError(
-                f"rows have {X.shape[1]} columns, not {self.width}")
-        k = self._k
-        return sum(self._add_dense(X[lo:lo + k]) for lo in range(0, len(X), k))
+    def add_rows(self, cols, coeffs) -> int:
+        """Reduce sparse rows; returns the number of new pivots.
 
-    def add_sparse_batch(self, row_idx, col_idx, vals, nrows: int) -> int:
-        """Reduce nrows COO rows (duplicates summed); returns new pivots.
-
-        scipy.sparse is imported here, not with the module: it doubles the
-        import time and memory of every command that never gets here.
+        cols and coeffs broadcast to one (N, t) shape, row i holding
+        coeffs[i, j] in column cols[i, j]; a 1-d shape is one row.  Repeated
+        columns in a row are summed and zero coefficients skipped, so a dense
+        matrix M goes in as add_rows(np.arange(width), M).  Column indices
+        outside 0..width-1 raise ValueError.
         """
-        from scipy.sparse import csr_matrix
-        X = csr_matrix(
-            (np.asarray(vals, dtype=np.float64),
-             (np.asarray(row_idx, dtype=np.int64),
-              np.asarray(col_idx, dtype=np.int64))),
-            shape=(nrows, self.width))
-        X.data = self._residues(X.data)
+        cols, coeffs = map(np.atleast_2d, np.broadcast_arrays(
+            np.asarray(cols, dtype=np.int64), coeffs))
+        if cols.size and not 0 <= cols.min() <= cols.max() < self.width:
+            raise ValueError(f"columns must lie in 0..{self.width - 1}")
         k = self._k
-        return sum(self._add_sparse(X[lo:lo + k]) for lo in range(0, nrows, k))
+        return sum(self._add(cols[lo:lo + k], coeffs[lo:lo + k])
+                   for lo in range(0, len(cols), k))
 
     # -- internals -----------------------------------------------------------
 
@@ -785,44 +767,45 @@ class ModularRankAccumulator:
         r, f = self.rank(), len(self._free)
         return self._buf[:r * f].reshape(r, f)
 
-    def _residues(self, X: np.ndarray) -> np.ndarray:
-        """Float64 integers X (|X| < 2^53 - p) as residues in the dtype."""
-        return _mod(X, self.p).astype(self._dtype, copy=False)
+    def _add(self, cols: np.ndarray, coeffs: np.ndarray) -> int:
+        """Reduce and absorb at most K sparse rows.
 
-    def _add_dense(self, X: np.ndarray) -> int:
-        """Reduce and absorb at most K float64 rows."""
-        p, k, r = self.p, self._k, self.rank()
-        Y = self._residues(np.take(X, self._free, axis=1))
-        if r and Y.size:
-            N = self._residues(np.take(X, self._piv, axis=1))
-            np.subtract(p, N, out=N)
-            C = self._c()
-            for lo in range(0, r, k):
-                if lo:
-                    _mod(Y, p)
-                Y += N[:, lo:lo + k] @ C[lo:lo + k]
-        return self._absorb(Y)
-
-    def _add_sparse(self, X) -> int:
-        """Reduce and absorb at most K CSR rows of residues."""
-        p, f = self.p, len(self._free)
-        X = X.tocoo()
-        pos = self._pos[X.col]
-        # free columns first, then the pivot columns in row order
-        X.col = np.where(pos >= 0, pos, f - 1 - pos)
-        X = X.tocsr()
-        F = X[:, :f].tocoo()
-        if not (self.rank() and f):
-            return self._absorb(F.toarray())
-        S = X[:, f:]
-        S.data = p - S.data
+        Each row's nonzero pivot entries go first, and the rows with the
+        most of them first, so pass s, which adds (p - v) * C[row of the
+        pivot] for the s-th pivot entry v of every row that has one, runs
+        over a leading slice of the rows.  Free entries are scattered in
+        the slab of K entries they fall in.
+        """
+        p, k, f = self.p, self._k, len(self._free)
+        if not f:
+            return 0
+        v = _mod(np.array(coeffs, dtype=np.float64), p).astype(self._dtype)
+        pos = self._pos[cols]
+        piv = (pos < 0) & (v != 0)
+        order = np.argsort(~piv, axis=1, kind="stable")
+        pos, v = (np.take_along_axis(x, order, axis=1) for x in (pos, v))
+        npiv = piv.sum(axis=1)
+        order = np.argsort(-npiv, kind="stable")
+        pos, v, npiv = pos[order], v[order], npiv[order]
         C = self._c()
-        parts = _row_parts(S, self._k)
-        Y = parts[0] @ C
-        Y[F.row, F.col] += F.data     # X is summed: no repeated entries
-        for part in parts[1:]:
-            _mod(Y, p)
-            Y += part @ C
+        Y = np.zeros((len(v), f), dtype=self._dtype)
+        step = max(1, _CHUNK // f)
+        G = np.empty((min(step, len(Y)), f), dtype=self._dtype)
+        for a in range(0, len(Y), step):
+            y = Y[a:a + step]
+            for lo in range(0, pos.shape[1], k):
+                if lo:
+                    _mod(y, p)
+                r, j = np.nonzero(pos[a:a + step, lo:lo + k] >= 0)
+                r, j = r + a, j + lo
+                np.add.at(Y, (r, pos[r, j]), v[r, j])
+                for s in range(lo, min(lo + k, npiv[a])):
+                    m = np.count_nonzero(npiv[a:a + step] > s)
+                    g = G[:m]
+                    np.take(C, -1 - pos[a:a + m, s], axis=0, out=g,
+                            mode="clip")
+                    g *= p - v[a:a + m, s, None]
+                    y[:m] += g
         return self._absorb(Y)
 
     def _absorb(self, Y: np.ndarray) -> int:

@@ -159,19 +159,19 @@ def _deg7(sc, p) -> Report:
     _check_prime(p, 7)
     rep = Report("deg7")
     E = build_expansion_matrix(3, 7)
-    rep.add("matrix shape", (210, 280), E.array.shape)
+    rep.add("matrix shape", (210, 280), E.shape)
     rep.add("monomial counts per type", sc["monomial_counts"]["n3_d7"],
             E.ctx.type_counts)
-    R = rcf(E.array.tolist())
+    R = rcf(E.subset_rows)
     rep.add("rank", sc["expansion_rank"]["n3_d7"], R.rank)
     rep.add("row canonical form is integral", True,
             all(x.denominator == 1 for row in R.rows[:R.rank] for x in row))
-    ns = rcf_nullspace(E.array.tolist())
+    ns = rcf_nullspace(E.subset_rows)
     rep.add("nullspace dimension", sc["nullspace_dim"]["n3_d7"], len(ns))
     rep.add("canonical basis squared-norm multiset",
             sorted(golden.load_norms("norms_canonical_n3_d7")),
             sorted(squared_norm(v) for v in ns))
-    lat = nullspace_lattice(E.array.tolist())
+    lat = nullspace_lattice(E.subset_rows)
     red = lll_reduce(lat)
     rep.add("lattice basis size", sc["nullspace_dim"]["n3_d7"], len(lat))
     rep.add(f"reduced max squared norm <= {sc['lll_max_norm_n3_d7']}", True,

@@ -238,7 +238,7 @@ def test_criterion_10_property_suites(E24, E35, E37, deg7_bases):
                      (E37, SC["expansion_rank"]["n3_d7"])]:
         for p in (P101, P103):
             acc = ModularRankAccumulator(E.array.shape[1], p)
-            acc.add_batch(E.array)
+            acc.add_rows(np.arange(acc.width), E.array)
             ok &= acc.rank() == exact
     P = golden.load_identity("reduced_generator_1")
     Rid = golden.load_identity("ternary_recombination")

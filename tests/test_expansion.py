@@ -15,7 +15,7 @@ from recomb.expansion import (
     variable_combination,
 )
 from recomb.identities import expansion_rank
-from recomb.linalg import rcf
+from recomb.linalg import nullspace_lattice, rcf, rcf_nullspace
 from recomb.monomials import (
     IdentityCombination,
     MultilinearityError,
@@ -185,6 +185,16 @@ class TestTemplateExpansion:
         assert E.subset_rows.shape == (math.comb(d, n), E.ctx.num_monomials)
         assert E.shape == E.array.shape
         assert np.array_equal(E.array, oracles.slot_tuple_matrix(n, d))
+
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 5), (3, 7)])
+    def test_subset_rows_give_the_nullspaces_of_the_full_matrix(self, n, d):
+        # nullspaces are computed from the C(d,n) subset rows, not from the
+        # n!-times repeated rows of E.array; both are canonical in the rows'
+        # span, so they must agree vector for vector
+        E = build_expansion_matrix(n, d)
+        full = E.array.tolist()
+        assert rcf_nullspace(E.subset_rows) == rcf_nullspace(full)
+        assert nullspace_lattice(E.subset_rows) == nullspace_lattice(full)
 
     @pytest.mark.parametrize("broken", ["coefficient", "ordering"])
     def test_asymmetric_template_is_rejected(self, monkeypatch, broken):

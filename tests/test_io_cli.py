@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -254,17 +255,33 @@ class TestCli:
         main(["nullspace", "-n", "2", "-d", "4", "--method", "hnf-lll"])
         assert capsys.readouterr().out == first
 
-    def test_scipy_is_not_imported_outside_the_sparse_path(self):
-        # scipy.sparse is half the import time and memory of the CLI, and
-        # only the accumulator's sparse batches use it
+    def test_no_command_imports_scipy(self):
+        # numpy is the only dependency: reproduce deg7 runs module ranks and
+        # the sieve, every accumulator input, and must not pull scipy in
         src = Path(__file__).resolve().parent.parent / "src"
         code = (
             "import sys; sys.path.insert(0, sys.argv[1])\n"
             "import recomb.cli\n"
-            "assert 'scipy' not in sys.modules, 'import'\n"
-            "assert recomb.cli.main(['reproduce', 'binary']) == 0\n"
-            "assert 'scipy' not in sys.modules, 'reproduce binary'\n")
+            "assert recomb.cli.main(['reproduce', 'deg7']) == 0\n"
+            "assert 'scipy' not in sys.modules\n")
         run = subprocess.run([sys.executable, "-c", code, str(src)],
                              capture_output=True, text=True)
         assert run.returncode == 0, run.stderr
         assert "checks passed" in run.stdout
+
+
+def test_package_imports_only_the_standard_library_and_numpy():
+    # pyproject.toml lists numpy as the one dependency
+    package = Path(__file__).resolve().parent.parent / "src" / "recomb"
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                top = name.split(".")[0]
+                assert top == "numpy" or top in sys.stdlib_module_names, \
+                    f"{path.name} imports {name}"

@@ -228,16 +228,32 @@ def rank_mod_p(M, p):
     return r
 
 
-def coo(rows):
-    """COO triples of a list of integer rows."""
-    ri, ci, vi = [], [], []
-    for i, row in enumerate(rows):
+def add_dense(acc, rows):
+    """Add dense integer rows (one row, or a list or array of rows)."""
+    return acc.add_rows(np.arange(acc.width), rows)
+
+
+def sparse_rows(rows, rnd):
+    """(columns, coefficients) of integer rows for add_rows.
+
+    Each row's nonzeros come in a random order, some split in two entries
+    at one column, and the rows are padded with zero coefficients at
+    random columns.
+    """
+    width = len(rows[0])
+    entries = []
+    for row in rows:
+        e = []
         for j, x in enumerate(row):
             if x:
-                ri.append(i)
-                ci.append(j)
-                vi.append(x)
-    return ri, ci, vi
+                y = rnd.randint(-3, 3)
+                e += [(j, x - y), (j, y)] if rnd.random() < 0.3 else [(j, x)]
+        rnd.shuffle(e)
+        entries.append(e)
+    t = 1 + max(len(e) for e in entries)
+    for e in entries:
+        e += [(rnd.randrange(width), 0) for _ in range(t - len(e))]
+    return np.array(entries).transpose(2, 0, 1)
 
 
 # 509 is the largest prime run in float32, where every sum takes K = 64
@@ -279,23 +295,23 @@ class TestModularRankAccumulator:
         acc = ModularRankAccumulator(6, 101)
         ranks = []
         for row in np.eye(6, dtype=int):
-            assert acc.add_batch(row) == 1
+            assert add_dense(acc, row) == 1
             ranks.append(acc.rank())
         assert ranks == [1, 2, 3, 4, 5, 6]
 
     def test_absorbed_vs_new(self):
         acc = ModularRankAccumulator(4, 101)
-        assert acc.add_batch([1, 2, 3, 4]) == 1
-        assert acc.add_batch([2, 4, 6, 8]) == 0
-        assert acc.add_batch([0, 1, 1, 1]) == 1
+        assert add_dense(acc, [1, 2, 3, 4]) == 1
+        assert add_dense(acc, [2, 4, 6, 8]) == 0
+        assert add_dense(acc, [0, 1, 1, 1]) == 1
         assert acc.rank() == 2
 
     def test_new_pivots_are_cleared_from_earlier_rows(self):
         acc = ModularRankAccumulator(3, 101)
-        acc.add_batch([1, 1, 0])
-        acc.add_batch([0, 1, 1])
-        assert acc.add_batch([1, 0, -1]) == 0    # row 1 - row 2
-        assert acc.add_batch([1, 0, 0]) == 1
+        add_dense(acc, [1, 1, 0])
+        add_dense(acc, [0, 1, 1])
+        assert add_dense(acc, [1, 0, -1]) == 0    # row 1 - row 2
+        assert add_dense(acc, [1, 0, 0]) == 1
 
     def test_matches_exact_rank(self):
         rnd = random.Random(3)
@@ -304,26 +320,26 @@ class TestModularRankAccumulator:
             exact = rcf(M).rank
             for p in (101, 103):
                 acc = ModularRankAccumulator(len(M[0]), p)
-                acc.add_batch(M)
+                add_dense(acc, M)
                 assert acc.rank() == exact
 
     def test_paths_agree(self):
         rnd = random.Random(8)
         M = random_int_matrix(rnd, 40, 17, -6, 6)
         a1 = ModularRankAccumulator(17, 101)
-        a1.add_batch(np.array(M))
+        add_dense(a1, M)
         a2 = ModularRankAccumulator(17, 101)
         for row in M:
-            a2.add_batch(row)
+            add_dense(a2, row)
         a3 = ModularRankAccumulator(17, 101)
-        a3.add_sparse_batch(*coo(M), len(M))
+        a3.add_rows(*sparse_rows(M, rnd))
         assert a1.rank() == a2.rank() == a3.rank() == rcf(M).rank
 
     def test_sparse_duplicates_are_summed(self):
         acc = ModularRankAccumulator(3, 101)
-        assert acc.add_sparse_batch([0, 0, 0], [1, 1, 2], [1, 100, 5], 1) == 1
-        assert acc.add_batch([0, 0, 1]) == 0
-        assert acc.add_batch([0, 1, 0]) == 1
+        assert acc.add_rows([1, 1, 2], [1, 100, 5]) == 1
+        assert acc.add_rows(2, 1) == 0
+        assert acc.add_rows(1, 1) == 1
 
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
@@ -331,9 +347,17 @@ class TestModularRankAccumulator:
 
     def test_rejects_rows_of_another_width(self):
         acc = ModularRankAccumulator(3, 101)
-        acc.add_batch([1, 0, 0])
+        add_dense(acc, [1, 0, 0])
         with pytest.raises(ValueError):
-            acc.add_batch([0, 1, 0, 1])
+            acc.add_rows(np.arange(4), [0, 1, 0, 1])
+        assert acc.rank() == 1
+
+    def test_rejects_negative_columns(self):
+        # without the check, column -1 would wrap round to column 2
+        acc = ModularRankAccumulator(3, 101)
+        with pytest.raises(ValueError):
+            acc.add_rows([[0, -1]], [[1, 1]])
+        assert acc.rank() == 0
 
     @pytest.mark.parametrize("p", [2, 3, 101, 103, 13036379])
     def test_mod_is_exact_up_to_2_53(self, p):
@@ -403,29 +427,22 @@ class TestModularRankAccumulator:
                        np.eye(n, dtype=np.int64),
                        rnd.integers(0, 4, (n, m))])
         acc = ModularRankAccumulator(1 + n + m, p)
-        assert acc.add_batch(h) == 1
-        assert acc.add_batch(B) == n
-        assert acc.add_batch((3 * h + B.sum(axis=0)) % p) == 0
-        assert acc.add_batch(rnd.integers(0, p, 1 + n + m)) == 1
+        assert add_dense(acc, h) == 1
+        assert add_dense(acc, B) == n
+        assert add_dense(acc, (3 * h + B.sum(axis=0)) % p) == 0
+        assert add_dense(acc, rnd.integers(0, p, 1 + n + m)) == 1
 
-    @pytest.mark.parametrize("sparse", [False, True])
-    def test_reduction_by_more_than_k_pivots_is_exact(self, sparse):
+    def test_reduction_by_more_than_k_pivots_is_exact(self):
         # 2 * (sum of the rows [e_j | D_j]) reduces by 2000 terms 99 * D_j
-        # near 10^4, past 2^24: exact only in slices of at most K = 1644
-        # rows of C, or K-nonzero parts of the sparse row
+        # near 10^4, past 2^24: exact only when the row's pivot entries go
+        # in slabs of at most K = 1644, reduced mod p in between
         p, r, m = 101, 2000, 1400
         rnd = np.random.default_rng(6)
         M = np.hstack([np.eye(r, dtype=np.int64), rnd.integers(95, p, (r, m))])
         acc = ModularRankAccumulator(r + m, p)
-        assert acc.add_batch(M) == r
-
-        def add(v):
-            if sparse:
-                return acc.add_sparse_batch(*coo([v]), 1)
-            return acc.add_batch(v)
-
-        assert add(2 * M.sum(axis=0)) == 0
-        assert add(rnd.integers(0, p, r + m)) == 1
+        assert add_dense(acc, M) == r
+        assert add_dense(acc, 2 * M.sum(axis=0)) == 0
+        assert add_dense(acc, rnd.integers(0, p, r + m)) == 1
 
     def test_exactness_guard_bounds_p_squared_width(self):
         # Subtractions are done as a + (p - b) * c with p - b up to p, so a
@@ -442,30 +459,21 @@ class TestModularRankAccumulator:
             ModularRankAccumulator(w, p)
         acc = ModularRankAccumulator(w - 1, p)
         rows = [[p - 1] * (w - 1), list(range(1, w))]
-        assert acc.add_batch(rows) == rank_mod_p(rows, p)
+        assert add_dense(acc, rows) == rank_mod_p(rows, p)
 
     @settings(max_examples=60, deadline=None)
     @given(p=PRIMES, M=int_matrices(), data=st.data())
     def test_rank_equals_rank_mod_p(self, p, M, data):
         acc = ModularRankAccumulator(len(M[0]), p)
+        rnd = random.Random(data.draw(st.integers(0, 2 ** 32)))
         for block in batches(data.draw, M):
             if data.draw(st.booleans()):
-                acc.add_batch(np.array(block))
+                add_dense(acc, block)
             else:
-                acc.add_sparse_batch(*coo(block), len(block))
+                acc.add_rows(*sparse_rows(block, rnd))
         assert acc.rank() == rank_mod_p(M, p)
         # rank_p never exceeds the rational rank
         assert acc.rank() <= rcf(M).rank
-
-    @settings(max_examples=40, deadline=None)
-    @given(p=PRIMES, M=int_matrices(), data=st.data())
-    def test_dense_and_sparse_paths_agree(self, p, M, data):
-        dense = ModularRankAccumulator(len(M[0]), p)
-        sparse = ModularRankAccumulator(len(M[0]), p)
-        for block in batches(data.draw, M):
-            assert dense.add_batch(np.array(block)) == \
-                sparse.add_sparse_batch(*coo(block), len(block))
-            assert dense.rank() == sparse.rank()
 
     @settings(max_examples=60, deadline=None)
     @given(p=PRIMES, M=int_matrices(max_rows=40), data=st.data())
@@ -473,7 +481,7 @@ class TestModularRankAccumulator:
         n = len(M[0])
         acc = ModularRankAccumulator(n, p)
         for block in batches(data.draw, M):
-            acc.add_batch(np.array(block))
+            add_dense(acc, block)
         if data.draw(st.booleans()):
             cs = data.draw(st.lists(st.integers(-3, 3), min_size=len(M),
                                     max_size=len(M)))
@@ -481,7 +489,7 @@ class TestModularRankAccumulator:
         else:
             v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
         grows = rank_mod_p(M + [v], p) > rank_mod_p(M, p)
-        assert acc.add_batch(v) == int(grows)
+        assert add_dense(acc, v) == int(grows)
 
 
 @st.composite
