@@ -432,17 +432,27 @@ class TestModularRankAccumulator:
         assert add_dense(acc, (3 * h + B.sum(axis=0)) % p) == 0
         assert add_dense(acc, rnd.integers(0, p, 1 + n + m)) == 1
 
-    def test_reduction_by_more_than_k_pivots_is_exact(self):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_reduction_by_more_than_k_pivots_is_exact(self, sparse):
         # 2 * (sum of the rows [e_j | D_j]) reduces by 2000 terms 99 * D_j
         # near 10^4, past 2^24: exact only when the row's pivot entries go
-        # in slabs of at most K = 1644, reduced mod p in between
+        # in slabs of at most K = 1644, reduced mod p in between. The sparse
+        # form gives the row's nonzeros shuffled, some split in two entries,
+        # so the slabs cut the pivot entries in another order.
         p, r, m = 101, 2000, 1400
         rnd = np.random.default_rng(6)
         M = np.hstack([np.eye(r, dtype=np.int64), rnd.integers(95, p, (r, m))])
         acc = ModularRankAccumulator(r + m, p)
         assert add_dense(acc, M) == r
-        assert add_dense(acc, 2 * M.sum(axis=0)) == 0
-        assert add_dense(acc, rnd.integers(0, p, r + m)) == 1
+
+        def add(v):
+            if sparse:
+                return acc.add_rows(*sparse_rows([v.tolist()],
+                                                 random.Random(6)))
+            return add_dense(acc, v)
+
+        assert add(2 * M.sum(axis=0)) == 0
+        assert add(rnd.integers(0, p, r + m)) == 1
 
     def test_exactness_guard_bounds_p_squared_width(self):
         # Subtractions are done as a + (p - b) * c with p - b up to p, so a
