@@ -16,7 +16,7 @@ from .expansion import build_expansion_matrix
 from .identities import (
     _check_prime,
     generator_sieve,
-    module_rank,
+    single_generator,
     verify_identity,
 )
 from .io_formats import (
@@ -77,7 +77,7 @@ def main(argv=None) -> int:
     p_rep = sp.add_parser("reproduce", help="recompute published values")
     p_rep.add_argument("scope", choices=SCOPES)
     p_rep.add_argument("--mode", choices=("exact", "certify"), default="certify",
-                       help="orbit strategy for deg9-closure")
+                       help="closure method for deg9-closure")
     p_rep.add_argument("--seed", type=int, default=0,
                        help="seed for certify-mode sampling")
     p_rep.add_argument("-p", "--prime", type=int, default=None)
@@ -136,8 +136,7 @@ def main(argv=None) -> int:
             p = (args.prime if args.prime is not None
                  else golden.scalars()["default_prime"])
             _check_prime(p, args.degree)
-            ctx, vs = _nullspace_vectors(args.arity, args.degree,
-                                         args.basis)
+            _, vs = _nullspace_vectors(args.arity, args.degree, args.basis)
             gens = generator_sieve(vs, args.arity, args.degree, p)
             if not vs:
                 print("empty nullspace: no identities in this degree")
@@ -150,14 +149,12 @@ def main(argv=None) -> int:
                 print("    " + format_identity(g.identity).replace("\n", "\n    ").rstrip())
             target = len(vs)
             print(f"final rank {gens[-1].cumulative_rank} of {target}")
-            for pos, v in enumerate(vs, start=1):
-                idc = ctx.combination_of(v)
-                if module_rank([idc], p) == target:
-                    print(f"single generator: position {pos}, squared norm "
-                          f"{squared_norm(v)}, rank {target}")
-                    break
-            else:
+            pos = single_generator(vs, args.arity, args.degree, p)
+            if pos is None:
                 print("no single basis vector generates the whole nullspace")
+            else:
+                print(f"single generator: position {pos}, squared norm "
+                      f"{squared_norm(vs[pos - 1])}, rank {target}")
             return 0
 
         if args.command == "reproduce":

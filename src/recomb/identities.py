@@ -5,11 +5,14 @@ permutations of its coefficient vector.  Ranks of such spans (mod p) decide
 which nullspace vectors are genuinely new generators and whether higher
 degrees contain identities that are not consequences of lower ones.
 
-One orbit engine feeds the rank accumulator at every degree:
-DegreeContext's vectorised straightening maps leaf rows relabelled by a
-block of permutations to monomial columns, so each permutation of a
-combination becomes a sparse row of a handful of columns.  An orbit whose
-seed already lies in the accumulated (S_d-invariant) span is skipped.
+Module dimensions come one irreducible at a time (recomb.symmetric): each
+combination becomes block rows in Young's seminormal form, one block per
+partition of d, and the module's dimension is the rank of the stacked
+blocks weighted by the irreducibles' dimensions.  The certify closure
+samples permutations instead: DegreeContext's vectorised straightening
+maps leaf rows relabelled by a block of permutations to monomial columns,
+so each permutation of a combination becomes a sparse row of a handful of
+columns.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .monomials import (
     get_context,
     is_leaf,
     leaves,
-    permutation_rows,
     relabel,
     shape_of,
     straighten,
@@ -37,7 +39,9 @@ from .monomials import (
 
 
 def _check_prime(p: int, d: int) -> None:
-    """Orbit ranks are taken mod a prime p > d."""
+    """Module ranks are taken mod a prime p > d: the seminormal entries
+    divide by axial distances 1..d-1, and p > d does not divide d!, so
+    F_p[S_d] is semisimple and p does not divide |Aut T| either."""
     if p <= d:
         raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
     if not _is_prime(p):
@@ -65,32 +69,17 @@ def _add_sparse_rows(acc: ModularRankAccumulator, blocks) -> None:
     acc.add_rows(cols, coeffs)
 
 
-def _add_orbit(acc: ModularRankAccumulator, ctx: DegreeContext,
-               idc: IdentityCombination) -> None:
-    """Add the S_d-orbit of a combination to the accumulator.
-
-    The accumulator only ever holds whole orbits, so its span is
-    S_d-invariant: when the combination alone adds no rank, its whole orbit
-    is already inside and is skipped.  Otherwise the orbit goes in as one
-    sparse row per permutation, duplicates dropped, in first-occurrence
-    order.
-    """
-    seed = ctx.vector_of(idc)
-    nz = np.flatnonzero(seed)
-    if not acc.add_rows(nz, seed[nz]):
+def _module_dims(ctx: DegreeContext, vectors, p: int):
+    """Dimension mod p of the S_d-module the first k vectors span, for
+    k = 1, 2, ...: each vector's block rows go into one accumulator over
+    the irreducibles' columns (see recomb.symmetric)."""
+    if not len(vectors):
         return
-    cols, coeffs = _permuted_rows(ctx, ctx.term_groups(idc),
-                                  permutation_rows(ctx.d))
-    order = np.argsort(cols, axis=1)
-    cols = np.take_along_axis(cols, order, axis=1)
-    coeffs = np.take_along_axis(coeffs, order, axis=1)
-    del order
-    _, first = np.unique(np.hstack([cols, coeffs]), axis=0, return_index=True)
-    first.sort()
-    # keep only the distinct rows: the d!-row arrays go before the batches
-    cols, coeffs = cols[first], coeffs[first]
-    for lo in range(0, len(first), 2048):
-        acc.add_rows(cols[lo:lo + 2048], coeffs[lo:lo + 2048])
+    irr = ctx.irreducibles(p)
+    acc = ModularRankAccumulator(irr.width, p)
+    for B in irr.blocks(vectors):
+        acc.add_rows(irr.columns, B)
+        yield irr.dimension(acc)
 
 
 def module_rank(ids, p: int = 101) -> int:
@@ -104,10 +93,7 @@ def module_rank(ids, p: int = 101) -> int:
         if (idc.n, idc.degree) != (n, d):
             raise ValueError("mixed arities or degrees")
     ctx = get_context(n, d)
-    acc = ModularRankAccumulator(ctx.num_monomials, p)
-    for idc in ids:
-        _add_orbit(acc, ctx, idc)
-    return acc.rank()
+    return list(_module_dims(ctx, [ctx.vector_of(idc) for idc in ids], p))[-1]
 
 
 @dataclass
@@ -121,27 +107,41 @@ class SieveGenerator:
 def generator_sieve(vectors, n: int, d: int, p: int = 101) -> list:
     """Scan nullspace vectors in the given order, keeping module generators.
 
-    A vector is a generator when its orbit strictly increases the rank of
-    the accumulated S_d-module.  Stops once the cumulative rank reaches the
+    A vector is a generator when it strictly increases the dimension of
+    the accumulated S_d-module.  Stops once the dimension reaches the
     number of vectors, the nullspace dimension for a nullspace basis.
     """
     _check_prime(p, d)
     vectors = [list(map(int, v)) for v in vectors]
     ctx = get_context(n, d)
-    acc = ModularRankAccumulator(ctx.num_monomials, p)
+    dims = _module_dims(ctx, [[x % p for x in v] for v in vectors], p)
     out: list = []
     rank = 0
-    for pos, vec in enumerate(vectors, start=1):
-        idc = ctx.combination_of(vec)
-        _add_orbit(acc, ctx, idc)
-        new_rank = acc.rank()
+    for pos, (vec, new_rank) in enumerate(zip(vectors, dims), start=1):
         if new_rank > rank:
             out.append(SieveGenerator(pos, squared_norm(vec),
-                                      idc.normalized(), new_rank))
+                                      ctx.combination_of(vec).normalized(),
+                                      new_rank))
             rank = new_rank
         if rank >= len(vectors):
             break
     return out
+
+
+def single_generator(vectors, n: int, d: int, p: int = 101) -> int | None:
+    """1-based position of the first vector whose S_d-module alone has
+    dimension len(vectors), or None."""
+    _check_prime(p, d)
+    vectors = [[int(x) % p for x in v] for v in vectors]
+    if not vectors:
+        return None
+    irr = get_context(n, d).irreducibles(p)
+    for pos, B in enumerate(irr.blocks(vectors), start=1):
+        acc = ModularRankAccumulator(irr.width, p)
+        acc.add_rows(irr.columns, B)
+        if irr.dimension(acc) == len(vectors):
+            return pos
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -237,13 +237,9 @@ def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
 
 
 def _consequence_dims(ctx: DegreeContext, consequences, p: int) -> list:
-    """Span dimension mod p after adding each consequence's orbit in turn."""
-    acc = ModularRankAccumulator(ctx.num_monomials, p)
-    dims = []
-    for idc in consequences:
-        _add_orbit(acc, ctx, idc)
-        dims.append(acc.rank())
-    return dims
+    """Module dimension mod p after each consequence in turn."""
+    return list(_module_dims(ctx, [ctx.vector_of(idc) for idc in consequences],
+                             p))
 
 
 def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
@@ -252,12 +248,13 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
     """Compare the degree-d nullspace with the span of lifted consequences.
 
     `known` holds identities of degree d-(n-1); their lifts are the degree-d
-    consequences.  Exact mode runs the full orbit of every consequence and
-    reports the cumulative dimension after each one; a span short of the
-    nullspace is checked at a second prime (see ClosureResult).  Certify
-    mode samples random permutations round-robin until the span reaches the
-    nullspace dimension (proof of "no new identities"), or gives up as
-    inconclusive.
+    consequences.  Exact mode reports the dimension of the module the
+    consequences span after each one, taken per irreducible (see
+    recomb.symmetric): the rank mod p of all their permutations, without
+    forming one.  A span short of the nullspace is checked at a second
+    prime (see ClosureResult).  Certify mode samples random permutations
+    round-robin until the span reaches the nullspace dimension (proof of
+    "no new identities"), or gives up as inconclusive.
     """
     known = list(known)
     if n is None:

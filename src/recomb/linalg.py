@@ -744,6 +744,23 @@ class ModularRankAccumulator:
     def rank(self) -> int:
         return len(self._piv)
 
+    @property
+    def pivots(self) -> np.ndarray:
+        """Pivot columns, in the order they were found (read-only)."""
+        piv = self._piv.view()
+        piv.flags.writeable = False
+        return piv
+
+    def kernel(self) -> np.ndarray:
+        """Basis mod p of {x : row . x = 0 for every row added}, as the
+        int64 columns of a width x (width - rank) array: free column j
+        set to 1 and the pivots solved from [I | C]."""
+        f = len(self._free)
+        K = np.zeros((self.width, f), dtype=np.int64)
+        K[self._free, np.arange(f)] = 1
+        K[self._piv] = (self.p - self._c().astype(np.int64)) % self.p
+        return K
+
     def add_rows(self, cols, coeffs) -> int:
         """Reduce sparse rows; returns the number of new pivots.
 

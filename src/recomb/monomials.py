@@ -500,6 +500,7 @@ class DegreeContext:
         for lvs in self.leaves_by_type:
             self.offsets.append(self.offsets[-1] + len(lvs))
         self._perm_table_inv = None
+        self._irreducibles: dict = {}
 
     @cached_property
     def monomials(self) -> list:
@@ -576,13 +577,21 @@ class DegreeContext:
             self.relabelled_columns(ti, lvs, [sigma])[0]
             for ti, lvs in enumerate(self.leaves_by_type)])
 
+    def irreducibles(self, p: int):
+        """Young's seminormal form mod p fitted to these monomials
+        (recomb.symmetric.Irreducibles), built on first use."""
+        if p not in self._irreducibles:
+            from .symmetric import Irreducibles
+            self._irreducibles[p] = Irreducibles(self, p)
+        return self._irreducibles[p]
+
     def perm_table_inv(self):
         """(d!, m) gather table: orbit rows are vector[table] per permutation.
 
         Row s holds, for each column k, the source column j with
         sigma_s . monomial_j = monomial_k, where sigma_s is the s-th
         permutation in lexicographic order.  Only built for d! <= 45000.
-        No path in recomb uses it: orbits go in as sparse rows instead.
+        No path in recomb uses it: module ranks go per irreducible.
         """
         if self._perm_table_inv is None:
             nperm = math.factorial(self.d)

@@ -1,14 +1,13 @@
 """Acceptance suite: every criterion at its stated budget, one line each.
 
 Criteria 1-9 run the shipped `recomb reproduce` scopes (certify mode,
-seed 0, p = 101).  Each run must exit 0 within its scope's budget, and its
-stdout must equal the committed transcript in tests/transcripts byte for
-byte, which pins every check the scope makes, its name and its verdict.
-What `reproduce` does not check is asserted here on top.
+seed 0, p = 101), and criterion 9 runs the degree-9 closure in exact mode
+as well.  Each run must exit 0 within its budget, and its stdout must
+equal the committed transcript in tests/transcripts byte for byte, which
+pins every check the scope makes, its name and its verdict.  What
+`reproduce` does not check is asserted here on top.
 
-Run with `pytest tests/test_acceptance.py -v -s`.  The exact degree-9
-closure (criterion 9, extended) replays the full permutation orbits and is
-gated behind RECOMB_EXACT_CLOSURE=1; the certify mode always runs.
+Run with `pytest tests/test_acceptance.py -v -s`.
 """
 
 import contextlib
@@ -16,7 +15,6 @@ import difflib
 import io
 import itertools
 import math
-import os
 import random
 import sys
 import time
@@ -46,9 +44,10 @@ SC = golden.scalars()
 P101 = SC["default_prime"]
 P103 = SC["check_prime"]
 TRANSCRIPTS = Path(__file__).parent / "transcripts"
-# wall-time budget of each scope: the tightest of the criteria it covers
+# wall-time budget of each scope and mode: the tightest of the criteria it
+# covers
 BUDGET_S = {"binary": 1.0, "deg5": 1.0, "deg7": 30.0, "deg9-rank": 120.0,
-            "deg9-closure": 900.0}
+            "deg9-closure": 900.0, "deg9-closure-exact": 60.0}
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -84,7 +83,7 @@ def reproduce():
                 want.splitlines(True), got.splitlines(True),
                 f"transcripts/{name}.txt", "stdout"))
             runs[scope, mode] = (code == 0 and got == want
-                                 and el < BUDGET_S[scope], el)
+                                 and el < BUDGET_S[name], el)
         return runs[scope, mode]
 
     return run
@@ -176,14 +175,11 @@ def test_criterion_9_closure_certify(reproduce):
                   f"'no new identities'")
 
 
-@pytest.mark.skipif(os.environ.get("RECOMB_EXACT_CLOSURE") != "1",
-                    reason="exact degree-9 closure: set RECOMB_EXACT_CLOSURE=1 "
-                           "(full orbit replay)")
 def test_criterion_9_closure_exact(reproduce):
     ok, el = reproduce("deg9-closure", "exact")
     report(9, ok, f"reproduce deg9-closure --mode exact: cumulative dims "
                   f"{SC['closure_cumulative_dims_n3_d9']} -> "
-                  f"'no new identities' ({el:.0f}s)")
+                  f"'no new identities' ({el:.1f}s < 60s)")
 
 
 def test_criterion_10_property_suites(E24, E35, E37, deg7_bases):

@@ -1,11 +1,12 @@
 import random
 
+import identities_oracles as oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb import golden, identities
+from recomb import build_expansion_matrix, golden, identities
 from recomb.expansion import evaluate_identity
 from recomb.identities import (
     generator_sieve,
@@ -101,6 +102,50 @@ class TestModuleRank:
             generator_sieve([get_context(3, 7).vector_of(R)], 3, 7, p)
         with pytest.raises(ValueError, match="p > degree"):
             new_identity_test(9, [R], p, mode="exact")
+
+
+class TestAgainstOrbitOracle:
+    """Module ranks and the sieve per irreducible equal the orbit ranks."""
+
+    @staticmethod
+    def inputs(n, d, seed):
+        """Golden identities of (n, d), random relabellings of them, random
+        integer combinations of nullspace vectors and random vectors."""
+        rnd = random.Random(seed)
+        ctx = get_context(n, d)
+        named = [golden.load_identity(name) for name in golden.IDENTITY_NAMES]
+        named = [idc for idc in named if (idc.n, idc.degree) == (n, d)]
+        out = [ctx.vector_of(idc).tolist() for idc in named]
+        for idc in named:
+            sigma = rnd.sample(range(d), d)
+            out.append(ctx.vector_of(apply_permutation(idc, sigma)).tolist())
+        ns = rcf_nullspace(build_expansion_matrix(n, d).subset_rows)
+        for _ in range(3 if ns else 0):
+            combo = [0] * ctx.num_monomials
+            for v in rnd.sample(ns, min(3, len(ns))):
+                c = rnd.choice([-3, -2, -1, 1, 2, 3])
+                combo = [a + c * b for a, b in zip(combo, v)]
+            out.append(combo)
+        for _ in range(2):
+            v = [0] * ctx.num_monomials
+            for j in rnd.sample(range(ctx.num_monomials),
+                                min(4, ctx.num_monomials)):
+                v[j] = rnd.randint(-4, 4)
+            out.append(v)
+        return ctx, out
+
+    @pytest.mark.parametrize("p", [101, 103, 4099])
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (3, 5), (3, 7), (4, 7)])
+    def test_module_rank_and_sieve(self, n, d, p):
+        ctx, vectors = self.inputs(n, d, seed=p * 100 + d * 10 + n)
+        for v in vectors:
+            assert module_rank([ctx.combination_of(v)], p) == \
+                oracle.module_rank([v], n, d, p)
+        ids = [ctx.combination_of(v) for v in vectors]
+        assert module_rank(ids, p) == oracle.module_rank(vectors, n, d, p)
+        gens = generator_sieve(vectors, n, d, p)
+        assert [(g.position, g.norm_sq, g.cumulative_rank) for g in gens] \
+            == oracle.generator_sieve(vectors, n, d, p)
 
 
 class TestGeneratorSieve:

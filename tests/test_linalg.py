@@ -323,6 +323,25 @@ class TestModularRankAccumulator:
                 add_dense(acc, M)
                 assert acc.rank() == exact
 
+    @pytest.mark.parametrize("p", [101, 4099])
+    def test_kernel_and_pivots(self, p):
+        rnd = random.Random(p)
+        for _ in range(20):
+            M = np.array(random_int_matrix(rnd, rnd.randint(1, 9),
+                                           rnd.randint(1, 9), -4, 4))
+            acc = ModularRankAccumulator(M.shape[1], p)
+            add_dense(acc, M)
+            K = acc.kernel()
+            assert K.shape == (M.shape[1], M.shape[1] - acc.rank())
+            assert not (M @ K % p).any()
+            # kernel columns are independent: 1 on their own free column
+            piv = acc.pivots
+            free = np.setdiff1d(np.arange(M.shape[1]), piv)
+            assert (K[free] == np.eye(len(free), dtype=np.int64)).all()
+            assert len(set(piv.tolist())) == acc.rank()
+            with pytest.raises(ValueError):
+                piv[:1] = 0
+
     def test_paths_agree(self):
         rnd = random.Random(8)
         M = random_int_matrix(rnd, 40, 17, -6, 6)

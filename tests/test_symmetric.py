@@ -1,0 +1,128 @@
+import math
+
+import numpy as np
+import pytest
+
+from recomb import golden, symmetric
+from recomb.identities import (
+    expansion_rank,
+    lift_identity,
+    new_identity_test,
+)
+from recomb.linalg import ModularRankAccumulator
+from recomb.monomials import DegreeContext, get_context
+from recomb.symmetric import partitions, standard_tableaux
+
+
+def rho(table, j, p) -> np.ndarray:
+    """Dense rho(s_j) from the (diag, partner, off) rows."""
+    diag, partner, off = table
+    f = diag.shape[1]
+    R = np.zeros((f, f), dtype=np.int64)
+    R[np.arange(f), np.arange(f)] = diag[j]
+    R[np.arange(f), partner[j]] += off[j]
+    return R % p
+
+
+def hook_length_count(lam) -> int:
+    conj = [sum(1 for part in lam if part > c) for c in range(lam[0])]
+    hooks = math.prod(lam[r] - c + conj[c] - r - 1
+                      for r in range(len(lam)) for c in range(lam[r]))
+    return math.factorial(sum(lam)) // hooks
+
+
+class TestTableaux:
+    @pytest.mark.parametrize("d", range(1, 10))
+    def test_counts_follow_the_hook_length_formula(self, d):
+        lams = partitions(d)
+        assert len(set(lams)) == len(lams)
+        assert all(sum(lam) == d and list(lam) == sorted(lam, reverse=True)
+                   for lam in lams)
+        for lam in lams:
+            T = standard_tableaux(lam)
+            assert len(T) == hook_length_count(lam)
+            assert len({row.tobytes() for row in T}) == len(T)
+        # sum of d_lam^2 = d!
+        assert sum(len(standard_tableaux(lam)) ** 2 for lam in lams) == \
+            math.factorial(d)
+
+    def test_partition_counts(self):
+        assert [len(partitions(d)) for d in range(1, 10)] == \
+            [1, 2, 3, 5, 7, 11, 15, 22, 30]
+
+
+class TestSeminormalForm:
+    @pytest.mark.parametrize("p", [11, 101, 4099])
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_coxeter_relations_mod_p(self, d, p):
+        if p <= d:
+            pytest.skip("needs p > d")
+        for lam in partitions(d):
+            table = symmetric._seminormal(lam, p)
+            S = [rho(table, j, p) for j in range(d - 1)]
+            eye = np.eye(len(S[0]), dtype=np.int64)
+            for j, A in enumerate(S):
+                assert ((A @ A) % p == eye).all(), (lam, j)
+                if j + 1 < d - 1:
+                    B = S[j + 1]
+                    assert ((A @ B % p @ A) % p == (B @ A % p @ B) % p).all()
+                for B in S[j + 2:]:
+                    assert ((A @ B) % p == (B @ A) % p).all()
+
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_one_row_is_trivial_and_one_column_is_sign(self, d):
+        p = 101
+        trivial = symmetric._seminormal((d,), p)
+        sign = symmetric._seminormal((1,) * d, p)
+        for j in range(d - 1):
+            assert rho(trivial, j, p).tolist() == [[1]]
+            assert rho(sign, j, p).tolist() == [[p - 1]]
+
+
+class TestIrreducibles:
+    @pytest.mark.parametrize("n,d", [(2, 4), (2, 5), (2, 6), (3, 5), (3, 7),
+                                     (4, 7)])
+    def test_monomials_span_the_whole_space(self, n, d):
+        ctx = DegreeContext(n, d)
+        irr = ctx.irreducibles(101)
+        assert irr.weight.sum() == ctx.num_monomials
+        acc = ModularRankAccumulator(irr.width, 101)
+        for B in irr.blocks(np.eye(ctx.num_monomials, dtype=np.int64)):
+            acc.add_rows(irr.columns, B)
+        assert acc.rank() == irr.width
+        assert irr.dimension(acc) == ctx.num_monomials
+
+    def test_missing_aut_generator_is_detected(self, monkeypatch):
+        real = symmetric._aut_generators
+        monkeypatch.setattr(symmetric, "_aut_generators",
+                            lambda shape: real(shape)[:-1])
+        with pytest.raises(RuntimeError, match="sum d_lam M_lam"):
+            DegreeContext(3, 7).irreducibles(101)
+
+    @pytest.mark.parametrize("n,d,rows,width", [(3, 7, 127, 18),
+                                                (3, 9, 1764, 157)])
+    def test_blocks_of_the_sizes_stated(self, n, d, rows, width):
+        ctx = get_context(n, d)
+        irr = ctx.irreducibles(101)
+        assert (len(irr.columns), irr.width) == (rows, width)
+        assert irr.columns.min() >= 0 and irr.columns.max() < width
+        R = golden.load_identity("ternary_recombination")
+        if d == 9:
+            R = lift_identity(R)[-1].result
+        [B] = irr.blocks([ctx.vector_of(R)])
+        assert B.shape == irr.columns.shape
+        assert 0 <= B.min() and B.max() < 101
+
+    def test_rank_and_certify_build_no_tables(self, monkeypatch):
+        def no_tables(lam, p):
+            raise AssertionError("seminormal tables built")
+
+        get_context.cache_clear()
+        monkeypatch.setattr(symmetric, "_seminormal", no_tables)
+        sc = golden.scalars()
+        assert expansion_rank(3, 9) == (sc["expansion_rank"]["n3_d9"],
+                                        sc["nullspace_dim"]["n3_d9"])
+        B = golden.load_identity("binary_recombination")
+        res = new_identity_test(5, [B], mode="certify", seed=1)
+        assert res.verdict == "no new identities"
+        get_context.cache_clear()
