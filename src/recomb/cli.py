@@ -76,10 +76,6 @@ def main(argv=None) -> int:
 
     p_rep = sp.add_parser("reproduce", help="recompute published values")
     p_rep.add_argument("scope", choices=SCOPES)
-    p_rep.add_argument("--mode", choices=("exact", "certify"), default="certify",
-                       help="closure method for deg9-closure")
-    p_rep.add_argument("--seed", type=int, default=0,
-                       help="seed for certify-mode sampling")
     p_rep.add_argument("-p", "--prime", type=int, default=None)
 
     try:
@@ -158,8 +154,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "reproduce":
-            rep = run_scope(args.scope, mode=args.mode, seed=args.seed,
-                            p=args.prime)
+            rep = run_scope(args.scope, p=args.prime)
             for line in rep.lines():
                 print(line)
             n_hard = sum(1 for c in rep.checks if not c.stretch)

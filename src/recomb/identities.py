@@ -12,7 +12,8 @@ blocks weighted by the irreducibles' dimensions.  The certify closure
 samples permutations instead: DegreeContext's vectorised straightening
 maps leaf rows relabelled by a block of permutations to monomial columns,
 so each permutation of a combination becomes a sparse row of a handful of
-columns.
+columns.  No command runs it: it is kept only for the benchmark's
+deg9-closure workload, and goes when that workload times the exact closure.
 """
 
 from __future__ import annotations
@@ -38,11 +39,12 @@ from .monomials import (
 )
 
 
-def _check_prime(p: int, d: int) -> None:
+def _check_prime(p: int, d: int | None) -> None:
     """Module ranks are taken mod a prime p > d: the seminormal entries
     divide by axial distances 1..d-1, and p > d does not divide d!, so
-    F_p[S_d] is semisimple and p does not divide |Aut T| either."""
-    if p <= d:
+    F_p[S_d] is semisimple and p does not divide |Aut T| either.  With d
+    None only the primality is checked."""
+    if d is not None and p <= d:
         raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
@@ -206,9 +208,10 @@ class ClosureResult:
     "no new identities" is then exact over Q.  A shortfall may come from an
     unlucky prime, so exact mode reports "new identities" only when a
     second prime gives the same dimensions, and "inconclusive" when it does
-    not.  Certify mode reports "inconclusive" when it runs out of samples;
-    when it stops short of the nullspace before that (there are no
-    consequences to sample), it applies exact mode's rule.
+    not.  Certify mode (kept for the benchmark alone, see new_identity_test)
+    reports "inconclusive" when it runs out of samples; when it stops short
+    of the nullspace before that (there are no consequences to sample), it
+    applies exact mode's rule.
     """
 
     degree: int
@@ -216,7 +219,6 @@ class ClosureResult:
     consequence_dims: list      # cumulative dims (exact mode), else [final]
     final_dim: int
     verdict: str                # "no new identities" | "new identities" | "inconclusive"
-    mode: str
     samples: int                # permutations processed (certify mode)
 
 
@@ -254,7 +256,9 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
     forming one.  A span short of the nullspace is checked at a second
     prime (see ClosureResult).  Certify mode samples random permutations
     round-robin until the span reaches the nullspace dimension (proof of
-    "no new identities"), or gives up as inconclusive.
+    "no new identities"), or gives up as inconclusive.  It has no CLI path:
+    only the benchmark's deg9-closure workload calls it, and it goes when
+    that workload times the exact closure.
     """
     known = list(known)
     if n is None:
@@ -284,7 +288,7 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
         final = dims[-1] if dims else 0
         verdict = ("no new identities" if final == null_dim
                    else shortfall_verdict(dims))
-        return ClosureResult(d, null_dim, dims, final, verdict, mode, 0)
+        return ClosureResult(d, null_dim, dims, final, verdict, 0)
 
     if mode != "certify":
         raise ValueError(f"unknown mode {mode!r}")
@@ -311,7 +315,7 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
     else:
         # the loop stops before the cap only when there are no consequences
         verdict = shortfall_verdict([])
-    return ClosureResult(d, null_dim, [final], final, verdict, "certify", samples)
+    return ClosureResult(d, null_dim, [final], final, verdict, samples)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Acceptance suite: every criterion at its stated budget, one line each.
 
-Criteria 1-9 run the shipped `recomb reproduce` scopes (certify mode,
-seed 0, p = 101), and criterion 9 runs the degree-9 closure in exact mode
-as well.  Each run must exit 0 within its budget, and its stdout must
-equal the committed transcript in tests/transcripts byte for byte, which
-pins every check the scope makes, its name and its verdict.  What
+Criteria 1-9 run the shipped `recomb reproduce` scopes at p = 101; the
+degree-9 closure is the exact one, taken per irreducible of S_9.  Each run
+must exit 0 within its budget, and its stdout must equal the committed
+transcript in tests/transcripts byte for byte, which pins every check the
+scope makes, its name and its verdict.  What
 `reproduce` does not check is asserted here on top.
 
 Run with `pytest tests/test_acceptance.py -v -s`.
@@ -44,10 +44,9 @@ SC = golden.scalars()
 P101 = SC["default_prime"]
 P103 = SC["check_prime"]
 TRANSCRIPTS = Path(__file__).parent / "transcripts"
-# wall-time budget of each scope and mode: the tightest of the criteria it
-# covers
+# wall-time budget of each scope: the tightest of the criteria it covers
 BUDGET_S = {"binary": 1.0, "deg5": 1.0, "deg7": 30.0, "deg9-rank": 120.0,
-            "deg9-closure": 900.0, "deg9-closure-exact": 60.0}
+            "deg9-closure": 60.0}
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -57,7 +56,7 @@ def report(num: int, ok: bool, detail: str) -> None:
 
 @pytest.fixture(scope="module")
 def reproduce():
-    """`run(scope, mode)` runs `recomb reproduce` once per scope and mode.
+    """`run(scope)` runs `recomb reproduce` once per scope.
 
     It returns (ok, seconds): ok when the run exits 0 within the scope's
     budget and prints its transcript byte for byte.  A mismatch prints the
@@ -65,26 +64,21 @@ def reproduce():
     """
     runs = {}
 
-    def run(scope, mode="certify"):
-        if (scope, mode) not in runs:
-            argv = ["reproduce", scope]
-            name = scope
-            if mode != "certify":
-                argv += ["--mode", mode]
-                name += f"-{mode}"
+    def run(scope):
+        if scope not in runs:
             out = io.StringIO()
             t0 = time.perf_counter()
             with contextlib.redirect_stdout(out):
-                code = main(argv)
+                code = main(["reproduce", scope])
             el = time.perf_counter() - t0
             got = out.getvalue()
-            want = (TRANSCRIPTS / f"{name}.txt").read_bytes().decode()
+            want = (TRANSCRIPTS / f"{scope}.txt").read_bytes().decode()
             sys.stdout.writelines(difflib.unified_diff(
                 want.splitlines(True), got.splitlines(True),
-                f"transcripts/{name}.txt", "stdout"))
-            runs[scope, mode] = (code == 0 and got == want
-                                 and el < BUDGET_S[name], el)
-        return runs[scope, mode]
+                f"transcripts/{scope}.txt", "stdout"))
+            runs[scope] = (code == 0 and got == want
+                           and el < BUDGET_S[scope], el)
+        return runs[scope]
 
     return run
 
@@ -168,16 +162,9 @@ def test_criterion_8_degree9_rank(reproduce):
                   f"({el:.1f}s < 2min)")
 
 
-def test_criterion_9_closure_certify(reproduce):
-    ok, el = reproduce("deg9-closure")
-    report(9, ok, f"reproduce deg9-closure: 8 lifted consequences, certify "
-                  f"span reaches 15316 ({el:.0f}s < 15min, seed 0) -> "
-                  f"'no new identities'")
-
-
 def test_criterion_9_closure_exact(reproduce):
-    ok, el = reproduce("deg9-closure", "exact")
-    report(9, ok, f"reproduce deg9-closure --mode exact: cumulative dims "
+    ok, el = reproduce("deg9-closure")
+    report(9, ok, f"reproduce deg9-closure: cumulative dims "
                   f"{SC['closure_cumulative_dims_n3_d9']} -> "
                   f"'no new identities' ({el:.1f}s < 60s)")
 

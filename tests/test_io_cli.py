@@ -212,8 +212,10 @@ class TestCli:
         assert "6/6 checks passed" in out
         assert out.index("rank mod 103") < out.index("rank mod 101")
 
+    # d is the degree p must exceed, None where p need only be prime
     @pytest.mark.parametrize("scope, d, prime", [
-        ("deg7", 7, 5), ("deg7", 7, 9), ("deg9-closure", 9, 5)])
+        ("binary", None, 4), ("deg5", None, 0), ("deg7", 7, 5), ("deg7", 7, 9),
+        ("deg9-closure", 9, 5)])
     def test_reproduce_checks_p_before_the_scope(self, capsys, monkeypatch,
                                                  scope, d, prime):
         def unreachable(*args):
@@ -225,11 +227,16 @@ class TestCli:
         assert main(["reproduce", scope, "-p", str(prime)]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        if prime <= d:
+        if d is not None and prime <= d:
             assert captured.err == f"error: need a prime p > degree, " \
                 f"got p={prime}, d={d}\n"
         else:
             assert captured.err == f"error: p = {prime} is not prime\n"
+
+    @pytest.mark.parametrize("option", [["--mode", "exact"], ["--seed", "0"]])
+    def test_reproduce_mode_and_seed_are_usage_errors(self, capsys, option):
+        assert main(["reproduce", "deg9-closure", *option]) == 2
+        assert capsys.readouterr().out == ""
 
     def test_reproduce_unknown_scope_usage_error(self, capsys):
         assert main(["reproduce", "everything"]) == 2
