@@ -13,7 +13,6 @@ from .expansion import (
     build_expansion_matrix,
     evaluate_identity,
     expand_monomial,
-    expand_operation,
 )
 from .identities import (
     ClosureResult,

@@ -6,21 +6,31 @@ argument sigma(j).  A slot combination maps slot tuples (tuples of variable
 indices) to integer coefficients.  A lone variable x is represented by the
 single tuple (x, ..., x): x occupies every slot of its own molecule.
 
-Expanding a monomial with k operation applications yields total coefficient
-mass (n!)^k; the expansion matrix E collects these coefficients with one row
-per slot tuple and one column per monomial, and polynomial identities are
-exactly the integer nullspace vectors of E.
+The expansion matrix E has one row per slot tuple and one column per
+monomial; polynomial identities are exactly its integer nullspace vectors.
 
-E has only C(d,n) distinct rows: the n! orderings of one set of n
-variables share a row.  Column j of E is the expansion of its type's
-template (leaves 0..d-1 in order) relabelled by the leaf row of monomial j,
-because expansion commutes with relabelling.  So E is built with one row
-per sorted n-subset, from one expansion per type, and each template is
-checked to be slot-symmetric: every ordering of each of its subsets occurs,
-all with one coefficient.  A relabelling maps the orderings of a subset
-onto the orderings of its image with the same coefficients, so the check
-on the templates proves the row identity for every column of E.  The full
-slot-tuple matrix is the subset matrix with each row repeated.
+Closed form.  Give each leaf y a weight g(y): g = 1 at a leaf, whose total
+G is 1; at a node with children c_1..c_n, a leaf y of child c gets
+g(y) = (n-1)! g_c(y) prod_{c' != c} G_c', and the node's total is
+G = n! prod_c G_c, (n!)^k after k operations.  A monomial's expansion gives
+each ordering of an n-subset that takes exactly one leaf from each child of
+the root the product of the subset's weights, and every other tuple 0.
+
+Proof, by induction, with the claim that the tuples holding y at any one
+slot have coefficients summing to g(y).  The children have disjoint
+variables, so a tuple (y_1, ..., y_n) with y_j in child sigma(j) comes from
+the one assignment sigma of children to slots, with coefficient the product
+over j of child sigma(j)'s coefficients summed over its tuples with y_j at
+slot j: prod_j g(y_j) by the claim.  Summing a child's tuples over the slots
+its parent does not read gives the claim at the parent: the tuples with y
+of child c at slot j fill the other slots with one leaf of each other child
+in (n-1)! orders, for (n-1)! g_c(y) prod_{c' != c} G_c'.
+
+So the n! orderings of a subset share a row of E, which has only C(d,n)
+distinct rows.  Column j of E is its type's template (leaves 0..d-1 in
+order) relabelled by the leaf row of monomial j, because expansion commutes
+with relabelling: E is built with one row per sorted n-subset, from one
+template per type, and the full slot-tuple matrix repeats each row.
 """
 
 from __future__ import annotations
@@ -37,72 +47,59 @@ from .monomials import (
     MultilinearityError,
     get_context,
     is_leaf,
+    leaves,
     row_codes,
     tree_from,
 )
 
 
-def variable_combination(v: int, n: int) -> dict:
-    return {(v,) * n: 1}
-
-
-def combination_variables(comb: dict) -> set:
-    out: set = set()
-    for tup in comb:
-        out.update(tup)
+def _child_weights(node, n: int) -> list:
+    """{leaf: g(leaf)} for each child of a node, leaves left to right."""
+    if len(node) != n:
+        raise ValueError(f"a node of arity {len(node)} in an arity-{n} "
+                         "monomial")
+    out = []
+    for child in node:
+        if is_leaf(child):
+            out.append({child: 1})
+            continue
+        kids = _child_weights(child, n)
+        totals = [sum(w.values()) for w in kids]
+        scale = math.factorial(n - 1) * math.prod(totals)
+        out.append({y: g * scale // t
+                    for w, t in zip(kids, totals) for y, g in w.items()})
     return out
 
 
-def expand_operation(combos) -> dict:
-    """Multilinear extension of the operation to slot combinations.
-
-    combos: one slot combination per argument, over pairwise disjoint
-    variable sets.
-    """
-    n = len(combos)
-    seen: set = set()
-    for c in combos:
-        vs = combination_variables(c)
-        if seen & vs:
-            raise MultilinearityError("arguments share variables")
-        seen |= vs
-
-    out: dict = {}
-    perms = list(itertools.permutations(range(n)))
-    for choice in itertools.product(*(c.items() for c in combos)):
-        coeff = 1
-        for _, c in choice:
-            coeff *= c
-        tuples = [t for t, _ in choice]
-        for sigma in perms:
-            key = tuple(tuples[sigma[j]][j] for j in range(n))
-            out[key] = out.get(key, 0) + coeff
-    return out
+def _template(tree, n: int) -> tuple:
+    """(subsets, coefficients) of a monomial's expansion: the n-subsets with
+    one leaf of each root child, in root-child order, and the products of
+    their leaf weights.  Every ordering of a subset has its coefficient."""
+    lvs = leaves(tree)
+    if len(set(lvs)) < len(lvs):
+        raise MultilinearityError("a variable occurs twice in the monomial")
+    kids = _child_weights(tree, n)
+    subsets = list(itertools.product(*kids))
+    coeffs = [math.prod(w[y] for w, y in zip(kids, s)) for s in subsets]
+    return subsets, coeffs
 
 
-def expand_monomial(tree, n: int, _memo: dict | None = None) -> dict:
-    """Expansion of a canonical monomial, bottom-up with subtree memoization."""
-    if _memo is None:
-        _memo = {}
-    got = _memo.get(tree)
-    if got is not None:
-        return got
+def expand_monomial(tree, n: int) -> dict:
+    """Expansion of a multilinear monomial whose nodes all have arity n, as
+    {slot tuple: coefficient}."""
     if is_leaf(tree):
-        out = variable_combination(tree, n)
-    else:
-        out = expand_operation([expand_monomial(c, n, _memo) for c in tree])
-    _memo[tree] = out
-    return out
+        return {(tree,) * n: 1}
+    subsets, coeffs = _template(tree, n)
+    return {t: c for s, c in zip(subsets, coeffs)
+            for t in itertools.permutations(s)}
 
 
-def evaluate_identity(idc: IdentityCombination, _memo: dict | None = None) -> dict:
+def evaluate_identity(idc: IdentityCombination) -> dict:
     """Signed expansion of a combination; the combination is an identity iff
     the result is empty."""
-    if _memo is None:
-        _memo = {}
     acc: dict = {}
     for tree, coeff in idc.terms.items():
-        for tup, c in expand_monomial(tree, idc.n, _memo).items():
+        for tup, c in expand_monomial(tree, idc.n).items():
             val = acc.get(tup, 0) + coeff * c
             if val:
                 acc[tup] = val
@@ -116,24 +113,14 @@ _BLOCK = 1 << 20
 
 
 def _subset_template(shape, n: int, d: int) -> tuple:
-    """(sorted n-subsets, coefficients) of a type's template expansion.
+    """(sorted n-subsets in lex order, coefficients) of a type's template.
 
-    Raises RuntimeError unless each subset's n! orderings all occur in the
-    expansion with one coefficient.
+    The template's leaves are 0..d-1 in order, so each root child's leaves
+    exceed the previous child's and every subset comes out sorted.
     """
-    template = expand_monomial(tree_from(shape, range(d)), n)
-    tuples = np.array(list(template), dtype=np.int64).reshape(-1, n)
-    coeffs = np.fromiter(template.values(), dtype=np.int64, count=len(template))
-    subsets = np.sort(tuples, axis=1)
-    _, first, inverse, counts = np.unique(
-        row_codes(subsets, d), return_index=True, return_inverse=True,
-        return_counts=True)
-    if ((subsets[:, 1:] == subsets[:, :-1]).any()
-            or (counts != math.factorial(n)).any()
-            or (coeffs != coeffs[first][inverse]).any()):
-        raise RuntimeError(f"the expansion of type {shape} is not "
-                           "slot-symmetric")
-    return subsets[first], coeffs[first]
+    subsets, coeffs = _template(tree_from(shape, range(d)), n)
+    return (np.array(subsets, dtype=np.int64).reshape(-1, n),
+            np.array(coeffs, dtype=np.int64))
 
 
 def _subset_rows(n: int, d: int, tuples) -> np.ndarray:

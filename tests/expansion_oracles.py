@@ -1,27 +1,84 @@
-"""Reference versions of recomb's monomial enumeration and expansion matrix.
+"""Reference versions of recomb's monomial enumeration and expansion.
 
 `enumerate_monomial_leaves` is the enumeration `recomb.monomials` replaced:
 it straightens all d! permutations of 0..d-1 and keeps the fixed ones.
-`slot_tuple_matrix` is the expansion-matrix builder `recomb.expansion`
-replaced: one row per ordered slot tuple, each column its type's template
-relabelled.  The tests require the package to return exactly what these
-return.
+`expand_monomial` is the expansion `recomb.expansion` replaced by its closed
+form: the operation applied node by node, summing all n! slot assignments
+of every combination of the children's slot tuples.  `slot_tuple_matrix` is
+the expansion-matrix builder it replaced: one row per ordered slot tuple,
+each column its type's template relabelled.  The tests require the package
+to return exactly what these return.
 """
 
+import itertools
 import math
 
 import numpy as np
 
-from recomb.expansion import expand_monomial
 from recomb.monomials import (
+    MultilinearityError,
     automorphism_order,
     get_context,
+    is_leaf,
     permutation_rows,
     row_codes,
     shape_degree,
     straighten_many,
     tree_from,
 )
+
+
+def variable_combination(v: int, n: int) -> dict:
+    return {(v,) * n: 1}
+
+
+def combination_variables(comb: dict) -> set:
+    out: set = set()
+    for tup in comb:
+        out.update(tup)
+    return out
+
+
+def expand_operation(combos) -> dict:
+    """Multilinear extension of the operation to slot combinations.
+
+    combos: one slot combination per argument, over pairwise disjoint
+    variable sets.
+    """
+    n = len(combos)
+    seen: set = set()
+    for c in combos:
+        vs = combination_variables(c)
+        if seen & vs:
+            raise MultilinearityError("arguments share variables")
+        seen |= vs
+
+    out: dict = {}
+    perms = list(itertools.permutations(range(n)))
+    for choice in itertools.product(*(c.items() for c in combos)):
+        coeff = 1
+        for _, c in choice:
+            coeff *= c
+        tuples = [t for t, _ in choice]
+        for sigma in perms:
+            key = tuple(tuples[sigma[j]][j] for j in range(n))
+            out[key] = out.get(key, 0) + coeff
+    return out
+
+
+def expand_monomial(tree, n: int, _memo: dict | None = None) -> dict:
+    """Expansion of a canonical monomial, bottom-up with subtree memoization."""
+    if _memo is None:
+        _memo = {}
+    got = _memo.get(tree)
+    if got is not None:
+        return got
+    if is_leaf(tree):
+        out = variable_combination(tree, n)
+    else:
+        out = expand_operation([expand_monomial(c, n, _memo) for c in tree])
+    _memo[tree] = out
+    return out
 
 
 def enumerate_monomial_leaves(shape) -> np.ndarray:

@@ -11,8 +11,6 @@ from recomb.expansion import (
     build_expansion_matrix,
     evaluate_identity,
     expand_monomial,
-    expand_operation,
-    variable_combination,
 )
 from recomb.identities import expansion_rank
 from recomb.linalg import nullspace_lattice, rcf, rcf_nullspace
@@ -22,41 +20,42 @@ from recomb.monomials import (
     get_context,
     parse_bracket,
     relabel,
-    tree_degree,
+    tree_from,
 )
 
 
 class TestExpandOperation:
     def test_single_application_ternary(self):
-        e = expand_operation([variable_combination(v, 3) for v in range(3)])
+        e = oracles.expand_operation([oracles.variable_combination(v, 3)
+                                      for v in range(3)])
         expected = {t: 1 for t in itertools.permutations((0, 1, 2))}
         assert e == expected
 
     def test_binary_left_nested(self):
-        e = expand_monomial(parse_bracket("[[[a,b],c],d]"), 2)
+        e = oracles.expand_monomial(parse_bracket("[[[a,b],c],d]"), 2)
         assert e == {(0, 3): 1, (1, 3): 1, (2, 3): 2,
                      (3, 0): 1, (3, 1): 1, (3, 2): 2}
 
     def test_binary_balanced(self):
-        e = expand_monomial(parse_bracket("[[a,b],[c,d]]"), 2)
+        e = oracles.expand_monomial(parse_bracket("[[a,b],[c,d]]"), 2)
         assert len(e) == 8 and set(e.values()) == {1}
         assert (0, 2) in e and (3, 1) in e and (0, 1) not in e
 
     def test_overlapping_variables_rejected(self):
         with pytest.raises(MultilinearityError):
-            expand_operation([variable_combination(0, 3),
-                              variable_combination(0, 3),
-                              variable_combination(2, 3)])
+            oracles.expand_operation([oracles.variable_combination(0, 3),
+                                      oracles.variable_combination(0, 3),
+                                      oracles.variable_combination(2, 3)])
 
 
 class TestExpandMonomial:
     def test_degree5_ternary(self):
-        e = expand_monomial(parse_bracket("[[a,b,c],d,e]"), 3)
+        e = oracles.expand_monomial(parse_bracket("[[a,b,c],d,e]"), 3)
         assert len(e) == 18 and set(e.values()) == {2} and sum(e.values()) == 36
         assert e[(0, 3, 4)] == 2 and e[(4, 3, 2)] == 2
 
     def test_degree7_type1(self):
-        e = expand_monomial(parse_bracket("[[[a,b,c],d,e],f,g]"), 3)
+        e = oracles.expand_monomial(parse_bracket("[[[a,b,c],d,e],f,g]"), 3)
         expected = {}
         for x in range(5):
             w = 4 if x < 3 else 12
@@ -71,7 +70,7 @@ class TestExpandMonomial:
         assert len(e) == 30 and sum(e.values()) == 216
 
     def test_degree7_type2(self):
-        e = expand_monomial(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)
+        e = oracles.expand_monomial(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)
         expected = {t: 4
                     for x in range(3) for y in range(3, 6)
                     for t in itertools.permutations((x, y, 6))}
@@ -83,17 +82,58 @@ class TestExpandMonomial:
         ("[[[a,b,c],d,e],[f,g,h],i]", 3, 4),
     ])
     def test_mass_conservation(self, s, n, k):
-        import math
-        e = expand_monomial(parse_bracket(s), n)
+        e = oracles.expand_monomial(parse_bracket(s), n)
         assert sum(e.values()) == math.factorial(n) ** k
 
     def test_equivariance_sample(self):
         m = parse_bracket("[[a,c,e],b,d]")
         sigma = (2, 0, 4, 1, 3)
-        lhs = expand_monomial(relabel(m, sigma), 3)
+        lhs = oracles.expand_monomial(relabel(m, sigma), 3)
         rhs = {tuple(sigma[x] for x in t): c
-               for t, c in expand_monomial(m, 3).items()}
+               for t, c in oracles.expand_monomial(m, 3).items()}
         assert lhs == rhs
+
+    @pytest.mark.parametrize("tree", [(0, 0, 2), ((0, 1, 2), 3, 0),
+                                      ((0, 1, 1), 2, 3)])
+    def test_repeated_variable_rejected(self, tree):
+        with pytest.raises(MultilinearityError):
+            expand_monomial(tree, 3)
+
+    @pytest.mark.parametrize("s,n", [("[[a,b],c,d]", 3), ("[[a,b,c],d,e]", 2)])
+    def test_wrong_arity_rejected(self, s, n):
+        with pytest.raises(ValueError) as err:
+            expand_monomial(parse_bracket(s), n)
+        assert err.type is ValueError
+
+
+def shuffled(tree, rnd):
+    """The tree with every node's children in random order."""
+    if isinstance(tree, int):
+        return tree
+    kids = [shuffled(c, rnd) for c in tree]
+    rnd.shuffle(kids)
+    return tuple(kids)
+
+
+class TestClosedForm:
+    @pytest.mark.parametrize("n,d", [
+        (2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 5), (3, 7),
+        (3, 9), (4, 7), (4, 10), (5, 9)])
+    def test_matches_recursive_expansion(self, n, d):
+        rnd = random.Random(100 * n + d)
+        for shape in get_context(n, d).types:
+            tree = tree_from(shape, range(d))
+            ref = oracles.expand_monomial(tree, n)
+            assert expand_monomial(tree, n) == ref
+            # the template is the reference's subsets in lex order
+            subsets, coeffs = expansion._subset_template(shape, n, d)
+            ref_subsets = sorted({tuple(sorted(t)) for t in ref})
+            assert subsets.tolist() == [list(t) for t in ref_subsets]
+            assert coeffs.tolist() == [ref[t] for t in ref_subsets]
+            for _ in range(3):
+                other = shuffled(relabel(tree, rnd.sample(range(d), d)), rnd)
+                assert (expand_monomial(other, n)
+                        == oracles.expand_monomial(other, n))
 
 
 class TestMatrix:
@@ -141,7 +181,7 @@ class TestEvaluateIdentity:
 def column_reference(ctx, j):
     """Column j of E from its own expansion, one slot tuple at a time."""
     col = np.zeros(len(ctx.slot_tuples), dtype=np.int64)
-    for tup, c in expand_monomial(ctx.monomials[j], ctx.n).items():
+    for tup, c in oracles.expand_monomial(ctx.monomials[j], ctx.n).items():
         col[ctx.slot_tuples.index(tup)] = c
     return col
 
@@ -196,26 +236,6 @@ class TestTemplateExpansion:
         assert rcf_nullspace(E.subset_rows) == rcf_nullspace(full)
         assert nullspace_lattice(E.subset_rows) == nullspace_lattice(full)
 
-    @pytest.mark.parametrize("broken", ["coefficient", "ordering"])
-    def test_asymmetric_template_is_rejected(self, monkeypatch, broken):
-        real = expansion.expand_monomial
-
-        def asymmetric(tree, n, _memo=None):
-            out = dict(real(tree, n, _memo))
-            if n == 3 and tree_degree(tree) == 5:
-                first = min(out)
-                if broken == "coefficient":
-                    out[first] += 1
-                else:
-                    del out[first]
-            return out
-
-        monkeypatch.setattr(expansion, "expand_monomial", asymmetric)
-        with pytest.raises(RuntimeError):
-            build_expansion_matrix(3, 5)
-        with pytest.raises(RuntimeError):
-            expansion_rank(3, 5)
-
 
 class TestExpansionRank:
     @pytest.mark.parametrize("n,d,expected", [
@@ -227,3 +247,10 @@ class TestExpansionRank:
         assert expansion_rank(n, d) == expansion_rank(n, d, 103) == expected
         # E has C(d,n) distinct rows, all independent here
         assert rank == math.comb(d, n)
+
+    def test_quinary_degree13_has_full_rank(self):
+        # the arity-5 nested templates; rank C(13,5) makes the mod-p value
+        # the rational one
+        width = get_context(5, 13).num_monomials
+        assert expansion_rank(5, 13, 101) == (math.comb(13, 5),
+                                               width - math.comb(13, 5))
