@@ -19,7 +19,6 @@ from recomb import (
     squared_norm,
     to_bracket,
 )
-from recomb.linalg import transpose
 
 E = build_expansion_matrix(2, 4)
 ctx = get_context(2, 4)
@@ -38,7 +37,7 @@ for v in sort_vectors_by_norm(rcf_nullspace(E.array.tolist())):
     print(f"  norm^2 {squared_norm(v):3d}  {v}")
 
 print("\nmethod (b): Hermite normal form of E^t with transform")
-res = hnf_with_transform(transpose(E.array.tolist()))
+res = hnf_with_transform(E.array.T.tolist())
 print(f"  HNF rank {res.rank}; bottom {15 - res.rank} transform rows form "
       f"a lattice basis of the integer nullspace")
 lat = nullspace_lattice(E.array.tolist())

@@ -23,7 +23,6 @@ from .identities import (
     lift_identity,
     module_rank,
     new_identity_test,
-    rewrite_second_type,
     verify_identity,
 )
 from .linalg import (

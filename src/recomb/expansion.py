@@ -27,10 +27,11 @@ of child c at slot j fill the other slots with one leaf of each other child
 in (n-1)! orders, for (n-1)! g_c(y) prod_{c' != c} G_c'.
 
 So the n! orderings of a subset share a row of E, which has only C(d,n)
-distinct rows.  Column j of E is its type's template (leaves 0..d-1 in
-order) relabelled by the leaf row of monomial j, because expansion commutes
-with relabelling: E is built with one row per sorted n-subset, from one
-template per type, and the full slot-tuple matrix repeats each row.
+distinct rows (one at degree 1, the lone variable's tuple (0, ..., 0)).
+Column j of E is its type's template (leaves 0..d-1 in order) relabelled
+by the leaf row of monomial j, because expansion commutes with relabelling:
+E is built with one row per sorted n-subset, from one template per type,
+and the full slot-tuple matrix repeats each row.
 """
 
 from __future__ import annotations
@@ -74,7 +75,10 @@ def _child_weights(node, n: int) -> list:
 def _template(tree, n: int) -> tuple:
     """(subsets, coefficients) of a monomial's expansion: the n-subsets with
     one leaf of each root child, in root-child order, and the products of
-    their leaf weights.  Every ordering of a subset has its coefficient."""
+    their leaf weights.  Every ordering of a subset has its coefficient.
+    A lone variable x has the one tuple (x, ..., x)."""
+    if is_leaf(tree):
+        return [(tree,) * n], [1]
     lvs = leaves(tree)
     if len(set(lvs)) < len(lvs):
         raise MultilinearityError("a variable occurs twice in the monomial")
@@ -87,8 +91,6 @@ def _template(tree, n: int) -> tuple:
 def expand_monomial(tree, n: int) -> dict:
     """Expansion of a multilinear monomial whose nodes all have arity n, as
     {slot tuple: coefficient}."""
-    if is_leaf(tree):
-        return {(tree,) * n: 1}
     subsets, coeffs = _template(tree, n)
     return {t: c for s, c in zip(subsets, coeffs)
             for t in itertools.permutations(s)}
@@ -123,9 +125,16 @@ def _subset_template(shape, n: int, d: int) -> tuple:
             np.array(coeffs, dtype=np.int64))
 
 
+def _height(n: int, d: int) -> int:
+    """Distinct rows of E: the C(d,n) subsets, or at degree 1 the one tuple
+    (0, ..., 0)."""
+    return math.comb(d, n) if d >= n else 1
+
+
 def _subset_rows(n: int, d: int, tuples) -> np.ndarray:
-    """Row of the sorted n-subset of each slot tuple, subsets in lex order."""
-    index = np.full(d ** n, -1, dtype=np.int64)
+    """Row of the sorted n-subset of each slot tuple, subsets in lex order.
+    At degree 1 the tuple (0, ..., 0) has code 0 and takes row 0."""
+    index = np.zeros(d ** n, dtype=np.int64)
     subsets = np.array(list(itertools.combinations(range(d), n)),
                        dtype=np.int64).reshape(-1, n)
     index[row_codes(subsets, d)] = np.arange(len(subsets))
@@ -140,10 +149,7 @@ def column_blocks(ctx: DegreeContext):
     coefficient coeffs[j] in subset row rows[i, j].
     """
     n, d = ctx.n, ctx.d
-    height = math.comb(d, n)
-    if not height:
-        return
-    step = max(1, _BLOCK // height)
+    step = max(1, _BLOCK // _height(n, d))
     for ti, (shape, lvs) in enumerate(zip(ctx.types, ctx.leaves_by_type)):
         subsets, coeffs = _subset_template(shape, n, d)
         for lo in range(0, len(lvs), step):
@@ -155,8 +161,8 @@ class ExpansionMatrix:
     """Integer matrix: rows = slot tuples, columns = canonical monomials.
 
     Held as `subset_rows`, one row per sorted n-subset of variables in lex
-    order; `array` is the full matrix, the row of each slot tuple's subset
-    repeated for every slot tuple, built on first use.
+    order (one row at degree 1); `array` is the full matrix, the row of each
+    slot tuple's subset repeated for every slot tuple, built on first use.
     """
 
     def __init__(self, ctx: DegreeContext, subset_rows: np.ndarray):
@@ -179,7 +185,7 @@ class ExpansionMatrix:
 def build_expansion_matrix(n: int, d: int) -> ExpansionMatrix:
     """Expansion matrix for all degree-d monomials; deterministic layout."""
     ctx = get_context(n, d)
-    rows = np.zeros((math.comb(d, n), ctx.num_monomials), dtype=np.int64)
+    rows = np.zeros((_height(n, d), ctx.num_monomials), dtype=np.int64)
     for lo, sub, coeffs in column_blocks(ctx):
         rows[sub, np.arange(lo, lo + len(sub))[:, None]] = coeffs
     return ExpansionMatrix(ctx, rows)

@@ -18,34 +18,27 @@ deg9-closure workload, and goes when that workload times the exact closure.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import golden
-from .expansion import column_blocks, evaluate_identity
+from .expansion import _height, column_blocks, evaluate_identity
 from .linalg import ModularRankAccumulator, _is_prime, squared_norm
-from .monomials import (
-    DegreeContext,
-    IdentityCombination,
-    get_context,
-    is_leaf,
-    leaves,
-    relabel,
-    shape_of,
-    straighten,
-    tree_degree,
-)
+from .monomials import DegreeContext, IdentityCombination, get_context, relabel
 
 
 def _check_prime(p: int, d: int | None) -> None:
     """Module ranks are taken mod a prime p > d: the seminormal entries
     divide by axial distances 1..d-1, and p > d does not divide d!, so
     F_p[S_d] is semisimple and p does not divide |Aut T| either.  With d
-    None only the primality is checked."""
+    None only the size and the primality are checked.  The size comes
+    first: every accumulator needs p^2 < 2^53, and trial division of a
+    larger p would take minutes."""
     if d is not None and p <= d:
         raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
+    if p * p >= 2 ** 53:
+        raise ValueError(f"p = {p} is too large: ranks mod p need p^2 < 2^53")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 
@@ -157,12 +150,6 @@ class LiftedConsequence:
     result: IdentityCombination
 
 
-def _substitute_leaf(tree, var: int, replacement):
-    if is_leaf(tree):
-        return replacement if tree == var else tree
-    return tuple(_substitute_leaf(c, var, replacement) for c in tree)
-
-
 def lift_identity(idc: IdentityCombination) -> list:
     """All one-step consequences of an identity in the next degree.
 
@@ -175,10 +162,10 @@ def lift_identity(idc: IdentityCombination) -> list:
     fresh = tuple(range(d, d + n - 1))
     out: list = []
     for x in range(d):
-        node = (x,) + fresh
+        sub = list(range(d))
+        sub[x] = (x,) + fresh
         res = IdentityCombination.from_terms(
-            n, [(c, _substitute_leaf(t, x, node)) for t, c in idc.terms.items()],
-            d + n - 1)
+            n, [(c, relabel(t, sub)) for t, c in idc.terms.items()], d + n - 1)
         if not res.terms:
             raise ValueError(f"substitution consequence for {x} collapsed")
         out.append(LiftedConsequence(idc, "substitute", x, res))
@@ -225,13 +212,13 @@ class ClosureResult:
 def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
     """(rank of E mod p, nullspace dimension) for degree d.
 
-    E has C(d,n) distinct rows, so rank_p(E) <= rank_Q(E) <= C(d,n): when
-    the rank mod p reaches C(d,n) it is the rational rank and the nullspace
-    dimension is exact over Q.  The columns of E on its subset rows stream
-    through the accumulator block by block.
+    E has C(d,n) distinct rows (one at degree 1), so rank_p(E) <= rank_Q(E)
+    <= C(d,n): when the rank mod p reaches C(d,n) it is the rational rank
+    and the nullspace dimension is exact over Q.  The columns of E on its
+    subset rows stream through the accumulator block by block.
     """
     ctx = get_context(n, d)
-    acc = ModularRankAccumulator(math.comb(d, n), p)
+    acc = ModularRankAccumulator(_height(n, d), p)
     for _, rows, coeffs in column_blocks(ctx):
         acc.add_rows(rows, coeffs)
     rank = acc.rank()
@@ -316,51 +303,6 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
         # the loop stops before the cap only when there are no consequences
         verdict = shortfall_verdict([])
     return ClosureResult(d, null_dim, [final], final, verdict, samples)
-
-
-# ---------------------------------------------------------------------------
-# rewriting the second association type into the first
-
-def _rewrite_template(n: int) -> IdentityCombination:
-    if n == 3:
-        return golden.load_identity("second_type_rewrite_n3")
-    if n == 2:
-        return golden.load_identity("binary_recombination_reduced")
-    raise ValueError(f"no rewrite template for arity {n}")
-
-
-def rewrite_second_type(m, n: int | None = None) -> IdentityCombination:
-    """Express a second-association-type monomial in the first type.
-
-    Instantiates the bundled rewrite identity (whose unique second-type term
-    has coefficient +1) under the variable substitution matching m, and
-    returns the equivalent first-type combination.
-    """
-    if n is None:
-        if is_leaf(m):
-            raise ValueError("need an arity for a bare variable")
-        n = len(m)
-    m = straighten(m, n)
-    d = tree_degree(m)
-    template = _rewrite_template(n)
-    if template.degree != d:
-        raise ValueError(f"no rewrite template for arity {n}, degree {d}")
-    second_type = get_context(n, d).types[1]
-    if shape_of(m) != second_type:
-        raise ValueError("monomial is not of the second association type")
-    t0 = next(t for t in template.terms if shape_of(t) == second_type)
-    c0 = template.terms[t0]
-    if abs(c0) != 1:
-        raise ValueError(f"rewrite template has coefficient {c0} on its "
-                         "second-type term, expected +-1")
-    src = leaves(t0)
-    dst = leaves(m)
-    sigma = [0] * d
-    for a, b in zip(src, dst):
-        sigma[a] = b
-    return IdentityCombination.from_terms(
-        n, [(-coeff * c0, relabel(tree, sigma))
-            for tree, coeff in template.terms.items() if tree != t0], d)
 
 
 def verify_identity(idc: IdentityCombination) -> int:

@@ -101,10 +101,6 @@ def _put(A, idx, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # small matrix helpers (lists of python ints)
 
-def transpose(rows):
-    return [list(col) for col in zip(*rows)]
-
-
 def squared_norm(v) -> int:
     return sum(int(x) * int(x) for x in v)
 
@@ -118,35 +114,6 @@ def sort_vectors_by_norm(vectors):
 def int_matmul(A, B):
     """Exact product of integer matrices."""
     return _matmul(_int_matrix(A), _int_matrix(B)).tolist()
-
-
-def det_bareiss(M) -> int:
-    """Exact determinant by fraction-free elimination (for modest sizes)."""
-    a = [[int(x) for x in row] for row in M]
-    n = len(a)
-    if n == 0:
-        return 1
-    assert all(len(row) == n for row in a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pk = a[k][k]
-        for i in range(k + 1, n):
-            rik = a[i][k]
-            row_i, row_k = a[i], a[k]
-            for j in range(k + 1, n):
-                row_i[j] = (pk * row_i[j] - rik * row_k[j]) // prev
-            row_i[k] = 0
-        prev = pk
-    return sign * a[-1][-1]
 
 
 # ---------------------------------------------------------------------------
@@ -724,10 +691,11 @@ class ModularRankAccumulator:
     """
 
     def __init__(self, width: int, p: int = 101):
+        if p * p * max(width, 1) >= 2 ** 53:
+            raise ValueError(f"p = {p} is too large for width {width}: "
+                             "exact float64 products need p^2 * width < 2^53")
         if not _is_prime(p):
             raise ValueError(f"p = {p} is not prime")
-        if p * p * max(width, 1) >= 2 ** 53:
-            raise ValueError("width too large for exact float64 products")
         self.width = width
         self.p = p
         float32 = (2 ** 24 - p) // (p * p) >= _FLOAT32_MIN_TERMS

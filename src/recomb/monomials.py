@@ -429,9 +429,6 @@ class IdentityCombination:
     def sorted_terms(self) -> list:
         return sorted(self.terms.items(), key=lambda item: monomial_key(item[0]))
 
-    def norm_sq(self) -> int:
-        return sum(c * c for c in self.terms.values())
-
     def normalized(self) -> "IdentityCombination":
         """Flip the overall sign so the leading term has a positive coefficient."""
         if not self.terms:
@@ -511,7 +508,9 @@ class DegreeContext:
 
     @cached_property
     def slot_tuples(self) -> list:
-        return order_slot_tuples(self.n, self.d) if self.d >= self.n else []
+        # below degree n only the lone variable's tuple (0, ..., 0)
+        return (order_slot_tuples(self.n, self.d) if self.d >= self.n
+                else [(0,) * self.n])
 
     @property
     def num_monomials(self) -> int:

@@ -22,7 +22,6 @@ from .identities import (
     verify_identity,
 )
 from .linalg import (
-    det_bareiss,
     hnf_with_transform,
     int_matmul,
     lattices_equal,
@@ -32,7 +31,6 @@ from .linalg import (
     rcf_nullspace,
     sort_vectors_by_norm,
     squared_norm,
-    transpose,
 )
 
 SCOPES = ("binary", "deg5", "deg7", "deg9-rank", "deg9-closure")
@@ -114,14 +112,15 @@ def _binary(sc) -> Report:
             ns)
     rep.add("canonical basis squared norms",
             sc["nullspace_norms_n2_d4"], [squared_norm(v) for v in ns])
-    Et = transpose(E.array.tolist())
+    Et = E.array.T.tolist()
     H = hnf_with_transform(Et)
     rep.add("hermite normal form nonzero rows",
             [list(r) for r in golden.load_matrix("hnf_nonzero_rows_n2_d4")],
             H.h[:H.rank])
     rep.add("transform recomposition U*Et == H", True,
             int_matmul(H.u, Et) == H.h)
-    rep.add("transform unimodular |det U| == 1", 1, abs(det_bareiss(H.u)))
+    rep.add("transform unimodular |det U| == 1", True,
+            lattices_equal(H.u, np.eye(len(H.u), dtype=np.int64)))
     lat = nullspace_lattice(E.array.tolist())
     red = lll_reduce(lat)
     norms = sorted(squared_norm(v) for v in red)

@@ -36,7 +36,6 @@ from recomb.linalg import (
     nullspace_lattice,
     rcf_nullspace,
     squared_norm,
-    transpose,
 )
 from recomb.monomials import get_context, leaves, relabel, straighten
 
@@ -91,8 +90,9 @@ def test_criterion_1_binary_expansion_rcf_nullspace(reproduce):
 
 def test_criterion_2_binary_hnf(reproduce, E24):
     ok, el = reproduce("binary")
-    res = hnf_with_transform(transpose(E24.array.tolist()))
+    res = hnf_with_transform(E24.array.T.tolist())
     ok &= all(not any(row) for row in res.h[res.rank:])
+    ok &= lattices_equal(res.u, np.eye(len(res.u), dtype=np.int64))
     report(2, ok, f"reproduce binary: HNF of (2,4) E^t matches the six "
                   f"reference rows, zero rows below them, U*E^t = H, "
                   f"|det U| = 1 ({el:.2f}s < 1s)")

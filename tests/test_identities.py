@@ -7,22 +7,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from recomb import build_expansion_matrix, golden, identities
-from recomb.expansion import evaluate_identity
 from recomb.identities import (
     generator_sieve,
     lift_identity,
     module_rank,
     new_identity_test,
-    rewrite_second_type,
     verify_identity,
 )
-from recomb.linalg import rcf_nullspace, sort_vectors_by_norm
+from recomb.linalg import rcf_nullspace, sort_vectors_by_norm, squared_norm
 from recomb.monomials import (
     DegreeContext,
-    IdentityCombination,
     apply_permutation,
     get_context,
-    parse_bracket,
     straighten,
 )
 
@@ -38,12 +34,14 @@ class TestGoldenIdentities:
             assert verify_identity(idc) == 0, name
 
     def test_norms(self, named):
-        assert named["reduced_generator_1"].norm_sq() == 4
-        assert named["reduced_generator_2"].norm_sq() == 6
-        assert named["ternary_recombination"].norm_sq() == 12
-        assert named["canonical_generator_1"].norm_sq() == 4
-        assert named["canonical_generator_2"].norm_sq() == 6
-        assert named["canonical_generator_3"].norm_sq() == 32
+        norms = {name: squared_norm(named[name].terms.values())
+                 for name in named}
+        assert norms["reduced_generator_1"] == 4
+        assert norms["reduced_generator_2"] == 6
+        assert norms["ternary_recombination"] == 12
+        assert norms["canonical_generator_1"] == 4
+        assert norms["canonical_generator_2"] == 6
+        assert norms["canonical_generator_3"] == 32
 
     def test_unit_coefficients_of_reduced_generators(self, named):
         for name in ("reduced_generator_1", "reduced_generator_2",
@@ -260,48 +258,6 @@ class TestNewIdentityTest:
                                 mode="certify", seed=1)
         assert res.verdict == "no new identities"
         assert res.samples > 0
-
-
-class TestRewriteSecondType:
-    def test_binary_example(self):
-        rw = rewrite_second_type(parse_bracket("[[a,b],[c,d]]"), 2)
-        expected = IdentityCombination.from_terms(2, [
-            (-1, parse_bracket("[[[a,b],c],d]")),
-            (1, parse_bracket("[[[a,c],b],d]")),
-            (1, parse_bracket("[[[b,c],d],a]")),
-            (1, parse_bracket("[[[b,d],a],c]")),
-            (-1, parse_bracket("[[[b,d],c],a]"))])
-        assert rw == expected
-
-    def test_ternary_term_count(self):
-        rw = rewrite_second_type(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)
-        assert len(rw) == 11
-        first_type = get_context(3, 7).types[0]
-        from recomb.monomials import shape_of
-        assert all(shape_of(t) == first_type for t in rw.terms)
-
-    def test_difference_vanishes_random_labelings(self):
-        rnd = random.Random(17)
-        for _ in range(20):
-            perm = rnd.sample(range(7), 7)
-            tree = straighten(((perm[0], perm[1], perm[2]),
-                               (perm[3], perm[4], perm[5]), perm[6]), 3)
-            rw = rewrite_second_type(tree, 3)
-            diff = IdentityCombination.from_terms(
-                3, [(c, t) for t, c in rw.terms.items()] + [(-1, tree)])
-            assert not evaluate_identity(diff)
-
-    def test_rejects_first_type(self):
-        with pytest.raises(ValueError):
-            rewrite_second_type(parse_bracket("[[[a,b,c],d,e],f,g]"), 3)
-
-    def test_template_coefficient_is_checked(self, monkeypatch):
-        real = golden.load_identity("second_type_rewrite_n3")
-        template = IdentityCombination(
-            real.n, real.degree, {t: 2 * c for t, c in real.terms.items()})
-        monkeypatch.setattr(identities, "_rewrite_template", lambda n: template)
-        with pytest.raises(ValueError):
-            rewrite_second_type(parse_bracket("[[a,b,c],[d,e,f],g]"), 3)
 
 
 def dense_rows(ctx, cols, coeffs):

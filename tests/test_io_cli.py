@@ -1,5 +1,7 @@
 import ast
+import inspect
 import os
+import re
 import subprocess
 import sys
 from importlib.resources import files
@@ -9,8 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import recomb
 from recomb import golden
 from recomb.cli import main
+from recomb.identities import expansion_rank
 from recomb.io_formats import (
     ParseError,
     format_identity,
@@ -152,6 +156,26 @@ class TestCli:
         assert main(["nullspace", "-n", "3", "-d", "5", "--method", "hnf-lll"]) == 0
         assert "nullspace dimension 0" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("n", ["2", "3"])
+    def test_degree_1_has_no_identities(self, tmp_path, capsys, n):
+        # E(n,1) has one row, the lone variable's tuple (a, ..., a)
+        assert main(["matrix", "-n", n, "-d", "1"]) == 0
+        assert parse_matrix(capsys.readouterr().out) == [[1]]
+        for method in ("rcf", "hnf-lll"):
+            out = tmp_path / method
+            assert main(["nullspace", "-n", n, "-d", "1", "--method", method,
+                         "-o", str(out)]) == 0
+            assert capsys.readouterr().out.startswith(
+                f"nullspace dimension 0 (arity {n}, degree 1, {method})\n")
+            assert sorted(os.listdir(out)) == ["norms.txt"]
+        assert main(["generators", "-n", n, "-d", "1"]) == 0
+        assert "empty nullspace" in capsys.readouterr().out
+        lone = tmp_path / "a.txt"
+        lone.write_text(f"# arity={n} degree=1\n1 a\n")
+        assert main(["verify", str(lone)]) == 1
+        assert "NOT an identity; 1 residual" in capsys.readouterr().out
+        assert expansion_rank(int(n), 1) == (1, 0)
+
     def test_verify_exit_codes(self, tmp_path, capsys):
         good = tmp_path / "good.txt"
         write_identity_file(golden.load_identity("binary_recombination"), good)
@@ -233,6 +257,21 @@ class TestCli:
         else:
             assert captured.err == f"error: p = {prime} is not prime\n"
 
+    def test_huge_prime_exits_2_at_once(self):
+        # 2^61 - 1 is prime: trial division up to its square root would run
+        # for minutes, but no accumulator takes p^2 >= 2^53
+        p = 2 ** 61 - 1
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from recomb.cli import main\n"
+                "sys.exit(main(sys.argv[2:]))\n")
+        run = subprocess.run([sys.executable, "-c", code, str(src),
+                              "reproduce", "deg9-rank", "-p", str(p)],
+                             capture_output=True, text=True, timeout=1)
+        assert run.returncode == 2
+        assert run.stderr == (f"error: p = {p} is too large: ranks mod p "
+                              "need p^2 < 2^53\n")
+
     @pytest.mark.parametrize("option", [["--mode", "exact"], ["--seed", "0"]])
     def test_reproduce_mode_and_seed_are_usage_errors(self, capsys, option):
         assert main(["reproduce", "deg9-closure", *option]) == 2
@@ -292,3 +331,25 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 top = name.split(".")[0]
                 assert top == "numpy" or top in sys.stdlib_module_names, \
                     f"{path.name} imports {name}"
+
+
+def test_every_public_name_is_used_outside_the_tests():
+    # recomb.__all__ is the public API: each name must be called from the
+    # package beyond its own definition, a demo or the benchmark
+    root = Path(__file__).resolve().parent.parent
+    package = root / "src" / "recomb"
+    sources = [path.read_text() for path in sorted(package.glob("*.py"))
+               if path.name != "__init__.py"]
+    elsewhere = "\n".join(path.read_text() for path in sorted(
+        [*(root / "demos").glob("*.py"), *(root / "benchmarks").glob("*.py")]))
+    unused = []
+    for name in recomb.__all__:
+        if inspect.ismodule(getattr(recomb, name)):
+            continue
+        word = re.compile(rf"\b{name}\b")
+        definition = re.compile(rf"^(def|class) {name}\b|^{name} =", re.M)
+        uses = sum(len(word.findall(s)) - len(definition.findall(s))
+                   for s in sources)
+        if not uses and not word.search(elsewhere):
+            unused.append(name)
+    assert unused == []

@@ -20,7 +20,6 @@ from recomb.linalg import (
     _lincomb,
     _matmul,
     _mod,
-    det_bareiss,
     hnf_rows,
     hnf_with_transform,
     int_matmul,
@@ -31,12 +30,16 @@ from recomb.linalg import (
     rcf_nullspace,
     sort_vectors_by_norm,
     squared_norm,
-    transpose,
 )
 
 
 def random_int_matrix(rnd, m, n, lo=-5, hi=5):
     return [[rnd.randint(lo, hi) for _ in range(n)] for _ in range(m)]
+
+
+def unimodular(U) -> bool:
+    """A square integer U is unimodular iff its rows generate Z^m."""
+    return lattices_equal(U, np.eye(len(U), dtype=np.int64))
 
 
 class TestRcf:
@@ -92,13 +95,13 @@ class TestRcfNullspace:
 
 class TestHnf:
     def test_golden_binary(self, E24):
-        Et = transpose(E24.array.tolist())
+        Et = E24.array.T.tolist()
         res = hnf_with_transform(Et)
         assert res.rank == 6
         assert res.h[:6] == [list(r) for r in golden.load_matrix("hnf_nonzero_rows_n2_d4")]
         assert all(not any(row) for row in res.h[6:])
         assert int_matmul(res.u, Et) == res.h
-        assert abs(det_bareiss(res.u)) == 1
+        assert unimodular(res.u)
 
     def test_identity_and_zero(self):
         eye = np.eye(4, dtype=int).tolist()
@@ -107,7 +110,18 @@ class TestHnf:
         zero = [[0, 0], [0, 0]]
         res = hnf_with_transform(zero)
         assert res.h == zero and res.rank == 0
-        assert abs(det_bareiss(res.u)) == 1
+        assert unimodular(res.u)
+
+    def test_unimodular_check(self, E24):
+        assert unimodular(np.eye(5, dtype=np.int64))
+        U = hnf_with_transform(E24.array.T).u
+        assert unimodular(U)
+        doubled = np.array(U)
+        doubled[3] *= 2
+        assert not unimodular(doubled)
+        singular = np.array(U)
+        singular[3] = singular[0] + singular[1]
+        assert not unimodular(singular)
 
     @staticmethod
     def check_hnf_conditions(h, rank, pivots):
@@ -128,7 +142,7 @@ class TestHnf:
             res = hnf_with_transform(M)
             self.check_hnf_conditions(res.h, res.rank, res.pivots)
             assert int_matmul(res.u, M) == res.h
-            assert abs(det_bareiss(res.u)) == 1
+            assert unimodular(res.u)
             assert hnf_rows(M) == res.h[:res.rank]
 
 
@@ -364,6 +378,17 @@ class TestModularRankAccumulator:
         with pytest.raises(ValueError):
             ModularRankAccumulator(5, 100)
 
+    def test_size_is_checked_before_primality(self, monkeypatch):
+        # trial division of 2^61 - 1, a prime, would run for minutes
+        def unreachable(p):
+            raise AssertionError("primality tested before the size bound")
+
+        monkeypatch.setattr(linalg, "_is_prime", unreachable)
+        p = 2 ** 61 - 1
+        with pytest.raises(ValueError, match=f"p = {p} is too large for "
+                                             "width 84"):
+            ModularRankAccumulator(84, p)
+
     def test_rejects_rows_of_another_width(self):
         acc = ModularRankAccumulator(3, 101)
         add_dense(acc, [1, 0, 0])
@@ -484,7 +509,7 @@ class TestModularRankAccumulator:
                 break
             w += 1
         assert (p - 1) ** 2 * w < 2 ** 53
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=f"p = {p} is too large"):
             ModularRankAccumulator(w, p)
         acc = ModularRankAccumulator(w - 1, p)
         rows = [[p - 1] * (w - 1), list(range(1, w))]

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 import expansion_oracles as oracles
 from recomb import golden, monomials
+from recomb.linalg import squared_norm
 from recomb.monomials import (
     IdentityCombination,
     InvalidDegreeError,
@@ -271,7 +272,8 @@ class TestIdentityCombination:
         norm = idc.normalized()
         lead = min(norm.terms, key=monomial_key)
         assert norm.terms[lead] > 0
-        assert norm.norm_sq() == idc.norm_sq() == 5
+        assert squared_norm(norm.terms.values()) \
+            == squared_norm(idc.terms.values()) == 5
 
     def test_merge_and_sum(self):
         t1 = parse_bracket("[[a,b,c],d,e]")
