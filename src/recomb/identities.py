@@ -28,17 +28,23 @@ from .linalg import ModularRankAccumulator, _is_prime, squared_norm
 from .monomials import DegreeContext, IdentityCombination, get_context, relabel
 
 
-def _check_prime(p: int, d: int | None) -> None:
+def _check_prime(p: int, d: int | None, n: int | None = None) -> None:
     """Module ranks are taken mod a prime p > d: the seminormal entries
     divide by axial distances 1..d-1, and p > d does not divide d!, so
     F_p[S_d] is semisimple and p does not divide |Aut T| either.  With d
     None only the size and the primality are checked.  The size comes
     first: every accumulator needs p^2 < 2^53, and trial division of a
-    larger p would take minutes."""
+    larger p would take minutes.  Given n, p^2 times the number of
+    monomials, which bounds the width sum M_lam <= sum d_lam M_lam of the
+    module ranks' accumulator, must stay below 2^53 too."""
     if d is not None and p <= d:
         raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
     if p * p >= 2 ** 53:
         raise ValueError(f"p = {p} is too large: ranks mod p need p^2 < 2^53")
+    width = get_context(n, d).num_monomials if n and d else 1
+    if p * p * width >= 2 ** 53:
+        raise ValueError(f"p = {p} is too large: ranks mod p at arity {n}, "
+                         f"degree {d} need p^2 * {width} < 2^53")
     if not _is_prime(p):
         raise ValueError(f"p = {p} is not prime")
 

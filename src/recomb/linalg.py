@@ -9,17 +9,18 @@ arrays whose row operations are whole-array steps.  One magnitude guard
 picks the dtype: int64 while every step's bound |x| + |q| |y| (for a
 product, max|a| max|b| inner) stays below 2^62, dtype=object holding
 Python ints once it does not.  The same numpy code runs on both, and the
-results are lists of Python ints either way.
+results are lists of Python ints either way.  The insertion HNF touches
+only the columns that can change: a reduction's product skips the unit
+pivots, where H is zero but in the pivot's own row, and a new pivot row
+updates the rows above it only where it is nonzero; its guards bound |H|
+by a running maximum instead of rescanning it.
 
 LLL starts from the integral Gram-Schmidt data d_j and lam_ij (Cohen,
-Alg. 2.6.7), which are unique to the basis, so they are computed from
-residues: one elimination of the Gram matrix mod a whole stack of primes
-below 2^21, in float64, and CRT.  A float64 Cholesky estimate of d
-sizes the stack, but integer checks, not floats, prove the result exact:
-d_j |b_j|^2 < M for every j fixes d in [0, M), M being the product of the
-primes, and 4 max |b_i|^2 max d_j d_{j+1} < M^2 fixes lam in (-M/2, M/2);
-primes are added while either fails.  The reduction loop then keeps the
-basis as one int64 array under the same magnitude guard.
+Alg. 2.6.7), unique to the basis, so computed from residues mod a stack of
+primes below 2^21 and CRT, exact by two integer checks (_lll_initialize).
+The reduction loop keeps the basis as one int64 array and applies the
+size reductions of a pass to it as one product, b_k -= sum_j q_j b_j, in
+int64 while max|b_k| + sum_j |q_j| max_j |b_j| < 2^62.
 
 The mod-p accumulator keeps the reduced echelon basis as [I | C] and
 stores only C, the rows on the non-pivot columns, as float residues.  Rows
@@ -40,7 +41,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice
+from itertools import accumulate, islice, product
 from typing import NamedTuple
 
 import numpy as np
@@ -102,13 +103,25 @@ def _put(A, idx, X) -> np.ndarray:
 # small matrix helpers (lists of python ints)
 
 def squared_norm(v) -> int:
+    """Sum of squares: in int64 while max|v|^2 len(v) < 2^62."""
+    try:
+        a = np.fromiter(v, dtype=np.int64)
+        if _absmax(a) ** 2 * len(a) < _SAFE:
+            return int(a @ a)
+    except (OverflowError, TypeError):
+        pass
     return sum(int(x) * int(x) for x in v)
 
 
 def sort_vectors_by_norm(vectors):
-    """Sort by squared norm; ties break lexicographically on the entries."""
-    return sorted((list(map(int, v)) for v in vectors),
-                  key=lambda v: (squared_norm(v), v))
+    """Sort by squared norm, each taken once, from the int64 rows when the
+    entries fit; ties break lexicographically on the entries."""
+    A = _int_matrix(vectors)
+    rows = A.tolist()
+    if A.dtype == object or _absmax(A) ** 2 * A.shape[1] >= _SAFE:
+        return sorted(rows, key=lambda v: (squared_norm(v), v))
+    return [v for _, v in sorted(zip(np.einsum("ij,ij->i", A, A).tolist(),
+                                     rows))]
 
 
 def int_matmul(A, B):
@@ -265,65 +278,69 @@ def hnf_with_transform(M) -> HnfResult:
     return HnfResult(h.tolist(), u.tolist(), len(pivots), pivots)
 
 
-def _xgcd(a: int, b: int) -> tuple:
-    """(g, x, y) with g = gcd(a, b) = x*a + y*b, for a > 0."""
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q = a // b
-        a, b = b, a - q * b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
-
-
-def _reduce_by(v, H, slot) -> np.ndarray:
+def _reduce_by(v, H, slot, top) -> np.ndarray:
     """v minus lattice rows of H, with v[c] in [0, pivot) at every pivot c.
 
     H is fully reduced, so it is zero at every unit pivot column but the
-    row's own: v is cleared at all of those by one product, and the other
-    pivot columns, whose rows are zero at unit columns, follow in order.
+    row's own: v is cleared at all of those by one product, taken only on
+    the other columns, and the other pivot columns, whose rows are zero at
+    unit columns, follow in order.  A running bound |v| + sum |q| top, top
+    bounding |H|, keeps each step in int64 while it stays below 2^62.
     """
-    cols = np.flatnonzero(slot >= 0)
+    cols = (slot >= 0).nonzero()[0]
     rows = slot[cols]
     a = H[rows, cols]
     unit = a == 1
-    q = v[cols[unit]]
-    nz = np.flatnonzero(q)
+    nz = v[cols[unit]].nonzero()[0]
+    bound = _absmax(v)              # bounds |v| as the steps go
     if nz.size:
-        v = _lincomb(1, v, 1, _matmul(q[nz], H[rows[unit][nz]]))
+        bound *= 1 + nz.size * top
+        v = v.astype(object) if H.dtype == object or bound >= _SAFE else \
+            v.copy()
+        rest = np.ones(len(v), dtype=bool)
+        rest[cols[unit]] = False
+        q, urows = v[cols[unit][nz]], rows[unit][nz]
+        v[rest] -= q @ H[urows[:, None], rest]
+        v[cols[unit]] = 0
     for c, s, ac in zip(cols[~unit], rows[~unit], a[~unit]):
         q = int(v[c]) // int(ac)
         if q:
-            v = _lincomb(1, v, q, H[s])
+            bound += abs(q) * top
+            if H.dtype == object or bound >= _SAFE:
+                v = v.astype(object)
+            v = v - q * H[s].astype(v.dtype)
     return v
 
 
-def _place(H, slot, s, w) -> np.ndarray:
+def _place(H, slot, s, w, top) -> tuple:
     """Make w the pivot row of its leading column c, in row s of H.
 
-    c is not a pivot of H, which is fully reduced and stays so: w is
-    reduced by H, and the rows above c are reduced at c by w and then again
-    at the non-unit pivots right of c (w is zero at the unit ones).
+    w is reduced by H and positive at c, which is not a pivot of H; H is
+    fully reduced and stays so.  The rows above c are reduced at c by w,
+    then at each non-unit pivot right of c (w is zero at the unit ones), a
+    step X - f y touching only the columns where y is nonzero.  top bounds
+    |H|, so |f| <= top and a step stays in int64 while top (1 + |y|) <
+    2^62.  Returns (H, top).
     """
-    c = int(np.flatnonzero(w)[0])
-    w = _reduce_by(w if w[c] > 0 else -w, H, slot)
-    if w.dtype != H.dtype:
-        H = H.astype(object)
-    cols = np.flatnonzero(slot >= 0)
-    above = slot[cols[cols < c]]
-    q = H[above, c] // w[c]
-    sel = np.flatnonzero(q)
-    if sel.size:
-        above = above[sel]
-        X = _lincomb(1, H[above], q[sel][:, None], w)
-        right = cols[cols > c]
-        for p, ap in zip(right, H[slot[right], right]):
-            if ap != 1:
-                X = _lincomb(1, X, (X[:, p] // ap)[:, None], H[slot[p]])
-        H = _put(H, above, X)
+    c = int(w.nonzero()[0][0])
+    cols = (slot >= 0).nonzero()[0]
+    above, right = slot[cols[cols < c]], cols[cols > c]
+    wtop = _absmax(w)
+    for p in [c, *right[H[slot[right], right] != 1]]:
+        y, ytop = (w, wtop) if p == c else (H[slot[p]], top)
+        f = H[above, p]
+        f = (f if f.dtype == y.dtype else f.astype(object)) // y[p]
+        sel = f.nonzero()[0]
+        if sel.size:
+            f = f[sel, None] if top * (1 + ytop) < _SAFE else \
+                f[sel, None].astype(object)
+            idx = above[sel, None], y.nonzero()[0]
+            X = H[idx] - f * y[idx[1]]
+            H = _put(H, idx, X)
+            top = max(top, _absmax(X))
     H = _put(H, s, w)
     slot[c] = s
-    return H
+    return H, max(top, wtop)
 
 
 def hnf_rows(M) -> list:
@@ -332,32 +349,37 @@ def hnf_rows(M) -> list:
     Rows are inserted one at a time into a fully reduced HNF, combining
     with the pivot row by an extended gcd where the pivot does not divide
     (Kannan and Bachem).  Entries stay small: 10 bits on the degree-7
-    lattice, where eliminating column by column reaches 1,251 bits.
+    lattice, where eliminating column by column reaches 1,251 bits.  A
+    running bound top on |H| spares the int64 guards a rescan of H.
     """
     A = _int_matrix(M)
     m, n = A.shape
     H = np.zeros((min(m, n), n), dtype=A.dtype)
     slot = np.full(n, -1)       # row of H whose pivot is column c, or -1
-    used = 0
+    used = top = 0
     for v in A:
         while True:
-            v = _reduce_by(v, H, slot)
-            nz = np.flatnonzero(v)
+            v = _reduce_by(v, H, slot, top)
+            nz = v.nonzero()[0]
             if not nz.size:
                 break
             c = int(nz[0])
             s = slot[c]
             if s < 0:
-                H = _place(H, slot, used, v)
+                if v[c] < 0:
+                    v = _reduce_by(-v, H, slot, top)
+                H, top = _place(H, slot, used, v, top)
                 used += 1
                 break
-            # 0 < v[c] < pivot: the gcd row replaces the pivot row
+            # 0 < v[c] < pivot: the gcd row x H[s] + y v replaces the pivot
+            # row, x a + y b = g by x = (a / g)^-1 mod b / g
             a, b = int(H[s, c]), int(v[c])
-            g, x, y = _xgcd(a, b)
-            w = _lincomb(x, H[s], -y, v)
+            g = math.gcd(a, b)
+            x = pow(a // g, -1, b // g)
+            w = _lincomb(x, H[s], (x * a - g) // b, v)
             v = _lincomb(a // g, v, b // g, H[s])
             slot[c] = -1
-            H = _place(H, slot, s, w)
+            H, top = _place(H, slot, s, _reduce_by(w, H, slot, top), top)
     return H[slot[slot >= 0]].tolist()
 
 
@@ -424,6 +446,21 @@ def _prime_count(G) -> int:
     return max(1, math.ceil((bits + 1) / (_PRIME_BITS - 0.1)))
 
 
+def _gram(B) -> np.ndarray:
+    """B B^T exactly: in float64 while max|B|^2 width < 2^53, as every
+    partial sum is then an exact integer, else by _matmul.  BLAS takes it
+    in tiles of at most 2^18 products, which OpenBLAS runs on the calling
+    thread: a larger product wakes a helper thread that slows what follows."""
+    k, n = B.shape
+    if B.dtype == object or _absmax(B) ** 2 * n >= 1 << 53:
+        return _matmul(B, B.T)
+    F, G = B.astype(np.float64), np.empty((k, k))
+    s = max(1, math.isqrt((1 << 18) // max(n, 1)))
+    for i, j in product(range(0, k, s), repeat=2):
+        np.matmul(F[i:i + s], F[j:j + s].T, out=G[i:i + s, j:j + s])
+    return G.astype(np.int64)
+
+
 def _gram_residues(G, P):
     """Residues of d and lam mod every prime of P, and which primes live.
 
@@ -446,7 +483,7 @@ def _gram_residues(G, P):
         # reduced as integers, G may be big, straight into the stack
         np.remainder(G, p, out=a, casting="unsafe")
     p2 = P[:, None].astype(np.float64)
-    live = np.ones(t, dtype=bool)
+    live, plist = np.ones(t, dtype=bool), P.tolist()
     for j in range(k):
         row = A[:, j, j:]
         for lo in range(0, j, _GS_TERMS):
@@ -460,15 +497,16 @@ def _gram_residues(G, P):
         if not live.any():
             return None, live
         inv = [pow(int(a), -1, p) if a else 0
-               for a, p in zip(row[:, 0].tolist(), P.tolist())]
+               for a, p in zip(row[:, 0].tolist(), plist)]
         A[:, j + 1:, j] = _mod(row[:, 1:] * np.array(inv, float)[:, None], p2)
     a = np.diagonal(A, axis1=1, axis2=2).astype(np.int64)
     R = np.empty((t, k + 1 + k * (k - 1) // 2), dtype=np.int64)
     R[:, :k + 1] = [list(accumulate(x, lambda y, z: y * z % p, initial=1))
-                    for x, p in zip(a.tolist(), P.tolist())]
+                    for x, p in zip(a.tolist(), plist)]
+    # np.take gathers in C order; _mod is slow on A[:, j, i]'s column order
     i, j = np.tril_indices(k, -1)
-    lam = A[:, j, i]
-    lam *= R[:, j]
+    lam = np.take(A.reshape(t, k * k), j * k + i, axis=1)
+    lam *= np.take(R, j, axis=1)
     R[:, k + 1:] = _mod(lam, p2)
     return R, live
 
@@ -497,12 +535,13 @@ def _crt(digits, primes) -> np.ndarray:
     Three digits make one int64 word (p^3 < 2^63), so the Python-int Horner
     steps are a third as many as the primes.
     """
-    x = 0
+    x = np.zeros(len(digits[0]), dtype=object)
     for t in reversed(range(0, len(primes), 3)):
         w = np.zeros(len(digits[0]), dtype=np.int64)
         for q, v in zip(reversed(primes[t:t + 3]), reversed(digits[t:t + 3])):
             w = w * q + v
-        x = x * math.prod(primes[t:t + 3]) + w.astype(object)
+        x *= math.prod(primes[t:t + 3])     # in place: a third faster
+        x += w.astype(object)
     return x
 
 
@@ -526,7 +565,7 @@ def _lll_initialize(b):
     """
     B = _int_matrix(b)
     k = len(B)
-    G = _matmul(B, B.T)
+    G = _gram(B)
     g = [int(x) for x in np.diagonal(G).tolist()]
     source, stack = _primes(), max(1, _CHUNK // max(k * k, 1))
     digits, primes = [], []     # value = sum_t digits[t] * prod(primes[:t])
@@ -541,12 +580,14 @@ def _lll_initialize(b):
                 if not independent:
                     raise DependentRowsError("rows are linearly dependent")
             for s in np.flatnonzero(live):
-                # digit t = (value - (digits so far)) / (p_0 ... p_{t-1}) mod p
+                # digit t = (value - (digits so far)) / (p_0 ... p_{t-1}) mod
+                # p: h sums digit_u (p_0 ... p_{u-1} mod p), terms below 2^42
                 p, r = int(P[s]), R[s]
-                h = np.zeros(len(r), dtype=np.int64)
-                for q, v in zip(reversed(primes), reversed(digits)):
-                    h = (h * q + v) % p
-                digits.append((r - h) % p * pow(M, -1, p) % p)
+                h, w = np.zeros(len(r), dtype=np.int64), 1
+                for q, v in zip(primes, digits):
+                    h += v * w
+                    w = w * q % p
+                digits.append((r - h % p) * pow(M, -1, p) % p)
                 primes.append(p)
                 M *= p
         d = _crt([x[:k + 1] for x in digits], primes).tolist()
@@ -566,9 +607,11 @@ def lll_reduce(basis) -> list:
     The Lovasz parameter is delta = 3/4 (_LOVASZ), which gives the classical
     guarantees.  Raises DependentRowsError when the input rows are
     dependent, a single zero row included.  The basis is one integer array
-    whose rows swap through an index list; a size reduction is one row step,
-    in int64 while a bound on its entries stays below 2^62, else widened to
-    Python ints (_lincomb, _put).
+    whose rows swap through an index list.  The size reductions of a pass
+    update lam one at a time but b_k once, at its end, by the product
+    sum_j q_j b_j over the steps of the pass, whose b_j it leaves unchanged:
+    in int64 while max|b_k| + sum_j |q_j| max_j |b_j| < 2^62, else widened
+    to Python ints (_put).
     """
     b = _int_matrix(basis)
     k = len(b)
@@ -576,28 +619,23 @@ def lll_reduce(basis) -> list:
         return []
     num, den = _LOVASZ
     d, lam = _lll_initialize(b)
+    half = [x >> 1 for x in d]              # 2|x| > d_j iff |x| > half[j]
     at = list(range(k))                     # row of b holding basis vector i
-    top = [_absmax(row) for row in b]       # bounds |entries| of each row of b
+    qs, src = [], []                        # the pass's steps b_k -= q b[s]
 
     def red(i, j):
-        """b_i -= q b_j for q the integer nearest to mu_ij."""
-        nonlocal b
-        li, dj, r, s = lam[i], d[j + 1], at[i], at[j]
-        q = (2 * li[j] + dj) // (2 * dj)
-        bound = top[r] + abs(q) * top[s]
-        if bound < _SAFE:
-            b[r] -= q * b[s]
-            top[r] = bound
-        else:
-            b = _put(b, r, _lincomb(1, b[r], q, b[s]))
-            top[r], top[s] = _absmax(b[r]), _absmax(b[s])
+        """lam_i -= q lam_j for q the integer nearest to mu_ij."""
+        li, dj = lam[i], d[j + 1]
+        q = (li[j] + half[j + 1]) // dj
         li[j] -= q * dj
         li[:j] = [x - q * y for x, y in zip(li, lam[j])]
+        qs.append(q)
+        src.append(at[j])
 
     kk = 1
     while kk < k:
-        lk = lam[kk]
-        if 2 * abs(lk[kk - 1]) > d[kk]:
+        lk, r = lam[kk], at[kk]
+        if abs(lk[kk - 1]) > half[kk]:
             red(kk, kk - 1)
         lam_k = lk[kk - 1]
         if den * (d[kk + 1] * d[kk - 1] + lam_k * lam_k) < num * d[kk] * d[kk]:
@@ -610,13 +648,18 @@ def lll_reduce(basis) -> list:
                 t = li[kk]
                 li[kk] = u = (dk1 * li[kk - 1] - lam_k * t) // dk
                 li[kk - 1] = (B * t + lam_k * u) // dk1
-            d[kk] = B
+            d[kk], half[kk] = B, B >> 1
             kk = max(kk - 1, 1)
         else:
             for j in range(kk - 2, -1, -1):
-                if 2 * abs(lk[j]) > d[j + 1]:
+                if abs(lk[j]) > half[j + 1]:
                     red(kk, j)
             kk += 1
+        if qs:
+            bound = _absmax(b[r]) + sum(map(abs, qs)) * _absmax(b[src])
+            q = np.array(qs, dtype=np.int64 if bound < _SAFE else object)
+            b = _put(b, r, b[r] - q @ b[src])
+            del qs[:], src[:]
     return b[at].tolist()
 
 

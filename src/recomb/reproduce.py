@@ -81,8 +81,8 @@ def _short(x, limit=60):
 def run_scope(scope: str, *, p: int | None = None) -> Report:
     sc = golden.scalars()
     p = p if p is not None else sc["default_prime"]
-    # module ranks and the closure need p > d as well (see _check_prime)
-    _check_prime(p, {"deg7": 7, "deg9-closure": 9}.get(scope))
+    # module ranks and the closure need p > d and room for (3, d) as well
+    _check_prime(p, {"deg7": 7, "deg9-closure": 9}.get(scope), 3)
     if scope == "binary":
         return _binary(sc)
     if scope == "deg5":

@@ -229,6 +229,31 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "deg7"],
+        ["generators", "-n", "3", "-d", "7", "--basis", "hnf-lll"],
+        ["generators", "-n", "3", "-d", "7", "--basis", "rcf"]])
+    def test_p_too_large_for_the_widest_accumulator_exits_2_first(
+            self, capsys, monkeypatch, argv):
+        # p is prime and p^2 < 2^53, but the module ranks' accumulators at
+        # (3,7) have up to 280 columns: refused before any nullspace
+        p = 94906249
+        assert p * p < 2 ** 53 <= p * p * 4
+
+        def unreachable(*args):
+            raise AssertionError("nullspace computed before p was checked")
+
+        for module in ("recomb.cli", "recomb.reproduce"):
+            monkeypatch.setattr(f"{module}.nullspace_lattice", unreachable)
+            monkeypatch.setattr(f"{module}.rcf_nullspace", unreachable)
+        monkeypatch.setattr("recomb.reproduce.build_expansion_matrix",
+                            unreachable)
+        assert main(argv + ["-p", str(p)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: p = {p} is too large: ranks mod p "
+                                "at arity 3, degree 7 need p^2 * 280 < 2^53\n")
+
     def test_reproduce_deg9_rank_at_two_primes(self, capsys):
         # at the default p = 101 the acceptance transcript pins the output
         assert main(["reproduce", "deg9-rank", "-p", "103"]) == 0
@@ -316,21 +341,37 @@ class TestCli:
         assert "checks passed" in run.stdout
 
 
+def _imported_packages(path) -> set:
+    """Top-level names of the absolute imports in one source file."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            names |= {alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and not node.level:
+            names.add(node.module.split(".")[0])
+    return names
+
+
 def test_package_imports_only_the_standard_library_and_numpy():
     # pyproject.toml lists numpy as the one dependency
     package = Path(__file__).resolve().parent.parent / "src" / "recomb"
     for path in sorted(package.glob("*.py")):
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom) and not node.level:
-                names = [node.module]
-            else:
-                continue
-            for name in names:
-                top = name.split(".")[0]
-                assert top == "numpy" or top in sys.stdlib_module_names, \
-                    f"{path.name} imports {name}"
+        for top in _imported_packages(path):
+            assert top == "numpy" or top in sys.stdlib_module_names, \
+                f"{path.name} imports {top}"
+
+
+def test_test_extra_lists_what_the_tests_import():
+    # `pip install .[test]` must bring every package the suite imports
+    root = Path(__file__).resolve().parent.parent
+    extra = re.search(r"^test = \[(.*)\]$",
+                      (root / "pyproject.toml").read_text(), re.M).group(1)
+    local = {path.stem for path in (root / "tests").glob("*.py")}
+    needed = set().union(*map(_imported_packages,
+                              (root / "tests").glob("*.py")))
+    needed -= set(sys.stdlib_module_names) | local | {"recomb", "numpy"}
+    assert needed == {"pytest", "hypothesis"}
+    assert [name for name in sorted(needed) if f'"{name}' not in extra] == []
 
 
 def test_every_public_name_is_used_outside_the_tests():

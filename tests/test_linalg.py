@@ -170,6 +170,25 @@ class TestNullspaceLattice:
         assert rational_span_equal(lat, rcf_nullspace(E24.array.tolist()))
 
 
+class TestLatticesEqual:
+    @pytest.mark.parametrize("factor", [2, 3])
+    def test_sublattice_of_index_2_or_3_differs(self, deg7_bases, factor):
+        # same rank and row count, one row doubled or tripled: a shortcut
+        # that compared only ranks, row counts or pivot columns would say
+        # equal
+        _, lat, red = deg7_bases
+        rnd = random.Random(factor)
+        M = random_int_matrix(rnd, 12, 15, -9, 9)
+        for A in (lat, red, M):
+            B = [list(row) for row in A]
+            i = rnd.randrange(len(B))
+            B[i] = [factor * x for x in B[i]]
+            assert len(hnf_rows(B)) == len(A)
+            assert not lattices_equal(A, B)
+            assert not lattices_equal(B, A)
+        assert lattices_equal(M, M[::-1])
+
+
 class TestLll:
     def test_orthogonal_unchanged(self):
         basis = (4 * np.eye(4, dtype=int)).tolist()
@@ -673,6 +692,63 @@ class TestKernelsMatchReference:
             assert all(type(x) is int for row in red for x in row)
         assert any(widened)
 
+    def test_lll_pass_whose_summed_bound_crosses_2_62_widens(self,
+                                                             monkeypatch):
+        # b_0, b_1 orthogonal, b_2 = b_0 + b_1 + (5, 7, 2^61): the pass at
+        # k = 2 takes q = 1 for j = 1 and for j = 0, each step under 2^62
+        # but 2^61 + 2^60 + 2^60 not, so its one row update widens b
+        widened = []
+        put = linalg._put
+
+        def spy(A, idx, X):
+            widened.append(A.dtype != object and X.dtype == object)
+            return put(A, idx, X)
+
+        monkeypatch.setattr(linalg, "_put", spy)
+        e = 2 ** 60
+        M = [[e, 0, 0], [0, e, 0], [e + 5, e + 7, 2 * e]]
+        assert _int_matrix(M).dtype == np.int64
+        red = lll_reduce(M)
+        assert red == ref.lll_reduce(M) == [M[0], M[1], [5, 7, 2 * e]]
+        assert widened == [True]
+        assert all(type(x) is int for row in red for x in row)
+
+    @pytest.mark.parametrize("wide", [False, True])
+    def test_hnf_rows_with_non_unit_pivots_right_of_a_placed_column(self,
+                                                                    wide):
+        # rows lead with 2, 3, 4 or 6 and come in so that each leads left
+        # of the rows before it: every insertion lands left of non-unit
+        # pivots, whose passes must reduce the rows above it; also as
+        # dtype=object input, and with entries past 2^63
+        rnd = random.Random(16 + wide)
+        seen = 0
+        for _ in range(150):
+            n = rnd.randint(3, 9)
+            M = []
+            for c in sorted(rnd.sample(range(n), rnd.randint(2, n)),
+                            reverse=True):
+                row = [0] * c + [rnd.choice([2, 3, 4, 6])]
+                row += [rnd.choice([0, rnd.randint(-9, 9)])
+                        for _ in range(n - c - 1)]
+                if wide and rnd.random() < 0.3:
+                    row[-1] += rnd.choice([-1, 1]) * 2 ** 63
+                M.append(row)
+            want = ref.hnf_rows(M)
+            assert hnf_rows(np.array(M, dtype=object)) == want
+            assert hnf_rows(M) == want
+            pivots = [next(j for j, x in enumerate(r) if x) for r in want]
+            seen += any(want[i][c] > 1 and c > pivots[0]
+                        for i, c in enumerate(pivots))
+        assert seen > 100
+
+    def test_hnf_rows_reduction_past_int64_widens(self):
+        # v - q H at a unit pivot: q = 2^30 times 2^40 overflows int64,
+        # though every entry fits it
+        for M in ([[1, 2 ** 40], [2 ** 30, 5]],
+                  [[1, 0, 2 ** 40], [0, 1, 3], [2 ** 30, 7, 5]]):
+            assert _int_matrix(M).dtype == np.int64
+            assert hnf_rows(M) == ref.hnf_rows(M)
+
     def test_outputs_are_python_ints(self):
         M = [[2 ** 40, 3, 0], [5, -7, 2 ** 41], [1, 1, 1]]
         for out in (rcf_nullspace(M), hnf_with_transform(M).u, hnf_rows(M),
@@ -843,6 +919,19 @@ class TestLllInitialize:
         else:
             assert len(seen) > 1
 
+    @pytest.mark.parametrize("top", [5_000_001, 5_500_001])
+    def test_gram_is_exact_on_both_sides_of_2_53(self, top):
+        # 301 odd entries near top: 301 top^2 is below 2^53 for the first,
+        # where 70 rows take 3 x 3 float64 tiles, and above it for the
+        # second, where an odd diagonal sum has no float64 and _matmul runs
+        rnd = random.Random(top)
+        B = np.array([[rnd.choice([-1, 1]) * (top - 2 * rnd.randrange(3))
+                       for _ in range(301)] for _ in range(70)])
+        assert (301 * top ** 2 < 2 ** 53) == (top < 5_400_000)
+        rows = B.tolist()
+        want = [[sum(x * y for x, y in zip(u, v)) for v in rows] for u in rows]
+        assert linalg._gram(B).tolist() == want
+
     def test_stacks_stay_within_chunk(self, monkeypatch):
         rnd = random.Random(3)
         M = random_int_matrix(rnd, 20, 24, -9, 9)
@@ -887,6 +976,22 @@ class TestSortVectors:
     def test_tie_break_is_lexicographic(self):
         vs = [[2, -1, -1, 0], [-1, 0, 2, -1]]
         assert sort_vectors_by_norm(vs) == [[-1, 0, 2, -1], [2, -1, -1, 0]]
+
+    def test_norms_past_int64_are_exact(self):
+        # max|v|^2 len(v) < 2^62 in int64; past it, and past int64 entries,
+        # in Python ints
+        for v in ([3, -4], [2 ** 30, 2 ** 30, 1], [2 ** 31, 0],
+                  [-2 ** 63, 1], [2 ** 70, -3], np.array([5, 12])):
+            want = sum(int(x) ** 2 for x in v)
+            assert squared_norm(v) == want and type(squared_norm(v)) is int
+        vs = [[2 ** 40, 0], [0, -(2 ** 40)], [2 ** 70, 0], [1, 1], [-1, 1]]
+        assert sort_vectors_by_norm(vs) == \
+            sorted(vs, key=lambda v: (sum(x * x for x in v), v))
+
+    def test_same_order_as_sorting_by_python_norms(self, deg7_bases):
+        for vs in deg7_bases:
+            assert sort_vectors_by_norm(vs) == \
+                sorted(vs, key=lambda v: (sum(x * x for x in v), v))
 
 
 class TestIntMatmul:
