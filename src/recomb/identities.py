@@ -221,12 +221,17 @@ def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
     E has C(d,n) distinct rows (one at degree 1), so rank_p(E) <= rank_Q(E)
     <= C(d,n): when the rank mod p reaches C(d,n) it is the rational rank
     and the nullspace dimension is exact over Q.  The columns of E on its
-    subset rows stream through the accumulator block by block.
+    subset rows stream through the accumulator block by block, and the
+    stream stops once the rank reaches C(d,n), the accumulator's width: no
+    later column can raise it, so the early stop changes no answer.
     """
     ctx = get_context(n, d)
-    acc = ModularRankAccumulator(_height(n, d), p)
+    height = _height(n, d)
+    acc = ModularRankAccumulator(height, p)
     for _, rows, coeffs in column_blocks(ctx):
         acc.add_rows(rows, coeffs)
+        if acc.rank() == height:
+            break
     rank = acc.rank()
     return rank, ctx.num_monomials - rank
 

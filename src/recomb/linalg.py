@@ -13,7 +13,8 @@ results are lists of Python ints either way.  The insertion HNF touches
 only the columns that can change: a reduction's product skips the unit
 pivots, where H is zero but in the pivot's own row, and a new pivot row
 updates the rows above it only where it is nonzero; its guards bound |H|
-by a running maximum instead of rescanning it.
+by a running maximum instead of rescanning it, and its pivot structure is
+rebuilt only when a placement changes it.
 
 LLL starts from the integral Gram-Schmidt data d_j and lam_ij (Cohen,
 Alg. 2.6.7), unique to the basis, so computed from residues mod a stack of
@@ -34,7 +35,9 @@ exact integers: a row's entries go in slabs of K, reduced mod p in
 between, and blocks of K rows bound the products' inner dimensions.  The
 dtype is float32 (below 2^24, K = 1644 at p = 101) while K >= 64, that is
 p <= 509, float64 (below 2^53, with p^2 * width < 2^53 besides) for larger
-primes.
+primes.  Reduction mod p is floor division by p, exact in that range with
+no correction step (_mod).  The echelon kernel stops reading a block once
+its rows pivot every free column: the rest lie in their span.
 """
 
 from __future__ import annotations
@@ -278,7 +281,18 @@ def hnf_with_transform(M) -> HnfResult:
     return HnfResult(h.tolist(), u.tolist(), len(pivots), pivots)
 
 
-def _reduce_by(v, H, slot, top) -> np.ndarray:
+def _pivots(H, slot) -> tuple:
+    """(pivot columns of H in order, their rows, their pivot entries).
+
+    Only a placement changes them: the row steps of _place never touch a
+    pivot entry, so hnf_rows rebuilds this once per change of slot.
+    """
+    cols = (slot >= 0).nonzero()[0]
+    rows = slot[cols]
+    return cols, rows, H[rows, cols]
+
+
+def _reduce_by(v, H, piv, top) -> np.ndarray:
     """v minus lattice rows of H, with v[c] in [0, pivot) at every pivot c.
 
     H is fully reduced, so it is zero at every unit pivot column but the
@@ -286,10 +300,9 @@ def _reduce_by(v, H, slot, top) -> np.ndarray:
     the other columns, and the other pivot columns, whose rows are zero at
     unit columns, follow in order.  A running bound |v| + sum |q| top, top
     bounding |H|, keeps each step in int64 while it stays below 2^62.
+    piv is _pivots(H, slot).
     """
-    cols = (slot >= 0).nonzero()[0]
-    rows = slot[cols]
-    a = H[rows, cols]
+    cols, rows, a = piv
     unit = a == 1
     nz = v[cols[unit]].nonzero()[0]
     bound = _absmax(v)              # bounds |v| as the steps go
@@ -312,7 +325,7 @@ def _reduce_by(v, H, slot, top) -> np.ndarray:
     return v
 
 
-def _place(H, slot, s, w, top) -> tuple:
+def _place(H, slot, piv, s, w, top) -> tuple:
     """Make w the pivot row of its leading column c, in row s of H.
 
     w is reduced by H and positive at c, which is not a pivot of H; H is
@@ -320,13 +333,13 @@ def _place(H, slot, s, w, top) -> tuple:
     then at each non-unit pivot right of c (w is zero at the unit ones), a
     step X - f y touching only the columns where y is nonzero.  top bounds
     |H|, so |f| <= top and a step stays in int64 while top (1 + |y|) <
-    2^62.  Returns (H, top).
+    2^62.  piv is _pivots(H, slot).  Returns (H, top).
     """
     c = int(w.nonzero()[0][0])
-    cols = (slot >= 0).nonzero()[0]
-    above, right = slot[cols[cols < c]], cols[cols > c]
+    cols, rows, a = piv
+    above = rows[cols < c]
     wtop = _absmax(w)
-    for p in [c, *right[H[slot[right], right] != 1]]:
+    for p in [c, *cols[(cols > c) & (a != 1)]]:
         y, ytop = (w, wtop) if p == c else (H[slot[p]], top)
         f = H[above, p]
         f = (f if f.dtype == y.dtype else f.astype(object)) // y[p]
@@ -350,16 +363,18 @@ def hnf_rows(M) -> list:
     with the pivot row by an extended gcd where the pivot does not divide
     (Kannan and Bachem).  Entries stay small: 10 bits on the degree-7
     lattice, where eliminating column by column reaches 1,251 bits.  A
-    running bound top on |H| spares the int64 guards a rescan of H.
+    running bound top on |H| spares the int64 guards a rescan of H, and
+    the pivot structure is rebuilt only when a placement changes it.
     """
     A = _int_matrix(M)
     m, n = A.shape
     H = np.zeros((min(m, n), n), dtype=A.dtype)
     slot = np.full(n, -1)       # row of H whose pivot is column c, or -1
     used = top = 0
+    piv = _pivots(H, slot)
     for v in A:
         while True:
-            v = _reduce_by(v, H, slot, top)
+            v = _reduce_by(v, H, piv, top)
             nz = v.nonzero()[0]
             if not nz.size:
                 break
@@ -367,8 +382,9 @@ def hnf_rows(M) -> list:
             s = slot[c]
             if s < 0:
                 if v[c] < 0:
-                    v = _reduce_by(-v, H, slot, top)
-                H, top = _place(H, slot, used, v, top)
+                    v = _reduce_by(-v, H, piv, top)
+                H, top = _place(H, slot, piv, used, v, top)
+                piv = _pivots(H, slot)
                 used += 1
                 break
             # 0 < v[c] < pivot: the gcd row x H[s] + y v replaces the pivot
@@ -379,7 +395,9 @@ def hnf_rows(M) -> list:
             w = _lincomb(x, H[s], (x * a - g) // b, v)
             v = _lincomb(a // g, v, b // g, H[s])
             slot[c] = -1
-            H, top = _place(H, slot, s, _reduce_by(w, H, slot, top), top)
+            piv = _pivots(H, slot)
+            H, top = _place(H, slot, piv, s, _reduce_by(w, H, piv, top), top)
+            piv = _pivots(H, slot)
     return H[slot[slot >= 0]].tolist()
 
 
@@ -684,11 +702,12 @@ def _mod(X: np.ndarray, p) -> np.ndarray:
     """X mod p into [0, p), in place, for a float array or a view of one.
 
     p is an int, or a (t, 1) array of moduli, one for each row of X.
-    Exact for |X| <= 2^24 - p in float32 and |X| <= 2^53 - p in float64:
-    floor(X * (1/p)) can be one off, leaving X - q*p in [-p, 2p), which one
-    step each way corrects, and q*p stays within the exact integers.  This
-    is several times faster than np.fmod or % on the large quotients a
-    product leaves; blocks keep the passes in cache.
+    Exact for integers |X| <= 2^24 - p in float32 and |X| <= 2^53 - p in
+    float64, by q = floor(X / p) alone: X / p is an integer or lies at
+    least 1/p from one, and below 2^m / p half an ulp is less than 1/p, so
+    the rounded quotient never crosses an integer, and q*p stays within the
+    exact integers.  This is several times faster than np.fmod or % on the
+    large quotients a product leaves; blocks keep the passes in cache.
     """
     rows = X[None] if X.ndim == 1 else X
     if not rows.size:
@@ -699,12 +718,10 @@ def _mod(X: np.ndarray, p) -> np.ndarray:
         x = rows[lo:lo + step]
         m = p[lo:lo + step] if isinstance(p, np.ndarray) else p
         t = q[:len(x)]
-        np.multiply(x, 1.0 / m, out=t)
+        np.divide(x, m, out=t)
         np.floor(t, out=t)
         t *= m
         x -= t
-        np.add(x, m, out=x, where=x < 0)
-        np.subtract(x, m, out=x, where=x >= m)
     return X
 
 
@@ -731,6 +748,8 @@ class ModularRankAccumulator:
     against the pivots of the blocks before it, bound the kernel's and the
     merge's inner dimensions by K; a row's entries go in K-entry slabs,
     reduced mod p in between.  p^2 * width < 2^53 is required as well.
+    Once a block's first rows hold a pivot in every free column, the
+    kernel leaves the others unread, since they lie in the span.
     """
 
     def __init__(self, width: int, p: int = 101):
@@ -850,7 +869,9 @@ class ModularRankAccumulator:
         """Echelonise the rows of Y into Y[:len(pivots)]; returns pivots.
 
         Drop zero rows, echelonise the first half, reduce the second half by
-        it, echelonise that, and use it to clear the first.
+        it, echelonise that, and use it to clear the first.  A first half
+        with a pivot in every column spans the whole row space, so the
+        second half, which can add no pivot, is left as it is.
         """
         p = self.p
         alive = Y.any(axis=1)
@@ -863,6 +884,8 @@ class ModularRankAccumulator:
         half = len(Y) // 2
         P1 = self._rref(Y[:half])
         k1 = len(P1)
+        if k1 == Y.shape[1]:
+            return P1
         Y2 = Y[half:]
         if k1:
             Y2 += (p - Y2[:, P1]) @ Y[:k1]
@@ -878,7 +901,8 @@ class ModularRankAccumulator:
         return P1 + P2
 
     def _rref_rows(self, Y: np.ndarray) -> list:
-        """Kernel base case: Gauss-Jordan one row at a time, in place."""
+        """Kernel base case: Gauss-Jordan one row at a time, in place,
+        stopping once every column holds a pivot."""
         p = self.p
         piv: list = []
         for y in Y:
@@ -901,6 +925,8 @@ class ModularRankAccumulator:
                     _mod(Y[:k], p)
             Y[k] = y
             piv.append(j)
+            if len(piv) == len(y):
+                break
         return piv
 
     def _merge(self, R: np.ndarray, P: np.ndarray) -> None:

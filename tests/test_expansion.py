@@ -6,14 +6,19 @@ import numpy as np
 import pytest
 
 import expansion_oracles as oracles
-from recomb import expansion, golden
+from recomb import expansion, golden, identities
 from recomb.expansion import (
     build_expansion_matrix,
     evaluate_identity,
     expand_monomial,
 )
 from recomb.identities import expansion_rank
-from recomb.linalg import nullspace_lattice, rcf, rcf_nullspace
+from recomb.linalg import (
+    ModularRankAccumulator,
+    nullspace_lattice,
+    rcf,
+    rcf_nullspace,
+)
 from recomb.monomials import (
     IdentityCombination,
     MultilinearityError,
@@ -254,3 +259,36 @@ class TestExpansionRank:
         width = get_context(5, 13).num_monomials
         assert expansion_rank(5, 13, 101) == (math.comb(13, 5),
                                                width - math.comb(13, 5))
+
+    def test_ternary_degree11_has_full_rank(self):
+        # the n-ary table's (3,11) row; rank C(11,3) is reached in block 18
+        # of 224, where the stream stops
+        assert expansion_rank(3, 11, 101) == (math.comb(11, 3), 1401235)
+
+    @pytest.mark.parametrize("p", [2, 3, 101, 103])
+    @pytest.mark.parametrize("n,d", [(2, 4), (3, 7), (4, 7), (5, 9), (3, 9)])
+    def test_early_stop_matches_the_full_stream(self, n, d, p):
+        # expansion_rank stops streaming once the rank reaches C(d,n); one
+        # accumulator fed every column block must give the same rank.  At
+        # p = 2 and 3 the rank stays below C(d,n) in most of these cases,
+        # so the stream runs to its end there
+        ctx = get_context(n, d)
+        acc = ModularRankAccumulator(expansion._height(n, d), p)
+        for _, rows, coeffs in expansion.column_blocks(ctx):
+            acc.add_rows(rows, coeffs)
+        rank = acc.rank()
+        assert expansion_rank(n, d, p) == (rank, ctx.num_monomials - rank)
+
+    def test_stream_stops_at_full_rank(self, monkeypatch):
+        # at (3,9) the first of the 4 column blocks already has rank C(9,3)
+        taken = []
+
+        def counted(ctx):
+            for block in expansion.column_blocks(ctx):
+                taken.append(block[0])
+                yield block
+
+        monkeypatch.setattr(identities, "column_blocks", counted)
+        assert expansion_rank(3, 9) == (84, 15316)
+        assert taken == [0]
+        assert len(list(expansion.column_blocks(get_context(3, 9)))) == 4

@@ -424,7 +424,8 @@ class TestModularRankAccumulator:
 
     @pytest.mark.parametrize("p", [2, 3, 101, 103, 13036379])
     def test_mod_is_exact_up_to_2_53(self, p):
-        # the float quotient can be one off near 2^53; both corrections run
+        # near 2^53 half an ulp of x / p comes closest to 1/p; the multiples
+        # of p and their neighbours are the quotients nearest an integer
         rnd = random.Random(p)
         top = 2 ** 53 - p
         xs = [rnd.randint(-top, top) for _ in range(2000)]
@@ -448,7 +449,8 @@ class TestModularRankAccumulator:
 
     @pytest.mark.parametrize("p", [2, 3, 101, 103, 4093])
     def test_mod_is_exact_up_to_2_24_in_float32(self, p):
-        # the float32 quotient can be one off near 2^24; both corrections run
+        # near 2^24 half an ulp of x / p comes closest to 1/p; the multiples
+        # of p and their neighbours are the quotients nearest an integer
         rnd = random.Random(p)
         top = 2 ** 24 - p
         xs = [rnd.randint(-top, top) for _ in range(2000)]
@@ -458,6 +460,17 @@ class TestModularRankAccumulator:
         X = np.array(xs, dtype=np.float32)
         assert _mod(X, p).dtype == np.float32
         assert [int(x) for x in X] == [x % p for x in xs]
+
+    @pytest.mark.parametrize("p", [3, 101, 4093])
+    def test_mod_is_exact_on_every_float32_integer_in_range(self, p):
+        # q = floor(x / p) with no correction step, checked on every integer
+        # |x| <= 2^24 - p, in blocks to keep the arrays small
+        top, step = 2 ** 24 - p, 1 << 22
+        for lo in range(-top, top + 1, step):
+            xs = np.arange(lo, min(lo + step, top + 1), dtype=np.int64)
+            X = xs.astype(np.float32)
+            _mod(X, p)
+            assert np.array_equal(X, xs % p)
 
     @pytest.mark.parametrize("p, dtype, k", [
         (101, np.float32, 1644),
@@ -533,6 +546,41 @@ class TestModularRankAccumulator:
         acc = ModularRankAccumulator(w - 1, p)
         rows = [[p - 1] * (w - 1), list(range(1, w))]
         assert add_dense(acc, rows) == rank_mod_p(rows, p)
+
+    @pytest.mark.parametrize("sparse", [False, True])
+    @pytest.mark.parametrize("seeded", [False, True])
+    @pytest.mark.parametrize("case", ["spanning", "deficient", "last"])
+    @pytest.mark.parametrize("p", [3, 101, 4099])
+    def test_tall_block_whose_first_rows_span_it(self, p, case, seeded,
+                                                 sparse):
+        # 200 rows over 8 columns in one block, which the echelon kernel
+        # halves down to a first base case of 12 rows.  "spanning": 8
+        # independent rows, then combinations of them, so that base case
+        # pivots every column by its eighth row and stops, and each first
+        # half above it spans its block, which returns without the second
+        # half.  "deficient": 6 independent rows and their combinations,
+        # where neither ever happens.  "last": the eighth independent row
+        # comes last, so every first half lacks one pivot.  Seeded, the
+        # accumulator holds two of the rows first, so the block pivots
+        # every free column instead of every column
+        rnd = np.random.default_rng(p)
+        w, r = 8, 6 if case == "deficient" else 8
+        L = np.tril(rnd.integers(-3, 4, (r, r)), -1) + np.eye(r, dtype=int)
+        B = L @ np.hstack([np.eye(r, dtype=int),
+                           rnd.integers(-5, 6, (r, w - r))])
+        B = B[:, rnd.permutation(w)]
+        head = B[:-1] if case == "last" else B
+        M = np.vstack([head, rnd.integers(-3, 4, (200 - r, len(head))) @ head,
+                       B[len(head):]])
+        acc = ModularRankAccumulator(w, p)
+        if seeded:
+            add_dense(acc, B[[4, 0]])
+        if sparse:
+            acc.add_rows(*sparse_rows(M.tolist(), random.Random(p)))
+        else:
+            add_dense(acc, M)
+        assert acc.rank() == rank_mod_p(M.tolist(), p) == r
+        assert not (M @ acc.kernel() % p).any()
 
     @settings(max_examples=60, deadline=None)
     @given(p=PRIMES, M=int_matrices(), data=st.data())
