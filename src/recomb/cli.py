@@ -131,7 +131,7 @@ def main(argv=None) -> int:
         if args.command == "generators":
             p = (args.prime if args.prime is not None
                  else golden.scalars()["default_prime"])
-            _check_prime(p, args.degree, args.arity)
+            _check_prime(p, args.degree)
             _, vs = _nullspace_vectors(args.arity, args.degree, args.basis)
             gens = generator_sieve(vs, args.arity, args.degree, p)
             if not vs:

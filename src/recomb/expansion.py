@@ -49,7 +49,6 @@ from .monomials import (
     get_context,
     is_leaf,
     leaves,
-    row_codes,
     tree_from,
 )
 
@@ -132,13 +131,15 @@ def _height(n: int, d: int) -> int:
 
 
 def _subset_rows(n: int, d: int, tuples) -> np.ndarray:
-    """Row of the sorted n-subset of each slot tuple, subsets in lex order.
-    At degree 1 the tuple (0, ..., 0) has code 0 and takes row 0."""
-    index = np.zeros(d ** n, dtype=np.int64)
-    subsets = np.array(list(itertools.combinations(range(d), n)),
-                       dtype=np.int64).reshape(-1, n)
-    index[row_codes(subsets, d)] = np.arange(len(subsets))
-    return index[row_codes(np.sort(tuples, axis=-1), d)]
+    """Row of the sorted n-subset of each slot tuple, subsets in lex order:
+    C(d,n) - 1 - sum_i C(d-1-s_i, n-i) for the subset s_0 < ... < s_{n-1}.
+    At degree 1 the tuple (0, ..., 0) takes row 0."""
+    s = np.sort(tuples, axis=-1)
+    if d < n:
+        return np.zeros(s.shape[:-1], dtype=np.int64)
+    comb = np.array([[math.comb(a, k) for k in range(n + 1)]
+                     for a in range(d)], dtype=np.int64)
+    return math.comb(d, n) - 1 - comb[d - 1 - s, np.arange(n, 0, -1)].sum(-1)
 
 
 def column_blocks(ctx: DegreeContext):

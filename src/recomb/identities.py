@@ -24,29 +24,26 @@ import numpy as np
 
 from . import golden
 from .expansion import _height, column_blocks, evaluate_identity
-from .linalg import ModularRankAccumulator, _is_prime, squared_norm
+from .linalg import ModularRankAccumulator, _check_modulus, squared_norm
 from .monomials import DegreeContext, IdentityCombination, get_context, relabel
 
 
-def _check_prime(p: int, d: int | None, n: int | None = None) -> None:
+def _check_prime(p: int, d: int | None) -> None:
     """Module ranks are taken mod a prime p > d: the seminormal entries
     divide by axial distances 1..d-1, and p > d does not divide d!, so
     F_p[S_d] is semisimple and p does not divide |Aut T| either.  With d
-    None only the size and the primality are checked.  The size comes
-    first: every accumulator needs p^2 < 2^53, and trial division of a
-    larger p would take minutes.  Given n, p^2 times the number of
-    monomials, which bounds the width sum M_lam <= sum d_lam M_lam of the
-    module ranks' accumulator, must stay below 2^53 too."""
+    None only the accumulators' rule is checked: p prime with p^2 < 2^53
+    (_check_modulus), the size before the primality."""
     if d is not None and p <= d:
         raise ValueError(f"need a prime p > degree, got p={p}, d={d}")
-    if p * p >= 2 ** 53:
-        raise ValueError(f"p = {p} is too large: ranks mod p need p^2 < 2^53")
-    width = get_context(n, d).num_monomials if n and d else 1
-    if p * p * width >= 2 ** 53:
-        raise ValueError(f"p = {p} is too large: ranks mod p at arity {n}, "
-                         f"degree {d} need p^2 * {width} < 2^53")
-    if not _is_prime(p):
-        raise ValueError(f"p = {p} is not prime")
+    _check_modulus(p)
+
+
+def _second_prime(p: int) -> int:
+    """The prime that confirms a rank found mod p: the golden check prime
+    (103), or the default prime (101) when p is the check prime."""
+    sc = golden.scalars()
+    return sc["check_prime"] if p != sc["check_prime"] else sc["default_prime"]
 
 
 def _permuted_rows(ctx: DegreeContext, terms: list, sigmas) -> tuple:
@@ -274,9 +271,7 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
 
     def shortfall_verdict(dims):
         """A span short of the nullspace, checked at a second prime."""
-        q = golden.scalars()["check_prime"]
-        if p == q:
-            q = golden.scalars()["default_prime"]
+        q = _second_prime(p)
         agree = (expansion_rank(n, d, q)[1] == null_dim
                  and _consequence_dims(ctx, consequences, q) == dims)
         return "new identities" if agree else "inconclusive"

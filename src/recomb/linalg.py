@@ -34,10 +34,11 @@ sum takes more than K of them, where K p^2 + p stays within the dtype's
 exact integers: a row's entries go in slabs of K, reduced mod p in
 between, and blocks of K rows bound the products' inner dimensions.  The
 dtype is float32 (below 2^24, K = 1644 at p = 101) while K >= 64, that is
-p <= 509, float64 (below 2^53, with p^2 * width < 2^53 besides) for larger
-primes.  Reduction mod p is floor division by p, exact in that range with
-no correction step (_mod).  The echelon kernel stops reading a block once
-its rows pivot every free column: the rest lie in their span.
+p <= 509, float64 (below 2^53) for larger primes, up to the largest with
+p^2 < 2^53, where K = 1.  The width never enters exactness.  Reduction mod
+p is floor division by p, exact in that range with no correction step
+(_mod).  The echelon kernel stops reading a block once its rows pivot
+every free column: the rest lie in their span.
 """
 
 from __future__ import annotations
@@ -237,23 +238,23 @@ def hnf_with_transform(M) -> HnfResult:
 
     H satisfies: zeros left of each pivot, pivots >= 1, entries above a pivot
     reduced into [0, pivot), zero rows at the bottom.  H is unique; U is not.
-    Column by column, remainder rounds shrink the entries below the pivot
-    row until one is left; above-pivot entries are reduced as soon as each
+    The column steps run on [M | I], which they turn into [H | U].  Column
+    by column, remainder rounds shrink the entries below the pivot row
+    until one is left; above-pivot entries are reduced as soon as each
     pivot settles, which keeps the transform entries small.  Each round's
     row operations use one fixed pivot row, so they run as one array step.
     """
     h = _int_matrix(M)
     m, n = h.shape
-    u = np.eye(m, dtype=np.int64)
+    h = np.hstack([h, np.eye(m, dtype=np.int64)])
     pivots = []
 
     def reduce_rows(rows, q, r):
-        nonlocal h, u
+        nonlocal h
         sel = np.flatnonzero(q)
         if sel.size:
-            rows, q = rows[sel], q[sel][:, None]
-            h = _put(h, rows, _lincomb(1, h[rows], q, h[r]))
-            u = _put(u, rows, _lincomb(1, u[rows], q, u[r]))
+            rows = rows[sel]
+            h = _put(h, rows, _lincomb(1, h[rows], q[sel][:, None], h[r]))
 
     for c in range(n):
         r = len(pivots)
@@ -267,7 +268,6 @@ def hnf_with_transform(M) -> HnfResult:
             i0 = r + int(live[np.argmin(np.abs(col[live]))])
             if i0 != r:
                 h[[r, i0]] = h[[i0, r]]
-                u[[r, i0]] = u[[i0, r]]
             if live.size == 1:
                 break
             # floor keeps remainders in [0, |a|)
@@ -275,10 +275,9 @@ def hnf_with_transform(M) -> HnfResult:
         if h[r, c]:
             if h[r, c] < 0:
                 h[r] = -h[r]
-                u[r] = -u[r]
             reduce_rows(np.arange(r), h[:r, c] // h[r, c], r)
             pivots.append(c)
-    return HnfResult(h.tolist(), u.tolist(), len(pivots), pivots)
+    return HnfResult(h[:, :n].tolist(), h[:, n:].tolist(), len(pivots), pivots)
 
 
 def _pivots(H, slot) -> tuple:
@@ -429,6 +428,16 @@ _GS_TERMS = (1 << 11) - 1
 
 def _is_prime(p: int) -> bool:
     return p >= 2 and all(p % q for q in range(2, math.isqrt(p) + 1))
+
+
+def _check_modulus(p: int) -> None:
+    """Ranks mod p need a prime p with p^2 < 2^53: a residue product must be
+    an exact float64 integer.  The size comes first, since trial division
+    of a larger p would take minutes."""
+    if p * p >= 2 ** 53:
+        raise ValueError(f"p = {p} is too large: ranks mod p need p^2 < 2^53")
+    if not _is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
 
 
 def _primes():
@@ -744,20 +753,17 @@ class ModularRankAccumulator:
     plus K terms stays exact and in _mod's range while K p^2 <= 2^m - p,
     with 2^m = 2^24 in float32 and 2^53 in float64.  The dtype is float32
     when K >= _FLOAT32_MIN_TERMS = 64 there (p <= 509), else float64, and
-    K = (2^m - p) // p^2 (1644 at p = 101).  Blocks of K rows, each reduced
-    against the pivots of the blocks before it, bound the kernel's and the
-    merge's inner dimensions by K; a row's entries go in K-entry slabs,
-    reduced mod p in between.  p^2 * width < 2^53 is required as well.
-    Once a block's first rows hold a pivot in every free column, the
-    kernel leaves the others unread, since they lie in the span.
+    K = (2^m - p) // p^2 (1644 at p = 101, 1 at the largest p, 94,906,249).
+    Blocks of K rows, each reduced against the pivots of the blocks before
+    it, bound the kernel's and the merge's inner dimensions by K; a row's
+    entries go in K-entry slabs, reduced mod p in between.  So the width
+    never enters exactness, and p need only be prime with p^2 < 2^53
+    (_check_modulus).  Once a block's first rows hold a pivot in every free
+    column, the kernel leaves the others unread, since they lie in the span.
     """
 
-    def __init__(self, width: int, p: int = 101):
-        if p * p * max(width, 1) >= 2 ** 53:
-            raise ValueError(f"p = {p} is too large for width {width}: "
-                             "exact float64 products need p^2 * width < 2^53")
-        if not _is_prime(p):
-            raise ValueError(f"p = {p} is not prime")
+    def __init__(self, width: int, p: int):
+        _check_modulus(p)
         self.width = width
         self.p = p
         float32 = (2 ** 24 - p) // (p * p) >= _FLOAT32_MIN_TERMS

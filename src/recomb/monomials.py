@@ -220,29 +220,11 @@ def enumerate_canonical_types(n: int, d: int) -> tuple:
     if d == 1:
         return (LEAF,)
 
-    # children: nondecreasing (by shape_key) sequences of smaller types
-    child_degrees = [k for k in range(1, d) if (k - 1) % (n - 1) == 0]
-    pool = []
-    for k in child_degrees:
-        pool.extend(enumerate_canonical_types(n, k))
-    pool.sort(key=shape_key)
-
-    found = []
-
-    def rec(start: int, left: int, budget: int, acc: list) -> None:
-        if left == 0:
-            if budget == 0:
-                found.append(tuple(acc))
-            return
-        for i in range(start, len(pool)):
-            k = shape_degree(pool[i])
-            if k > budget - (left - 1):
-                continue
-            acc.append(pool[i])
-            rec(i, left - 1, budget - k, acc)
-            acc.pop()
-
-    rec(0, n, d, [])
+    # children: nondecreasing (by shape_key) n-tuples of smaller types
+    pool = sorted((s for k in range(1, d, n - 1)
+                   for s in enumerate_canonical_types(n, k)), key=shape_key)
+    found = [kids for kids in itertools.combinations_with_replacement(pool, n)
+             if sum(map(shape_degree, kids)) == d]
     return tuple(sorted(found, key=shape_key))
 
 

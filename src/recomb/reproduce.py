@@ -14,6 +14,7 @@ from . import golden
 from .expansion import build_expansion_matrix
 from .identities import (
     _check_prime,
+    _second_prime,
     expansion_rank,
     generator_sieve,
     lift_identity,
@@ -81,8 +82,8 @@ def _short(x, limit=60):
 def run_scope(scope: str, *, p: int | None = None) -> Report:
     sc = golden.scalars()
     p = p if p is not None else sc["default_prime"]
-    # module ranks and the closure need p > d and room for (3, d) as well
-    _check_prime(p, {"deg7": 7, "deg9-closure": 9}.get(scope), 3)
+    # module ranks and the closure need p > d
+    _check_prime(p, {"deg7": 7, "deg9-closure": 9}.get(scope))
     if scope == "binary":
         return _binary(sc)
     if scope == "deg5":
@@ -220,7 +221,7 @@ def _deg9_rank(sc, p) -> Report:
     rank, null_dim = expansion_rank(3, 9, p)
     rep.add(f"rank mod {p}", sc["expansion_rank"]["n3_d9"], rank)
     rep.add("nullspace dimension", sc["nullspace_dim"]["n3_d9"], null_dim)
-    q = sc["check_prime"] if p != sc["check_prime"] else sc["default_prime"]
+    q = _second_prime(p)
     rep.add(f"rank mod {q}", sc["expansion_rank"]["n3_d9"],
             expansion_rank(3, 9, q)[0])
     return rep

@@ -229,30 +229,18 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["reproduce", "deg7"],
-        ["generators", "-n", "3", "-d", "7", "--basis", "hnf-lll"],
-        ["generators", "-n", "3", "-d", "7", "--basis", "rcf"]])
-    def test_p_too_large_for_the_widest_accumulator_exits_2_first(
-            self, capsys, monkeypatch, argv):
-        # p is prime and p^2 < 2^53, but the module ranks' accumulators at
-        # (3,7) have up to 280 columns: refused before any nullspace
-        p = 94906249
-        assert p * p < 2 ** 53 <= p * p * 4
-
-        def unreachable(*args):
-            raise AssertionError("nullspace computed before p was checked")
-
-        for module in ("recomb.cli", "recomb.reproduce"):
-            monkeypatch.setattr(f"{module}.nullspace_lattice", unreachable)
-            monkeypatch.setattr(f"{module}.rcf_nullspace", unreachable)
-        monkeypatch.setattr("recomb.reproduce.build_expansion_matrix",
-                            unreachable)
-        assert main(argv + ["-p", str(p)]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == (f"error: p = {p} is too large: ranks mod p "
-                                "at arity 3, degree 7 need p^2 * 280 < 2^53\n")
+    def test_large_prime_prints_the_generators_of_p_101(self, capsys):
+        # p^2 * 280 >= 2^53 at (3,7), which the accumulators never needed:
+        # no sum of theirs takes more than K = (2^53 - p) // p^2 products
+        p = 10000019
+        assert p * p * 280 >= 2 ** 53
+        outs = []
+        for prime in (101, p):
+            assert main(["generators", "-n", "3", "-d", "7",
+                         "-p", str(prime)]) == 0
+            outs.append(capsys.readouterr().out)
+        assert outs[0].count("squared norm") > 1
+        assert outs[1] == outs[0].replace("(p = 101)", f"(p = {p})")
 
     def test_reproduce_deg9_rank_at_two_primes(self, capsys):
         # at the default p = 101 the acceptance transcript pins the output

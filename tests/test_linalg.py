@@ -404,8 +404,8 @@ class TestModularRankAccumulator:
 
         monkeypatch.setattr(linalg, "_is_prime", unreachable)
         p = 2 ** 61 - 1
-        with pytest.raises(ValueError, match=f"p = {p} is too large for "
-                                             "width 84"):
+        with pytest.raises(ValueError, match=f"p = {p} is too large: ranks "
+                                             r"mod p need p\^2 < 2\^53"):
             ModularRankAccumulator(84, p)
 
     def test_rejects_rows_of_another_width(self):
@@ -530,22 +530,30 @@ class TestModularRankAccumulator:
         assert add(2 * M.sum(axis=0)) == 0
         assert add(rnd.integers(0, p, r + m)) == 1
 
-    def test_exactness_guard_bounds_p_squared_width(self):
+    @pytest.mark.parametrize("sparse", [False, True])
+    def test_exact_at_the_largest_prime_past_any_width(self, sparse):
         # Subtractions are done as a + (p - b) * c with p - b up to p, so a
-        # sum of width terms reaches about p^2 * width, not (p-1)^2 * width.
-        # Find a prime p with (p-1)^2 * w < 2^53 <= p^2 * w.
-        w = 2
-        while True:
-            p = math.isqrt(-(-2 ** 53 // w) - 1) + 1   # least p, p^2 w >= 2^53
-            if all(p % q for q in range(2, math.isqrt(p) + 1)):
-                break
-            w += 1
-        assert (p - 1) ** 2 * w < 2 ** 53
-        with pytest.raises(ValueError, match=f"p = {p} is too large"):
-            ModularRankAccumulator(w, p)
-        acc = ModularRankAccumulator(w - 1, p)
-        rows = [[p - 1] * (w - 1), list(range(1, w))]
-        assert add_dense(acc, rows) == rank_mod_p(rows, p)
+        # term reaches p^2 - p.  At the largest prime with p^2 < 2^53, K = 1:
+        # rows go in one at a time and entries one per slab, so the ranks
+        # stay exact at widths where p^2 * width passes 2^53 many times over
+        p = 94906249
+        top = math.isqrt(2 ** 53 - 1)      # largest integer with top^2 < 2^53
+        assert [q for q in range(p, top + 1) if linalg._is_prime(q)] == [p]
+        rnd = random.Random(p)
+        for w in (2, 5, 40):
+            rows = [[p - 1] * w, list(range(1, w + 1))]
+            rows += [[rnd.choice([0, 1, p - 1, rnd.randrange(p)])
+                      for _ in range(w)] for _ in range(w // 2 + 1)]
+            rows.append([(a + (p - 1) * b) % p
+                         for a, b in zip(rows[-1], rows[-2])])
+            acc = ModularRankAccumulator(w, p)
+            assert acc._k == 1
+            if sparse:
+                acc.add_rows(*sparse_rows(rows, rnd))
+            else:
+                add_dense(acc, rows)
+            assert acc.rank() == rank_mod_p(rows, p)
+            assert not (np.array(rows, dtype=object) @ acc.kernel() % p).any()
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("seeded", [False, True])
