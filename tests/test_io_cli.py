@@ -229,15 +229,18 @@ class TestCli:
             assert captured.out == ""
             assert captured.err.startswith("error: ")
 
-    def test_large_prime_prints_the_generators_of_p_101(self, capsys):
+    @pytest.mark.parametrize("argv", [
+        ["reproduce", "deg7"],
+        ["generators", "-n", "3", "-d", "7", "--basis", "hnf-lll"],
+        ["generators", "-n", "3", "-d", "7", "--basis", "rcf"]])
+    def test_large_prime_prints_what_p_101_prints(self, capsys, argv):
         # p^2 * 280 >= 2^53 at (3,7), which the accumulators never needed:
         # no sum of theirs takes more than K = (2^53 - p) // p^2 products
         p = 10000019
         assert p * p * 280 >= 2 ** 53
         outs = []
         for prime in (101, p):
-            assert main(["generators", "-n", "3", "-d", "7",
-                         "-p", str(prime)]) == 0
+            assert main(argv + ["-p", str(prime)]) == 0
             outs.append(capsys.readouterr().out)
         assert outs[0].count("squared norm") > 1
         assert outs[1] == outs[0].replace("(p = 101)", f"(p = {p})")
