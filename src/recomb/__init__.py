@@ -11,7 +11,6 @@ lift identities across degrees.
 from .expansion import (
     ExpansionMatrix,
     build_expansion_matrix,
-    evaluate_identity,
     expand_monomial,
 )
 from .identities import (

@@ -44,7 +44,6 @@ import numpy as np
 
 from .monomials import (
     DegreeContext,
-    IdentityCombination,
     MultilinearityError,
     get_context,
     is_leaf,
@@ -73,9 +72,9 @@ def _child_weights(node, n: int) -> list:
 
 def _template(tree, n: int) -> tuple:
     """(subsets, coefficients) of a monomial's expansion: the n-subsets with
-    one leaf of each root child, in root-child order, and the products of
-    their leaf weights.  Every ordering of a subset has its coefficient.
-    A lone variable x has the one tuple (x, ..., x)."""
+    one leaf of each root child, each sorted, and the products of their
+    leaf weights.  Every ordering of a subset has its coefficient.  A lone
+    variable x has the one tuple (x, ..., x)."""
     if is_leaf(tree):
         return [(tree,) * n], [1]
     lvs = leaves(tree)
@@ -84,7 +83,7 @@ def _template(tree, n: int) -> tuple:
     kids = _child_weights(tree, n)
     subsets = list(itertools.product(*kids))
     coeffs = [math.prod(w[y] for w, y in zip(kids, s)) for s in subsets]
-    return subsets, coeffs
+    return [tuple(sorted(s)) for s in subsets], coeffs
 
 
 def expand_monomial(tree, n: int) -> dict:
@@ -95,30 +94,13 @@ def expand_monomial(tree, n: int) -> dict:
             for t in itertools.permutations(s)}
 
 
-def evaluate_identity(idc: IdentityCombination) -> dict:
-    """Signed expansion of a combination; the combination is an identity iff
-    the result is empty."""
-    acc: dict = {}
-    for tree, coeff in idc.terms.items():
-        for tup, c in expand_monomial(tree, idc.n).items():
-            val = acc.get(tup, 0) + coeff * c
-            if val:
-                acc[tup] = val
-            else:
-                acc.pop(tup, None)
-    return acc
-
-
 # elements of E per block of columns, bounding the builders' temporaries
 _BLOCK = 1 << 20
 
 
 def _subset_template(shape, n: int, d: int) -> tuple:
-    """(sorted n-subsets in lex order, coefficients) of a type's template.
-
-    The template's leaves are 0..d-1 in order, so each root child's leaves
-    exceed the previous child's and every subset comes out sorted.
-    """
+    """(sorted n-subsets in lex order, coefficients) of a type's template:
+    its leaves are 0..d-1 in order, so the root children's blocks increase."""
     subsets, coeffs = _template(tree_from(shape, range(d)), n)
     return (np.array(subsets, dtype=np.int64).reshape(-1, n),
             np.array(coeffs, dtype=np.int64))

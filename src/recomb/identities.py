@@ -18,12 +18,13 @@ deg9-closure workload, and goes when that workload times the exact closure.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import golden
-from .expansion import _height, column_blocks, evaluate_identity
+from .expansion import _height, _template, column_blocks
 from .linalg import ModularRankAccumulator, _check_modulus, squared_norm
 from .monomials import DegreeContext, IdentityCombination, get_context, relabel
 
@@ -80,6 +81,11 @@ def _module_dims(ctx: DegreeContext, vectors, p: int):
         yield irr.dimension(acc)
 
 
+def _combination_dims(ctx: DegreeContext, ids, p: int) -> list:
+    """Module dimension mod p after each combination in turn."""
+    return list(_module_dims(ctx, [ctx.vector_of(idc) for idc in ids], p))
+
+
 def module_rank(ids, p: int = 101) -> int:
     """Dimension mod p of the S_d-module spanned by the given identities."""
     ids = list(ids)
@@ -90,8 +96,7 @@ def module_rank(ids, p: int = 101) -> int:
     for idc in ids:
         if (idc.n, idc.degree) != (n, d):
             raise ValueError("mixed arities or degrees")
-    ctx = get_context(n, d)
-    return list(_module_dims(ctx, [ctx.vector_of(idc) for idc in ids], p))[-1]
+    return _combination_dims(get_context(n, d), ids, p)[-1]
 
 
 @dataclass
@@ -110,9 +115,9 @@ def generator_sieve(vectors, n: int, d: int, p: int = 101) -> list:
     number of vectors, the nullspace dimension for a nullspace basis.
     """
     _check_prime(p, d)
-    vectors = [list(map(int, v)) for v in vectors]
+    vectors = list(vectors)
     ctx = get_context(n, d)
-    dims = _module_dims(ctx, [[x % p for x in v] for v in vectors], p)
+    dims = _module_dims(ctx, vectors, p)
     out: list = []
     rank = 0
     for pos, (vec, new_rank) in enumerate(zip(vectors, dims), start=1):
@@ -130,7 +135,7 @@ def single_generator(vectors, n: int, d: int, p: int = 101) -> int | None:
     """1-based position of the first vector whose S_d-module alone has
     dimension len(vectors), or None."""
     _check_prime(p, d)
-    vectors = [[int(x) % p for x in v] for v in vectors]
+    vectors = list(vectors)
     if not vectors:
         return None
     irr = get_context(n, d).irreducibles(p)
@@ -233,12 +238,6 @@ def expansion_rank(n: int, d: int, p: int = 101) -> tuple:
     return rank, ctx.num_monomials - rank
 
 
-def _consequence_dims(ctx: DegreeContext, consequences, p: int) -> list:
-    """Module dimension mod p after each consequence in turn."""
-    return list(_module_dims(ctx, [ctx.vector_of(idc) for idc in consequences],
-                             p))
-
-
 def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
                       mode: str = "exact", seed: int = 0,
                       max_samples: int | None = None) -> ClosureResult:
@@ -273,11 +272,11 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
         """A span short of the nullspace, checked at a second prime."""
         q = _second_prime(p)
         agree = (expansion_rank(n, d, q)[1] == null_dim
-                 and _consequence_dims(ctx, consequences, q) == dims)
+                 and _combination_dims(ctx, consequences, q) == dims)
         return "new identities" if agree else "inconclusive"
 
     if mode == "exact":
-        dims = _consequence_dims(ctx, consequences, p)
+        dims = _combination_dims(ctx, consequences, p)
         final = dims[-1] if dims else 0
         verdict = ("no new identities" if final == null_dim
                    else shortfall_verdict(dims))
@@ -312,5 +311,13 @@ def new_identity_test(d: int, known, p: int = 101, *, n: int | None = None,
 
 
 def verify_identity(idc: IdentityCombination) -> int:
-    """Number of residual slot tuples after expansion (0 iff identity)."""
-    return len(evaluate_identity(idc))
+    """Number of residual slot tuples after expansion (0 iff identity):
+    n! for each n-subset whose coefficients sum to nonzero, since by the
+    closed form (recomb.expansion) all orderings of a subset share its
+    coefficient, or 1 for the lone variable's tuple below degree n."""
+    acc: dict = {}
+    for tree, coeff in idc.terms.items():
+        for s, c in zip(*_template(tree, idc.n)):
+            acc[s] = acc.get(s, 0) + coeff * c
+    orderings = math.factorial(idc.n) if idc.degree >= idc.n else 1
+    return orderings * sum(1 for c in acc.values() if c)

@@ -707,6 +707,15 @@ _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 _FLOAT32_MIN_TERMS = 64
 
 
+def _residues(x, p: int) -> np.ndarray:
+    """Integers x mod p as int64, exact at any size: input that does not
+    fit int64 is reduced as Python ints, never cast to float."""
+    try:
+        return np.asarray(x, dtype=np.int64) % p
+    except OverflowError:
+        return (np.array(x, dtype=object) % p).astype(np.int64)
+
+
 def _mod(X: np.ndarray, p) -> np.ndarray:
     """X mod p into [0, p), in place, for a float array or a view of one.
 
@@ -801,13 +810,14 @@ class ModularRankAccumulator:
         """Reduce sparse rows; returns the number of new pivots.
 
         cols and coeffs broadcast to one (N, t) shape, row i holding
-        coeffs[i, j] in column cols[i, j]; a 1-d shape is one row.  Repeated
-        columns in a row are summed and zero coefficients skipped, so a dense
-        matrix M goes in as add_rows(np.arange(width), M).  Column indices
-        outside 0..width-1 raise ValueError.
+        coeffs[i, j] in column cols[i, j]; a 1-d shape is one row.  Integer
+        coefficients of any size are reduced mod p exactly.  Repeated columns
+        in a row are summed and zero coefficients skipped, so a dense matrix
+        M goes in as add_rows(np.arange(width), M).  Column indices outside
+        0..width-1 raise ValueError.
         """
         cols, coeffs = map(np.atleast_2d, np.broadcast_arrays(
-            np.asarray(cols, dtype=np.int64), coeffs))
+            np.asarray(cols, dtype=np.int64), _residues(coeffs, self.p)))
         if cols.size and not 0 <= cols.min() <= cols.max() < self.width:
             raise ValueError(f"columns must lie in 0..{self.width - 1}")
         k = self._k
@@ -832,7 +842,7 @@ class ModularRankAccumulator:
         p, k, f = self.p, self._k, len(self._free)
         if not f:
             return 0
-        v = _mod(np.array(coeffs, dtype=np.float64), p).astype(self._dtype)
+        v = coeffs.astype(self._dtype)
         pos = self._pos[cols]
         piv = (pos < 0) & (v != 0)
         order = np.argsort(~piv, axis=1, kind="stable")

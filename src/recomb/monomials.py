@@ -229,18 +229,6 @@ def enumerate_canonical_types(n: int, d: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def automorphism_order(shape) -> int:
-    """Order of the symmetry group of a shape (repeated-children factor)."""
-    if shape == LEAF:
-        return 1
-    total = 1
-    for child, group in itertools.groupby(shape):
-        size = len(list(group))
-        total *= math.factorial(size) * automorphism_order(child) ** size
-    return total
-
-
-@lru_cache(maxsize=None)
 def _sort_plan(shape) -> tuple:
     """Sorts that straighten leaf rows of a canonical shape, children first.
 
@@ -248,6 +236,10 @@ def _sort_plan(shape) -> tuple:
     starting at column lo: a run of equal-shape children.  Children of a
     canonical shape are in shape order, so only such runs can be out of
     order, and distinct variables make the first leaf decide between blocks.
+
+    The plan is also the shape's symmetry group Aut: a run of k copies of a
+    child gives S_k over Aut of each copy, so Aut has order prod k! over the
+    steps and is generated by the swaps of adjacent blocks in every step.
     """
     plan, lo = [], 0
     for child, group in itertools.groupby(shape if shape != LEAF else ()):
@@ -258,6 +250,13 @@ def _sort_plan(shape) -> tuple:
             plan.append((lo, k, s))
         lo += k * s
     return tuple(plan)
+
+
+@lru_cache(maxsize=None)
+def automorphism_order(shape) -> int:
+    """Order of the symmetry group Aut of a shape: prod k! over the steps
+    (lo, k, s) of its sort plan."""
+    return math.prod(math.factorial(k) for _, k, _ in _sort_plan(shape))
 
 
 def straighten_many(shape, leaf_rows) -> np.ndarray:
@@ -333,8 +332,9 @@ def enumerate_monomial_leaves(shape, _cache: dict | None = None) -> np.ndarray:
     rows canonical).  The candidates are all such choices, d!/prod|Aut(child)|
     of them, and the canonical rows are those straightening leaves fixed:
     equal-type children must come in order of their first leaves.  Their
-    number must be d!/|Aut(shape)|.  `_cache` shares the children's rows
-    between calls.
+    number must be d!/|Aut(shape)|.  The first row is 0..d-1, canonical
+    (equal-type siblings get increasing blocks) and lex smallest.  `_cache`
+    shares the children's rows between calls.
     """
     if shape == LEAF:
         return np.zeros((1, 1), dtype=np.int8)

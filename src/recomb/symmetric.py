@@ -10,8 +10,9 @@ v of the monomial space spans a submodule of dimension
     sum over lam of d_lam * rank B_lam(v),
     B_lam(v) = [sum over c of type T of v_c rho(sigma_c) P_T]  (T = 1, 2, ...),
 
-where sigma_c moves m_T onto monomial c, and the columns of P_T (d_lam x
-M_T) are a basis of the vectors that rho(Aut T) fixes; several elements
+where sigma_c moves m_T onto monomial c (m_T has leaves 0..d-1, so sigma_c
+is c's leaf row), and the columns of P_T (d_lam x M_T) are a basis of the
+vectors that rho(Aut T) fixes; several elements
 span the dimension given by the ranks of their stacked B_lam.  B(v) has
 sum d_lam rows over sum M_lam columns (127 x 18 at (3,7), 1764 x 157 at
 (3,9)) in place of the d! rows of an orbit.
@@ -28,12 +29,10 @@ j and j+1 (`_bubble`), all sigmas in lockstep.
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
-from .linalg import ModularRankAccumulator
-from .monomials import LEAF, shape_degree
+from .linalg import ModularRankAccumulator, _residues
+from .monomials import _sort_plan, shape_degree
 
 
 def partitions(d: int) -> list:
@@ -88,28 +87,13 @@ def _seminormal(lam, p: int) -> tuple:
 
 
 def _aut_generators(shape) -> list:
-    """Leaf-position permutations that generate Aut of a canonical shape.
-
-    Per run of equal sibling subtrees, the swaps of adjacent sibling
-    blocks and the generators of the run's first child (the other
-    children's are their conjugates by the swaps), recursively.
-    """
-    if shape == LEAF:
-        return []
+    """Leaf-position permutations that generate Aut of a canonical shape:
+    the swaps of adjacent blocks in each step (lo, k, s) of its sort plan
+    (see recomb.monomials._sort_plan)."""
     d = shape_degree(shape)
-    gens, lo = [], 0
-    for child, group in itertools.groupby(shape):
-        k, s = len(list(group)), shape_degree(child)
-        for g in _aut_generators(child):
-            perm = np.arange(d)
-            perm[lo:lo + s] = lo + g
-            gens.append(perm)
-        for a in range(lo, lo + (k - 1) * s, s):
-            perm = np.arange(d)
-            perm[a:a + 2 * s] = np.roll(perm[a:a + 2 * s], s)
-            gens.append(perm)
-        lo += k * s
-    return gens
+    return [np.r_[:a, a + s:a + 2 * s, a:a + s, a + 2 * s:d]
+            for lo, k, s in _sort_plan(shape)
+            for a in range(lo, lo + (k - 1) * s, s)]
 
 
 def _bubble(sigmas) -> list:
@@ -177,7 +161,7 @@ def _fixed_space(steps, table, p: int) -> np.ndarray:
             break
         Y = _act(g, table, X[None].copy(), p)[0] - X
         acc = ModularRankAccumulator(X.shape[1], p)
-        acc.add_rows(np.arange(X.shape[1]), Y % p)
+        acc.add_rows(np.arange(X.shape[1]), Y)
         X = _dot(X, acc.kernel(), p)
     return X
 
@@ -217,23 +201,16 @@ class Irreducibles:
     """
 
     def __init__(self, ctx, p: int):
-        d = ctx.d
         # no reference to ctx, which holds this: a cycle would keep a
         # dropped context alive until the next garbage collection
         self.p, self._offsets = p, ctx.offsets
         self._leaf_rows = ctx.leaves_by_type
-        steps = []          # per type: one bubble sort per Aut generator
-        for shape, leaf_rows in zip(ctx.types, ctx.leaves_by_type):
-            first = leaf_rows[0].astype(np.int64)
-            gens = []
-            for g in _aut_generators(shape):
-                var = np.empty(d, dtype=np.int64)
-                var[first] = first[g]
-                gens.append(_bubble([var]))
-            steps.append(gens)
+        # per type: one bubble sort per Aut generator (of m_T's variables)
+        steps = [[_bubble([g]) for g in _aut_generators(shape)]
+                 for shape in ctx.types]
         irreps = []         # (table, d_lam, [P_T for each type]), M_lam > 0
         total = 0
-        for lam in partitions(d):
+        for lam in partitions(ctx.d):
             table = _seminormal(lam, p)
             f = table[0].shape[1]
             Ps = [_fixed_space(g, table, p) for g in steps]
@@ -270,19 +247,17 @@ class Irreducibles:
         """Coefficients of the block rows of each row of V, in order, on
         `columns`.
 
-        V is (k, #monomials) integer.  rho(sigma_c) P_T is computed once
-        for each column c that some row uses.
+        V is (k, #monomials) integer, of any size.  rho(sigma_c) P_T is
+        computed once for each column c that some row uses.
         """
         p = self.p
-        V = np.asarray(V, dtype=np.int64) % p
+        V = _residues(V, p)
         used = np.flatnonzero(V.any(axis=0))
         per_type = []
         for ti, (table, start, dst) in enumerate(self._types):
             lo, hi = self._offsets[ti], self._offsets[ti + 1]
             cols = used[(used >= lo) & (used < hi)]
-            leaf_rows = self._leaf_rows[ti]
-            sigmas = np.empty((len(cols), leaf_rows.shape[1]), dtype=np.int8)
-            sigmas[:, leaf_rows[0]] = leaf_rows[cols - lo]
+            sigmas = self._leaf_rows[ti][cols - lo]
             X = _act(_bubble(sigmas), table, np.tile(start, (len(cols), 1)), p)
             per_type.append((cols, X, dst))
         for v in V:

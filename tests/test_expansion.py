@@ -9,7 +9,6 @@ import expansion_oracles as oracles
 from recomb import expansion, golden, identities
 from recomb.expansion import (
     build_expansion_matrix,
-    evaluate_identity,
     expand_monomial,
 )
 from recomb.identities import expansion_rank
@@ -20,7 +19,6 @@ from recomb.linalg import (
     rcf_nullspace,
 )
 from recomb.monomials import (
-    IdentityCombination,
     MultilinearityError,
     get_context,
     parse_bracket,
@@ -167,20 +165,6 @@ class TestMatrix:
             for i, tup in enumerate(ctx.slot_tuples):
                 i2 = slot_index[tuple(sigma[x] for x in tup)]
                 assert E24.array[i2, k] == E24.array[i, j]
-
-
-class TestEvaluateIdentity:
-    def test_binary_recombination_vanishes(self):
-        assert not evaluate_identity(golden.load_identity("binary_recombination"))
-
-    def test_reduced_binary_vanishes(self):
-        assert not evaluate_identity(
-            golden.load_identity("binary_recombination_reduced"))
-
-    def test_non_identity(self):
-        one = IdentityCombination.from_terms(3, [(1, parse_bracket("[a,b,c]"))])
-        residual = evaluate_identity(one)
-        assert len(residual) == 6
 
 
 def column_reference(ctx, j):

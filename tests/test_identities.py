@@ -1,5 +1,6 @@
 import random
 
+import expansion_oracles
 import identities_oracles as oracle
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from recomb.identities import (
 from recomb.linalg import rcf_nullspace, sort_vectors_by_norm, squared_norm
 from recomb.monomials import (
     DegreeContext,
+    IdentityCombination,
     apply_permutation,
     get_context,
+    parse_bracket,
     straighten,
 )
 
@@ -47,6 +50,47 @@ class TestGoldenIdentities:
         for name in ("reduced_generator_1", "reduced_generator_2",
                      "ternary_recombination"):
             assert set(map(abs, named[name].terms.values())) == {1}
+
+
+def slot_tuple_residual(idc) -> int:
+    """Nonzero slot tuples of a combination's expansion, each monomial
+    expanded node by node."""
+    acc: dict = {}
+    for tree, coeff in idc.terms.items():
+        for tup, c in expansion_oracles.expand_monomial(tree, idc.n).items():
+            acc[tup] = acc.get(tup, 0) + coeff * c
+    return sum(1 for c in acc.values() if c)
+
+
+class TestVerifyIdentity:
+    def test_binary_recombination_vanishes(self, named):
+        assert verify_identity(named["binary_recombination"]) == 0
+
+    def test_reduced_binary_vanishes(self, named):
+        assert verify_identity(named["binary_recombination_reduced"]) == 0
+
+    def test_non_identity(self):
+        one = IdentityCombination.from_terms(3, [(1, parse_bracket("[a,b,c]"))])
+        assert verify_identity(one) == 6
+
+    @pytest.mark.parametrize("n,d", [(2, 1), (3, 1), (2, 4), (2, 5), (3, 5),
+                                     (3, 7), (4, 7)])
+    def test_residual_counts_the_slot_tuple_expansion(self, n, d, named):
+        # random combinations, and each golden identity of this degree
+        # less one of its terms, which leaves a partial cancellation
+        rnd = random.Random(d)
+        monomials = get_context(n, d).monomials
+        combos = [IdentityCombination.from_terms(
+            n, [(rnd.randint(-2, 2), m) for m in
+                rnd.sample(monomials, min(6, len(monomials)))], d)
+            for _ in range(10)]
+        for idc in named.values():
+            if (idc.n, idc.degree) == (n, d):
+                tree, lead = idc.sorted_terms()[0]
+                combos.append(IdentityCombination.from_terms(
+                    n, [(c, t) for t, c in idc.terms.items()] + [(-lead, tree)]))
+        for idc in combos:
+            assert verify_identity(idc) == slot_tuple_residual(idc)
 
 
 class TestModuleRank:
@@ -163,6 +207,24 @@ class TestGeneratorSieve:
         rank1 = module_rank([ctx.combination_of(ns[0])])
         gens = generator_sieve([ns[0]], 2, 4)
         assert len(gens) == 1 and gens[0].cumulative_rank == rank1
+
+    @pytest.mark.parametrize("n,d", [(2, 5), (3, 7)])
+    def test_multiples_of_p_far_beyond_int64_change_nothing(self, n, d):
+        # the scans reduce their input mod p exactly, at any size
+        p = 101
+        ns = sort_vectors_by_norm(rcf_nullspace(
+            build_expansion_matrix(n, d).subset_rows))
+        rnd = random.Random(d)
+        big = [list(v) for v in ns]
+        for v in big:
+            v[rnd.randrange(len(v))] += p * 2 ** 70
+
+        def scan(vectors):
+            gens = generator_sieve(vectors, n, d, p)
+            return ([(g.position, g.cumulative_rank) for g in gens],
+                    identities.single_generator(vectors, n, d, p))
+
+        assert scan(big) == scan(ns)
 
     def test_one_dimensional_orbit_yields_single_generator(self):
         # the all-ones vector is permutation-invariant: 1-dim module span

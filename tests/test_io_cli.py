@@ -352,6 +352,25 @@ def test_package_imports_only_the_standard_library_and_numpy():
                 f"{path.name} imports {top}"
 
 
+def test_package_modules_use_every_name_they_import():
+    # __init__ imports to re-export: its __all__ is every name it holds
+    package = Path(__file__).resolve().parent.parent / "src" / "recomb"
+    unused = []
+    for path in sorted(package.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        bound = {(alias.asname or alias.name).split(".")[0]
+                 for node in ast.walk(tree)
+                 if isinstance(node, (ast.Import, ast.ImportFrom))
+                 and getattr(node, "module", None) != "__future__"
+                 for alias in node.names}
+        used = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(bound - used)]
+    assert unused == []
+
+
 def test_test_extra_lists_what_the_tests_import():
     # `pip install .[test]` must bring every package the suite imports
     root = Path(__file__).resolve().parent.parent

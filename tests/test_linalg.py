@@ -393,6 +393,19 @@ class TestModularRankAccumulator:
         assert acc.add_rows(2, 1) == 0
         assert acc.add_rows(1, 1) == 1
 
+    @pytest.mark.parametrize("big", [2 ** 60 + 1, 2 ** 62 - 57,
+                                     np.int64(2 ** 62 + 3), 2 ** 63 + 1,
+                                     2 ** 64 + 7, -2 ** 70 - 1])
+    def test_integer_coefficients_are_reduced_exactly(self, big):
+        # a float64 cast before the reduction rounds integers above 2^53,
+        # and the same row given by its residues would then add a pivot
+        p = 101
+        for rows in ([big, 1], [[big, 1], [big, 1]],
+                     np.array([[big, 1]], dtype=object)):
+            acc = ModularRankAccumulator(2, p)
+            assert acc.add_rows([0, 1], rows) >= 1
+            assert acc.add_rows([0, 1], [int(big) % p, 1]) == 0
+
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             ModularRankAccumulator(5, 100)

@@ -10,7 +10,13 @@ from recomb.identities import (
     new_identity_test,
 )
 from recomb.linalg import ModularRankAccumulator
-from recomb.monomials import DegreeContext, get_context
+from recomb.monomials import (
+    DegreeContext,
+    automorphism_order,
+    enumerate_canonical_types,
+    get_context,
+    straighten_many,
+)
 from recomb.symmetric import partitions, standard_tableaux
 
 
@@ -77,6 +83,35 @@ class TestSeminormalForm:
         for j in range(d - 1):
             assert rho(trivial, j, p).tolist() == [[1]]
             assert rho(sign, j, p).tolist() == [[p - 1]]
+
+
+# every type of these degrees; (4,10) and (5,9) hold the largest groups
+AUT_DEGREES = [(2, 4), (2, 5), (2, 6), (2, 7), (2, 8), (3, 3), (3, 5), (3, 7),
+               (3, 9), (4, 7), (4, 10), (5, 9)]
+
+
+class TestAutomorphisms:
+    @pytest.mark.parametrize("n,d", AUT_DEGREES)
+    def test_first_leaf_row_is_0_to_d_minus_1(self, n, d):
+        # Irreducibles takes monomial c's leaf row as the sigma_c that
+        # moves the first monomial of its type onto it
+        for rows in get_context(n, d).leaves_by_type:
+            assert rows[0].tolist() == list(range(d))
+
+    @pytest.mark.parametrize("n,d", AUT_DEGREES)
+    def test_generators_give_a_group_of_the_automorphism_order(self, n, d):
+        identity = tuple(range(d))
+        for shape in enumerate_canonical_types(n, d):
+            gens = [tuple(g) for g in symmetric._aut_generators(shape)]
+            # each generator maps the monomial with leaves 0..d-1 to itself
+            for g in gens:
+                assert straighten_many(shape, [g])[0].tolist() == list(identity)
+            group, frontier = {identity}, [identity]
+            while frontier:
+                new = {tuple(h[i] for i in g) for h in frontier for g in gens}
+                frontier = list(new - group)
+                group |= new
+            assert len(group) == automorphism_order(shape), shape
 
 
 class TestIrreducibles:
