@@ -66,12 +66,20 @@ def _absmax(a) -> int:
     return max(int(a.max()), -int(a.min())) if a.size else 0
 
 
+def _integer(x) -> int:
+    """x as a Python int; ValueError unless x is integral."""
+    n = int(x)
+    if n != x:
+        raise ValueError(f"non-integral entry {x!r}")
+    return n
+
+
 def _int_matrix(M) -> np.ndarray:
     """M as a new 2-d integer array: int64 when every entry is below 2^62,
-    else dtype=object holding Python ints.  Entries go through int()."""
+    else dtype=object holding Python ints; non-integral entries raise."""
     A = np.asarray(M)
     if A.dtype.kind not in "biu":
-        A = np.array([[int(x) for x in row] for row in M], dtype=object)
+        A = np.array([[_integer(x) for x in row] for row in M], dtype=object)
     if A.ndim != 2:
         return np.zeros((len(A), 0), dtype=np.int64)
     return A.astype(np.int64 if _absmax(A) < _SAFE else object, order="C")
@@ -108,13 +116,8 @@ def _put(A, idx, X) -> np.ndarray:
 
 def squared_norm(v) -> int:
     """Sum of squares: in int64 while max|v|^2 len(v) < 2^62."""
-    try:
-        a = np.fromiter(v, dtype=np.int64)
-        if _absmax(a) ** 2 * len(a) < _SAFE:
-            return int(a @ a)
-    except (OverflowError, TypeError):
-        pass
-    return sum(int(x) * int(x) for x in v)
+    a = _int_matrix([v])[0]
+    return int(_matmul(a, a))
 
 
 def sort_vectors_by_norm(vectors):
@@ -153,7 +156,7 @@ def _echelon(M) -> tuple:
     if np.asarray(M).dtype == object:      # Fractions or big ints
         scaled = []
         for row in M:
-            row = [x if isinstance(x, Fraction) else Fraction(int(x))
+            row = [x if isinstance(x, Fraction) else Fraction(_integer(x))
                    for x in row]
             L = math.lcm(*(x.denominator for x in row))
             scaled.append([int(x * L) for x in row])

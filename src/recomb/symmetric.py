@@ -24,7 +24,10 @@ column t and, when |r| > 1, at column s_j t the entry 1 if j lies in a
 lower row than j+1 in t, else 1 - 1/r^2.  The denominators are axial
 distances 1..d-1, so p > d keeps every entry a residue.  rho(sigma) for a
 stack of sigma applies rho(s_j) in the order a bubble sort of sigma swaps
-j and j+1 (`_bubble`), all sigmas in lockstep.
+j and j+1 (`_bubble`), all sigmas in lockstep.  Each lam's table of
+rho(s_j) is built once, at (d-1, d_lam), and shared by every type: `_act`
+applies it to the P_T of all sigmas, stacked (N, d_lam, M_T), and
+broadcasts it over the M_T columns.
 """
 
 from __future__ import annotations
@@ -119,15 +122,15 @@ def _bubble(sigmas) -> list:
 def _act(steps, table, X: np.ndarray, p: int) -> np.ndarray:
     """X[i] <- rho(sigma_i) X[i] in place, for the sigmas of `steps`.
 
-    X is (N, R, ...) with the rows of rho's basis on axis 1, and `table`
-    is (diag, partner, off) for that basis.
+    X is (N, d_lam, M): M vectors of lam's basis per sigma, d_lam rows
+    each, and `table` is lam's own (diag, partner, off), which broadcasts
+    over the M columns.
     """
     diag, partner, off = table
-    shape = (-1,) + (1,) * (X.ndim - 2)
     for j, rows in steps:
         Y = X[rows]
-        X[rows] = (diag[j].reshape(shape) * Y
-                   + off[j].reshape(shape) * Y[:, partner[j]]) % p
+        X[rows] = (diag[j, :, None] * Y
+                   + off[j, :, None] * Y[:, partner[j]]) % p
     return X
 
 
@@ -144,48 +147,24 @@ def _dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
 def _fixed_space(steps, table, p: int) -> np.ndarray:
     """Basis (d_lam x M) mod p of the vectors that every rho(g) fixes.
 
-    Leading generators s_0, ..., s_{k-1} (the leaf swaps of every shape's
-    first leaf-only node) generate S_{k+1} on 0..k, and the seminormal
-    basis is adapted to S_1 < S_2 < ...: their fixed vectors are the e_t
-    with 0..k in the first row, r = 1 for every j < k.  Then one g (one
-    bubble sort in `steps`) at a time: X spans what the g before fix, and
-    g keeps X K, where K spans the kernel of (rho(g) - I) X.
+    `table` is lam's, shared by every type.  Leading generators s_0, ...,
+    s_{k-1} (the leaf swaps of every shape's first leaf-only node) generate
+    S_{k+1} on 0..k, and the seminormal basis is adapted to S_1 < S_2 < ...:
+    their fixed vectors are the e_t with 0..k in the first row, r = 1 for
+    every j < k.  Those e_t span X, and the rest fix X K, where K spans the
+    kernel of (rho(g) - I) X stacked over the other g (one bubble sort in
+    `steps` each), whose zero rows are skipped.
     """
     diag = table[0]
     k = 0
     while k < len(steps) and len(steps[k]) == 1 and steps[k][0][0] == k:
         k += 1
     X = np.eye(diag.shape[1], dtype=np.int64)[:, (diag[:k] == 1).all(axis=0)]
+    acc = ModularRankAccumulator(X.shape[1], p)
     for g in steps[k:]:
-        if not X.shape[1]:
-            break
         Y = _act(g, table, X[None].copy(), p)[0] - X
-        acc = ModularRankAccumulator(X.shape[1], p)
-        acc.add_rows(np.arange(X.shape[1]), Y)
-        X = _dot(X, acc.kernel(), p)
-    return X
-
-
-def _flatten(parts) -> tuple:
-    """One type's flat basis, the sum over lam of S^lam (x) F^M_lam.
-
-    `parts` holds (table of lam, P (d_lam x M_lam), positions of P's
-    entries in a block) for each lam; returns the basis's (diag, partner,
-    off) table, its vector of the P and their positions.
-    """
-    diag, partner, off, start, dst = [], [], [], [], []
-    base = 0
-    for (dg, pt, of), P, pos in parts:
-        f, m = P.shape
-        diag.append(np.repeat(dg, m, axis=1))
-        partner.append(base + (pt[:, :, None] * m + np.arange(m)).reshape(
-            len(pt), f * m))
-        off.append(np.repeat(of, m, axis=1))
-        start.append(P.ravel())
-        dst.append(pos.ravel())
-        base += f * m
-    return ((np.hstack(diag), np.hstack(partner), np.hstack(off)),
-            np.concatenate(start), np.concatenate(dst))
+        acc.add_rows(np.arange(X.shape[1]), Y[Y.any(axis=1)])
+    return _dot(X, acc.kernel(), p)
 
 
 class Irreducibles:
@@ -197,7 +176,10 @@ class Irreducibles:
     sparse rows, `columns` (rows x the largest M_lam, padded with zero
     coefficients) with the coefficients `blocks` yields.  `weight` is d_lam
     for each column, so the dimension of the module that the block rows in
-    an accumulator span is the weight of its pivot columns.
+    an accumulator span is the weight of its pivot columns.  Each lam's
+    (diag, partner, off) table is built once, at (d-1, d_lam), and shared
+    by every type: type T keeps, per lam with M_{T,lam} > 0, that table,
+    P_T and the positions of P_T's entries in a block.
     """
 
     def __init__(self, ctx, p: int):
@@ -208,57 +190,56 @@ class Irreducibles:
         # per type: one bubble sort per Aut generator (of m_T's variables)
         steps = [[_bubble([g]) for g in _aut_generators(shape)]
                  for shape in ctx.types]
-        irreps = []         # (table, d_lam, [P_T for each type]), M_lam > 0
-        total = 0
+        irreps = []         # (table, [P_T for each type]), M_lam > 0
         for lam in partitions(ctx.d):
             table = _seminormal(lam, p)
-            f = table[0].shape[1]
             Ps = [_fixed_space(g, table, p) for g in steps]
-            m = sum(P.shape[1] for P in Ps)
-            total += f * m
-            if m:
-                irreps.append((table, f, Ps))
-        if total != ctx.num_monomials:
-            raise RuntimeError(f"fixed spaces of Aut give sum d_lam M_lam = "
-                               f"{total}, expected {ctx.num_monomials}")
-        dims = [f for _, f, _ in irreps]
-        mult = [sum(P.shape[1] for P in Ps) for _, _, Ps in irreps]
+            if any(P.size for P in Ps):
+                irreps.append((table, Ps))
+        dims = np.array([len(Ps[0]) for _, Ps in irreps])
+        ms = np.array([[P.shape[1] for P in Ps] for _, Ps in irreps])
+        for ti, (got, want) in enumerate(zip(dims @ ms, ctx.type_counts)):
+            if got != want:
+                raise RuntimeError(
+                    f"fixed spaces of Aut give sum d_lam M_lam = {got} for "
+                    f"type {ti} {ctx.types[ti]}, expected {want}")
+        mult = ms.sum(axis=1)
         self.weight = np.repeat(dims, mult)
         self.width = len(self.weight)
-        span = max(mult)
-        first = np.repeat(np.cumsum([0] + mult[:-1]), dims)
+        span = mult.max()
+        first = np.repeat(np.cumsum(mult) - mult, dims)
         # columns past M_lam get zero coefficients; any valid index will do
         self.columns = np.minimum(first[:, None] + np.arange(span),
                                   self.width - 1)
-        parts = [[] for _ in ctx.types]
-        row = 0
-        for table, f, Ps in irreps:
-            col = 0
-            for ti, P in enumerate(Ps):
-                m = P.shape[1]
-                if m:
-                    pos = (row + np.arange(f))[:, None] * span + col
-                    parts[ti].append((table, P, pos + np.arange(m)))
-                col += m
-            row += f
-        self._types = [_flatten(pp) for pp in parts]
+        self._types = [[] for _ in ctx.types]
+        for (table, Ps), row, cols in zip(irreps, np.cumsum(dims) - dims,
+                                          np.cumsum(ms, axis=1) - ms):
+            for parts, P, col in zip(self._types, Ps, cols):
+                if P.size:
+                    pos = (row + np.arange(len(P)))[:, None] * span + col
+                    parts.append((table, P, pos + np.arange(P.shape[1])))
 
     def blocks(self, V):
         """Coefficients of the block rows of each row of V, in order, on
         `columns`.
 
         V is (k, #monomials) integer, of any size.  rho(sigma_c) P_T is
-        computed once for each column c that some row uses.
+        computed once for each column c that some row uses, one lam at a time.
         """
-        p = self.p
+        p, n = self.p, self._offsets[-1]
         V = _residues(V, p)
+        if V.ndim != 2 or V.shape[1] != n:
+            raise ValueError(f"vectors of shape {V.shape}, expected (k, {n})")
         used = np.flatnonzero(V.any(axis=0))
         per_type = []
-        for ti, (table, start, dst) in enumerate(self._types):
+        for ti, parts in enumerate(self._types):
             lo, hi = self._offsets[ti], self._offsets[ti + 1]
             cols = used[(used >= lo) & (used < hi)]
-            sigmas = self._leaf_rows[ti][cols - lo]
-            X = _act(_bubble(sigmas), table, np.tile(start, (len(cols), 1)), p)
+            steps = _bubble(self._leaf_rows[ti][cols - lo])
+            X = np.hstack([_act(steps, table, np.tile(P, (len(cols), 1, 1)),
+                                p).reshape(len(cols), P.size)
+                           for table, P, _ in parts])
+            dst = np.concatenate([pos.ravel() for _, _, pos in parts])
             per_type.append((cols, X, dst))
         for v in V:
             B = np.zeros(self.columns.size, dtype=np.int64)

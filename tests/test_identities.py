@@ -226,6 +226,16 @@ class TestGeneratorSieve:
 
         assert scan(big) == scan(ns)
 
+    @pytest.mark.parametrize("width", [200, 281])
+    @pytest.mark.parametrize("scan", [generator_sieve,
+                                      identities.single_generator])
+    def test_vectors_of_the_wrong_width_are_refused(self, scan, width):
+        # (3,7) has 280 monomials: cut or padded vectors are not read
+        ns = rcf_nullspace(build_expansion_matrix(3, 7).subset_rows)[:5]
+        vs = [(v + [0] * width)[:width] for v in ns]
+        with pytest.raises(ValueError, match=r"expected \(k, 280\)"):
+            scan(vs, 3, 7)
+
     def test_one_dimensional_orbit_yields_single_generator(self):
         # the all-ones vector is permutation-invariant: 1-dim module span
         ones = [1] * 15

@@ -371,6 +371,28 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_every_function_defined_in_the_package_is_referenced():
+    # a function or method (dunders aside) that nothing in the package, a
+    # benchmark or a demo names, by a call, an attribute or a reference,
+    # is dead code
+    root = Path(__file__).resolve().parent.parent
+    package = sorted((root / "src" / "recomb").glob("*.py"))
+    trees = [ast.parse(path.read_text()) for path in [
+        *package, *(root / "benchmarks").glob("*.py"),
+        *(root / "demos").glob("*.py")]]
+    referenced = {node.id if isinstance(node, ast.Name) else node.attr
+                  for tree in trees for node in ast.walk(tree)
+                  if isinstance(node, (ast.Name, ast.Attribute))}
+    unreferenced = [f"{path.name}: {node.name}"
+                    for path, tree in zip(package, trees)
+                    for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef)
+                    and not (node.name.startswith("__")
+                             and node.name.endswith("__"))
+                    and node.name not in referenced]
+    assert unreferenced == []
+
+
 def test_test_extra_lists_what_the_tests_import():
     # `pip install .[test]` must bring every package the suite imports
     root = Path(__file__).resolve().parent.parent

@@ -1070,3 +1070,50 @@ class TestIntMatmul:
         B = [[big, 0], [1, big]]
         out = int_matmul(A, B)
         assert out == [[big * big + 1, big], [big, big * big]]
+
+
+# every exact kernel that takes an integer matrix, applied to M
+INTEGER_KERNELS = {
+    "rcf": rcf,
+    "rcf_nullspace": rcf_nullspace,
+    "hnf_rows": hnf_rows,
+    "hnf_with_transform": hnf_with_transform,
+    "nullspace_lattice": nullspace_lattice,
+    "lattices_equal_left": lambda M: lattices_equal(M, [[0, 1]]),
+    "lattices_equal_right": lambda M: lattices_equal([[0, 1]], M),
+    "lll_reduce": lll_reduce,
+    "sort_vectors_by_norm": sort_vectors_by_norm,
+    "int_matmul_left": lambda M: int_matmul(M, [[1], [1]]),
+    "int_matmul_right": lambda M: int_matmul([[1]], M),
+    "squared_norm": lambda M: squared_norm(M[0]),
+}
+
+
+class TestNonIntegralInput:
+    # an entry with int(x) != x is refused rather than truncated
+    @pytest.mark.parametrize("name", INTEGER_KERNELS)
+    @pytest.mark.parametrize("M", [
+        [[0.5, 1.0]],
+        np.array([[0.5, 1.0]]),
+        [[2 ** 70, 0.5]],
+        np.array([[Fraction(1, 2), 0.5]], dtype=object),
+    ], ids=["list", "float_array", "big_int_and_float", "fraction_and_float"])
+    def test_refused(self, name, M):
+        with pytest.raises(ValueError, match="non-integral"):
+            INTEGER_KERNELS[name](M)
+
+    @pytest.mark.parametrize("name", sorted(set(INTEGER_KERNELS)
+                                            - {"rcf", "rcf_nullspace"}))
+    def test_fractions_refused_outside_the_rcf(self, name):
+        # the RCF works over Q; the lattice kernels need integers
+        with pytest.raises(ValueError, match="non-integral"):
+            INTEGER_KERNELS[name](
+                np.array([[1, Fraction(1, 2)]], dtype=object))
+
+    def test_integral_floats_and_fractions_still_work(self):
+        assert rcf([[2.0, 4.0]]) == rcf([[2, 4]])
+        assert rcf([[Fraction(1, 2), 1]]) == rcf([[1, 2]])
+        assert rcf_nullspace(np.array([[2.0, 4.0]])) == [[-2, 1]]
+        assert hnf_rows([[Fraction(4), 6.0]]) == [[4, 6]]
+        assert squared_norm([3.0, Fraction(4)]) == 25
+        assert int_matmul([[2.0]], [[3]]) == [[6]]

@@ -134,6 +134,18 @@ class TestIrreducibles:
         with pytest.raises(RuntimeError, match="sum d_lam M_lam"):
             DegreeContext(3, 7).irreducibles(101)
 
+    def test_missing_generator_of_one_type_names_that_type(self,
+                                                           monkeypatch):
+        # the totals of the other types hold; type 1's alone is wrong
+        real = symmetric._aut_generators
+        ctx = DegreeContext(3, 7)
+        shape = ctx.types[1]
+        monkeypatch.setattr(symmetric, "_aut_generators", lambda s:
+                            real(s)[:-1] if s == shape else real(s))
+        with pytest.raises(RuntimeError,
+                           match=rf"type 1 .*expected {ctx.type_counts[1]}"):
+            ctx.irreducibles(101)
+
     @pytest.mark.parametrize("n,d,rows,width", [(3, 7, 127, 18),
                                                 (3, 9, 1764, 157)])
     def test_blocks_of_the_sizes_stated(self, n, d, rows, width):
