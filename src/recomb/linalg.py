@@ -31,8 +31,9 @@ pass per entry position across the whole block.  Echelonising and merging
 are matrix products run through BLAS.  All of it is exact because every
 subtraction is done as an addition of nonnegative terms below p^2 and no
 sum takes more than K of them, where K p^2 + p stays within the dtype's
-exact integers: a row's entries go in slabs of K, reduced mod p in
-between, and blocks of K rows bound the products' inner dimensions.  The
+exact integers (_residue_type, shared with recomb.symmetric): a row's
+entries go in slabs of K, reduced mod p in between, and blocks of K rows
+bound the products' inner dimensions, as _matmul_mod bounds its own.  The
 dtype is float32 (below 2^24, K = 1644 at p = 101) while K >= 64, that is
 p <= 509, float64 (below 2^53) for larger primes, up to the largest with
 p^2 < 2^53, where K = 1.  The width never enters exactness.  Reduction mod
@@ -711,12 +712,42 @@ _FLOAT32_MIN_TERMS = 64
 
 
 def _residues(x, p: int) -> np.ndarray:
-    """Integers x mod p as int64, exact at any size: input that does not
-    fit int64 is reduced as Python ints, never cast to float."""
-    try:
-        return np.asarray(x, dtype=np.int64) % p
-    except OverflowError:
-        return (np.array(x, dtype=object) % p).astype(np.int64)
+    """Integers x mod p as int64, exact at any size; a non-integral entry
+    raises ValueError.  A float array below 2^52 is reduced by _mod, and
+    what int64 may not hold entry by entry, as is a list that numpy reads
+    as floats, which would round its big ints."""
+    a = np.asarray(x)
+    if np.can_cast(a.dtype, np.int64):
+        return np.asarray(a, dtype=np.int64) % p
+    if (isinstance(x, np.ndarray) and a.dtype.kind == "f"
+            and np.abs(a).max(initial=0) < 2 ** 52):
+        bad = a != np.floor(a)
+        if bad.any():
+            raise ValueError(f"non-integral entry {a[bad][0]!r}")
+        return _mod(a.astype(np.float64).ravel(), p).astype(
+            np.int64).reshape(a.shape)
+    return np.array([_integer(v) % p for v in np.array(x, dtype=object).flat],
+                    dtype=np.int64).reshape(a.shape)
+
+
+def _residue_type(p: int) -> tuple:
+    """(dtype, K) of residues mod p: a residue plus K products below p^2
+    is exact and in _mod's range while K p^2 <= 2^m - p, 2^m = 2^24 in
+    float32, 2^53 in float64; float32 while its K >= _FLOAT32_MIN_TERMS."""
+    k = (2 ** 24 - p) // (p * p)
+    if k >= _FLOAT32_MIN_TERMS:
+        return np.float32, k
+    return np.float64, (2 ** 53 - p) // (p * p)
+
+
+def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
+    """A @ B mod p for residues of _residue_type(p), K terms per sum."""
+    k = _residue_type(p)[1]
+    out = A[..., :k] @ B[:k]
+    for a in range(k, A.shape[-1], k):
+        _mod(out, p)
+        out += A[..., a:a + k] @ B[a:a + k]
+    return _mod(out, p)
 
 
 def _mod(X: np.ndarray, p) -> np.ndarray:
@@ -760,28 +791,22 @@ class ModularRankAccumulator:
     clears the new pivots from C, whose columns are then compacted out in
     place.
 
-    Residues in [0, p) are floats for BLAS.  a - b*c is done as
-    a + (p - b)*c, so every term is nonnegative and below p^2, and a residue
-    plus K terms stays exact and in _mod's range while K p^2 <= 2^m - p,
-    with 2^m = 2^24 in float32 and 2^53 in float64.  The dtype is float32
-    when K >= _FLOAT32_MIN_TERMS = 64 there (p <= 509), else float64, and
-    K = (2^m - p) // p^2 (1644 at p = 101, 1 at the largest p, 94,906,249).
-    Blocks of K rows, each reduced against the pivots of the blocks before
-    it, bound the kernel's and the merge's inner dimensions by K; a row's
-    entries go in K-entry slabs, reduced mod p in between.  So the width
-    never enters exactness, and p need only be prime with p^2 < 2^53
-    (_check_modulus).  Once a block's first rows hold a pivot in every free
-    column, the kernel leaves the others unread, since they lie in the span.
+    Residues in [0, p) are floats for BLAS, of _residue_type(p)'s dtype and
+    K (1644 at p = 101, 1 at the largest p, 94,906,249).  a - b*c is done as
+    a + (p - b)*c, so every term is nonnegative and below p^2.  Blocks of K
+    rows, each reduced against the pivots of the blocks before it, bound
+    the kernel's and the merge's inner dimensions by K; a row's entries go
+    in K-entry slabs, reduced mod p in between.  So the width never enters
+    exactness, and p need only be prime with p^2 < 2^53 (_check_modulus).
+    Once a block's first rows hold a pivot in every free column, the kernel
+    leaves the others unread, since they lie in the span.
     """
 
     def __init__(self, width: int, p: int):
         _check_modulus(p)
         self.width = width
         self.p = p
-        float32 = (2 ** 24 - p) // (p * p) >= _FLOAT32_MIN_TERMS
-        exact = 2 ** 24 if float32 else 2 ** 53
-        self._dtype = np.float32 if float32 else np.float64
-        self._k = (exact - p) // (p * p)    # terms one exact sum may take
+        self._dtype, self._k = _residue_type(p)
         self._piv = np.empty(0, dtype=np.int64)
         self._free = np.arange(width, dtype=np.int64)
         # column c is free column pos[c] when pos[c] >= 0, else the pivot

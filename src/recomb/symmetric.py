@@ -28,14 +28,19 @@ j and j+1 (`_bubble`), all sigmas in lockstep.  Each lam's table of
 rho(s_j) is built once, at (d-1, d_lam), and shared by every type: `_act`
 applies it to the P_T of all sigmas, stacked (N, d_lam, M_T), and
 broadcasts it over the M_T columns.
+
+Residues are the accumulator's floats (linalg._residue_type), reduced by
+linalg._mod and multiplied by linalg._matmul_mod.  An `_act` step sums two
+products, so it needs K >= 2 or one more reduction (float64, p > ~2^26).
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .linalg import ModularRankAccumulator, _residues
-from .monomials import _sort_plan, shape_degree
+from .linalg import (ModularRankAccumulator, _matmul_mod, _mod,
+                     _residue_type, _residues)
+from .monomials import _sort_plan, row_codes, shape_degree
 
 
 def partitions(d: int) -> list:
@@ -66,27 +71,23 @@ def _seminormal(lam, p: int) -> tuple:
     """rho(s_j) of Young's seminormal form mod p, j = 0..d-2.
 
     Returns (diag, partner, off), each (d-1, d_lam): row t of rho(s_j) is
-    diag[j, t] at column t plus off[j, t] at column partner[j, t].
+    diag[j, t] at column t plus off[j, t] at column partner[j, t].  The
+    tableaux come in lexicographic order, so their row_codes are sorted and
+    searchsorted finds each s_j t, t with entries j and j+1 swapped.
     """
-    rows = standard_tableaux(lam).astype(np.int64)
+    rows = standard_tableaux(lam)
     f, d = rows.shape
-    cols = np.zeros_like(rows)
-    for x in range(1, d):
-        cols[:, x] = (rows[:, :x] == rows[:, x:x + 1]).sum(axis=1)
-    content = cols - rows
-    index = {w.tobytes(): i for i, w in enumerate(rows)}
-    diag, partner, off = (np.zeros((max(d - 1, 0), f), dtype=np.int64)
-                          for _ in range(3))
-    for j in range(d - 1):
-        r = content[:, j + 1] - content[:, j]
-        inv = np.array([pow(int(x), -1, p) for x in r], dtype=np.int64)
-        diag[j] = inv
-        swapped = rows.copy()
-        swapped[:, [j, j + 1]] = rows[:, [j + 1, j]]
-        partner[j] = [index.get(w.tobytes(), t) for t, w in enumerate(swapped)]
-        off[j] = np.where(rows[:, j] > rows[:, j + 1], 1, (1 - inv * inv) % p)
-        off[j, np.abs(r) == 1] = 0
-    return diag, partner, off
+    # content = column - row, the column of x counting x's row before x
+    col = np.tril(rows[:, :, None] == rows[:, None], -1).sum(axis=2)
+    i = (np.diff(col - rows) + d - 1).T     # inv[i] = 1/r
+    inv = np.array([pow(x, -1, p) if x else 0 for x in range(1 - d, d)],
+                   dtype=_residue_type(p)[0])
+    swap = np.arange(d) + np.eye(d - 1, d, 0, int) - np.eye(d - 1, d, 1, int)
+    codes, key = row_codes(rows, len(lam)), row_codes(rows[:, swap], len(lam))
+    t = np.minimum(np.searchsorted(codes, key.T), f - 1)
+    # 1 - 1/r^2 is 0 at r = +-1, where s_j t is not standard
+    off = np.where(np.diff(rows).T < 0, 1, _mod(1 - inv * inv, p)[i])
+    return inv[i], np.where(codes[t] == key.T, t, np.arange(f)), off
 
 
 def _aut_generators(shape) -> list:
@@ -124,24 +125,19 @@ def _act(steps, table, X: np.ndarray, p: int) -> np.ndarray:
 
     X is (N, d_lam, M): M vectors of lam's basis per sigma, d_lam rows
     each, and `table` is lam's own (diag, partner, off), which broadcasts
-    over the M columns.
+    over the M columns.  Where K < 2 a step reduces its first product alone.
     """
     diag, partner, off = table
+    twice = _residue_type(p)[1] < 2
     for j, rows in steps:
         Y = X[rows]
-        X[rows] = (diag[j, :, None] * Y
-                   + off[j, :, None] * Y[:, partner[j]]) % p
+        T = Y[:, partner[j]] * off[j, :, None]
+        Y *= diag[j, :, None]
+        if twice:
+            _mod(Y.reshape(len(rows), -1), p)   # a view: Y is a copy
+        Y += T
+        X[rows] = _mod(Y.reshape(len(rows), -1), p).reshape(Y.shape)
     return X
-
-
-def _dot(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p for residues, in int64 slabs of the inner dimension
-    short enough that no sum overflows."""
-    step = max(1, ((1 << 63) - 1) // (p - 1) ** 2)
-    out = np.zeros(A.shape[:-1] + B.shape[1:], dtype=np.int64)
-    for a in range(0, A.shape[-1], step):
-        out += A[..., a:a + step] @ B[a:a + step] % p
-    return out % p
 
 
 def _fixed_space(steps, table, p: int) -> np.ndarray:
@@ -153,18 +149,22 @@ def _fixed_space(steps, table, p: int) -> np.ndarray:
     their fixed vectors are the e_t with 0..k in the first row, r = 1 for
     every j < k.  Those e_t span X, and the rest fix X K, where K spans the
     kernel of (rho(g) - I) X stacked over the other g (one bubble sort in
-    `steps` each), whose zero rows are skipped.
+    `steps` each), whose zero rows are skipped.  X K is K in the kept rows.
     """
     diag = table[0]
     k = 0
     while k < len(steps) and len(steps[k]) == 1 and steps[k][0][0] == k:
         k += 1
-    X = np.eye(diag.shape[1], dtype=np.int64)[:, (diag[:k] == 1).all(axis=0)]
-    acc = ModularRankAccumulator(X.shape[1], p)
+    keep = np.flatnonzero((diag[:k] == 1).all(axis=0))
+    X = np.zeros((diag.shape[1], len(keep)), dtype=diag.dtype)
+    X[keep, np.arange(len(keep))] = 1
+    acc = ModularRankAccumulator(len(keep), p)
     for g in steps[k:]:
         Y = _act(g, table, X[None].copy(), p)[0] - X
-        acc.add_rows(np.arange(X.shape[1]), Y[Y.any(axis=1)])
-    return _dot(X, acc.kernel(), p)
+        acc.add_rows(np.arange(len(keep)), Y[Y.any(axis=1)])
+    P = np.zeros((len(X), len(keep) - acc.rank()), dtype=X.dtype)
+    P[keep] = acc.kernel()
+    return P
 
 
 class Irreducibles:
@@ -176,10 +176,9 @@ class Irreducibles:
     sparse rows, `columns` (rows x the largest M_lam, padded with zero
     coefficients) with the coefficients `blocks` yields.  `weight` is d_lam
     for each column, so the dimension of the module that the block rows in
-    an accumulator span is the weight of its pivot columns.  Each lam's
-    (diag, partner, off) table is built once, at (d-1, d_lam), and shared
-    by every type: type T keeps, per lam with M_{T,lam} > 0, that table,
-    P_T and the positions of P_T's entries in a block.
+    an accumulator span is the weight of its pivot columns.  Type T keeps,
+    per lam with M_{T,lam} > 0, lam's one table, P_T and the positions of
+    P_T's entries in a block.
     """
 
     def __init__(self, ctx, p: int):
@@ -230,6 +229,7 @@ class Irreducibles:
         V = _residues(V, p)
         if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"vectors of shape {V.shape}, expected (k, {n})")
+        dtype = _residue_type(p)[0]
         used = np.flatnonzero(V.any(axis=0))
         per_type = []
         for ti, parts in enumerate(self._types):
@@ -242,9 +242,9 @@ class Irreducibles:
             dst = np.concatenate([pos.ravel() for _, _, pos in parts])
             per_type.append((cols, X, dst))
         for v in V:
-            B = np.zeros(self.columns.size, dtype=np.int64)
+            B = np.zeros(self.columns.size, dtype=dtype)
             for cols, X, dst in per_type:
-                B[dst] = _dot(v[cols], X, p)
+                B[dst] = _matmul_mod(v[cols].astype(dtype), X, p)
             yield B.reshape(self.columns.shape)
 
     def dimension(self, acc: ModularRankAccumulator) -> int:

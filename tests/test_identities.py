@@ -112,6 +112,18 @@ class TestModuleRank:
         P = named["reduced_generator_1"]
         assert module_rank([P], 101) == module_rank([P], 103)
 
+    def test_largest_prime_gives_the_ranks_of_p_101(self, named):
+        # K = 1 at p = 94906249, the largest prime with p^2 < 2^53: a sum
+        # of two products there is exact only if the first is reduced alone
+        mr = golden.scalars()["module_ranks_n3_d7"]
+        P, Q = named["reduced_generator_1"], named["reduced_generator_2"]
+        R = named["ternary_recombination"]
+        want = [mr["reduced_generator_1"], mr["reduced_generator_2"],
+                mr["reduced_generators_1_2"], mr["ternary_recombination"]]
+        assert want == [105, 127, 155, 245]
+        assert [module_rank(ids, 94906249)
+                for ids in ([P], [Q], [P, Q], [R])] == want
+
     def test_mixed_degrees_rejected(self, named):
         with pytest.raises(ValueError):
             module_rank([named["binary_recombination"],

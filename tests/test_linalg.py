@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 import linalg_oracles as ref
 from linalg_oracles import is_lll_reduced, rational_span_equal
-from recomb import golden, linalg
+from recomb import golden, linalg, symmetric
+from recomb.identities import generator_sieve, single_generator
 from recomb.linalg import (
     _FLOAT32_MIN_TERMS,
     DependentRowsError,
@@ -31,6 +32,7 @@ from recomb.linalg import (
     sort_vectors_by_norm,
     squared_norm,
 )
+from recomb.monomials import get_context
 
 
 def random_int_matrix(rnd, m, n, lo=-5, hi=5):
@@ -492,10 +494,19 @@ class TestModularRankAccumulator:
         (521, np.float64, (2 ** 53 - 521) // 521 ** 2),
         (4093, np.float64, (2 ** 53 - 4093) // 4093 ** 2),
         (4099, np.float64, (2 ** 53 - 4099) // 4099 ** 2),
+        (94906249, np.float64, 1),
     ])
     def test_dtype_and_terms_per_sum_follow_from_p(self, p, dtype, k):
+        # one rule, _residue_type, for the accumulator and the module engine
+        assert linalg._residue_type(p) == (dtype, k)
         acc = ModularRankAccumulator(8, p)
         assert (acc._dtype, acc._k) == (dtype, k)
+        diag, _, off = symmetric._seminormal((3, 2), p)
+        assert diag.dtype == off.dtype == dtype
+        ctx = get_context(2, 4)
+        [B] = ctx.irreducibles(p).blocks([ctx.vector_of(
+            golden.load_identity("binary_recombination"))])
+        assert B.dtype == dtype
         # K terms below p^2 and one residue stay in _mod's exact range
         exact = 2 ** (np.finfo(dtype).nmant + 1)
         assert k * p * p + p <= exact < (k + 1) * p * p + p
@@ -1072,7 +1083,8 @@ class TestIntMatmul:
         assert out == [[big * big + 1, big], [big, big * big]]
 
 
-# every exact kernel that takes an integer matrix, applied to M
+# every exact kernel, and every mod-p entry point, that takes an integer
+# matrix, applied to M; the module scans read it before its width
 INTEGER_KERNELS = {
     "rcf": rcf,
     "rcf_nullspace": rcf_nullspace,
@@ -1086,6 +1098,9 @@ INTEGER_KERNELS = {
     "int_matmul_left": lambda M: int_matmul(M, [[1], [1]]),
     "int_matmul_right": lambda M: int_matmul([[1]], M),
     "squared_norm": lambda M: squared_norm(M[0]),
+    "add_rows": lambda M: ModularRankAccumulator(2, 101).add_rows([0, 1], M),
+    "single_generator": lambda M: single_generator(M, 2, 4),
+    "generator_sieve": lambda M: generator_sieve(M, 2, 4),
 }
 
 
@@ -1111,6 +1126,8 @@ class TestNonIntegralInput:
                 np.array([[1, Fraction(1, 2)]], dtype=object))
 
     def test_integral_floats_and_fractions_still_work(self):
+        acc = ModularRankAccumulator(2, 101)
+        assert acc.add_rows([0, 1], [[2.0, Fraction(4)]]) == 1
         assert rcf([[2.0, 4.0]]) == rcf([[2, 4]])
         assert rcf([[Fraction(1, 2), 1]]) == rcf([[1, 2]])
         assert rcf_nullspace(np.array([[2.0, 4.0]])) == [[-2, 1]]

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,14 +16,15 @@ from recomb.monomials import (
     automorphism_order,
     enumerate_canonical_types,
     get_context,
+    row_codes,
     straighten_many,
 )
 from recomb.symmetric import partitions, standard_tableaux
 
 
 def rho(table, j, p) -> np.ndarray:
-    """Dense rho(s_j) from the (diag, partner, off) rows."""
-    diag, partner, off = table
+    """Dense rho(s_j) from the (diag, partner, off) rows, as int64."""
+    diag, partner, off = (a.astype(np.int64) for a in table)
     f = diag.shape[1]
     R = np.zeros((f, f), dtype=np.int64)
     R[np.arange(f), np.arange(f)] = diag[j]
@@ -48,6 +50,8 @@ class TestTableaux:
             T = standard_tableaux(lam)
             assert len(T) == hook_length_count(lam)
             assert len({row.tobytes() for row in T}) == len(T)
+            # lexicographic order: _seminormal searches these codes
+            assert (np.diff(row_codes(T, len(lam))) > 0).all()
         # sum of d_lam^2 = d!
         assert sum(len(standard_tableaux(lam)) ** 2 for lam in lams) == \
             math.factorial(d)
@@ -58,7 +62,9 @@ class TestTableaux:
 
 
 class TestSeminormalForm:
-    @pytest.mark.parametrize("p", [11, 101, 4099])
+    # 509 and 521 sit on either side of the float32/float64 switch, and
+    # 94906249, the largest prime accepted, has K = 1
+    @pytest.mark.parametrize("p", [11, 101, 509, 521, 4099, 94906249])
     @pytest.mark.parametrize("d", range(2, 8))
     def test_coxeter_relations_mod_p(self, d, p):
         if p <= d:
@@ -83,6 +89,29 @@ class TestSeminormalForm:
         for j in range(d - 1):
             assert rho(trivial, j, p).tolist() == [[1]]
             assert rho(sign, j, p).tolist() == [[p - 1]]
+
+
+class TestFixedSpace:
+    def test_memory_follows_the_kept_columns_not_d_lam_squared(self):
+        # s_0, s_1 fix the tableaux of (3,3,2,2,1) with 0, 1, 2 in the first
+        # row: 70 of d_lam = 990, so building only those columns of I stays
+        # far below the 8 d_lam^2 bytes of the whole identity
+        lam, p = (3, 3, 2, 2, 1), 101
+        shape = ((((0, 0, 0), (0, 0, 0), 0), 0, 0), 0, 0)     # one of (3,11)
+        table = symmetric._seminormal(lam, p)
+        steps = [symmetric._bubble([g])
+                 for g in symmetric._aut_generators(shape)]
+        f = table[0].shape[1]
+        kept = int((standard_tableaux(lam)[:, :3] == 0).all(axis=1).sum())
+        assert (f, kept) == (990, 70)
+        tracemalloc.start()
+        try:
+            P = symmetric._fixed_space(steps, table, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert P.shape[0] == f
+        assert peak < 8 * 8 * f * kept < 8 * f * f
 
 
 # every type of these degrees; (4,10) and (5,9) hold the largest groups
