@@ -28,7 +28,12 @@ stores only C, the rows on the non-pivot columns, as float residues.  Rows
 go in sparse, as (columns, coefficients): the free entries are scattered
 into a block Y and each pivot entry v adds (p - v) times its row of C, one
 pass per entry position across the whole block.  Echelonising and merging
-are matrix products run through BLAS.  All of it is exact because every
+are matrix products, run by one helper, _blas, which the module engine
+(recomb.symmetric) and the LLL Gram product share: a product past the
+2^18 multiply-adds that OpenBLAS keeps on the calling thread goes in row
+tiles within that bound when its right factor has at most 512 columns, so
+that no helper thread wakes to spin beside the caller; every other product
+goes to BLAS whole.  All of it is exact because every
 subtraction is done as an addition of nonnegative terms below p^2 and no
 sum takes more than K of them, where K p^2 + p stays within the dtype's
 exact integers (_residue_type, shared with recomb.symmetric): a row's
@@ -46,7 +51,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, islice, product
+from itertools import accumulate, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -479,17 +484,11 @@ def _prime_count(G) -> int:
 
 def _gram(B) -> np.ndarray:
     """B B^T exactly: in float64 while max|B|^2 width < 2^53, as every
-    partial sum is then an exact integer, else by _matmul.  BLAS takes it
-    in tiles of at most 2^18 products, which OpenBLAS runs on the calling
-    thread: a larger product wakes a helper thread that slows what follows."""
-    k, n = B.shape
-    if B.dtype == object or _absmax(B) ** 2 * n >= 1 << 53:
+    partial sum is then an exact integer, else by _matmul; _blas tiles it."""
+    if B.dtype == object or _absmax(B) ** 2 * B.shape[1] >= 1 << 53:
         return _matmul(B, B.T)
-    F, G = B.astype(np.float64), np.empty((k, k))
-    s = max(1, math.isqrt((1 << 18) // max(n, 1)))
-    for i, j in product(range(0, k, s), repeat=2):
-        np.matmul(F[i:i + s], F[j:j + s].T, out=G[i:i + s, j:j + s])
-    return G.astype(np.int64)
+    F = B.astype(np.float64)
+    return _blas(F, F.T).astype(np.int64)
 
 
 def _gram_residues(G, P):
@@ -709,6 +708,22 @@ _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 # 0.062 s); at K = 64 (p = 509) it wins over float64 at p = 521 (0.028 s
 # against 0.033 s, 0.045 s against 0.054 s; 2 vCPUs, OpenBLAS).
 _FLOAT32_MIN_TERMS = 64
+# Multiply-adds of a matrix product that OpenBLAS keeps on the calling
+# thread whatever the layout.  A larger one may wake a helper thread, which
+# then spins beside the caller and doubles the CPU time.  OpenBLAS 0.3.31 on
+# 2 vCPUs, by process over thread CPU time: with both factors C-ordered, up
+# to 10^6 ran on one thread (40 x 160 by 160 x 156, 998,400; two threads at
+# 160 x 157); with a transposed right factor, as in the Gram product B B^T,
+# 7 x 280 by 280 x 267 (523,320) ran on one and 280 x 268 (525,280) on two.
+# No product of at most 2^18 took two.
+_THREAD_TERMS = 1 << 18
+# Most columns of a right factor that _blas cuts into row tiles.  The module
+# engine's block products have one type's monomials as columns, 360 at most
+# at (2,6): tiled, `generators -n 2 -d 6` took 2.2-2.7 s of CPU, as with one
+# vector-matrix product per vector, against 4.1-4.3 s with 256 here.  The
+# certify closure's right factors have 13,406 to 15,400 columns, and their
+# tiles would hold one or two rows.
+_NARROW = 512
 
 
 def _residues(x, p: int) -> np.ndarray:
@@ -740,13 +755,34 @@ def _residue_type(p: int) -> tuple:
     return np.float64, (2 ** 53 - p) // (p * p)
 
 
+def _blas(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+    """A @ B of float arrays by BLAS, on the calling thread where it can.
+
+    The rule depends on the shapes alone.  A 2-d product of more than
+    _THREAD_TERMS multiply-adds whose right factor has at most _NARROW
+    columns goes in tiles of whole rows, as many as keep each tile within
+    _THREAD_TERMS, so that OpenBLAS runs every tile on the calling thread.
+    Any other product is one call: a vector-matrix product, a wide right
+    factor, or one that a single row already takes past _THREAD_TERMS.
+    """
+    k, n = B.shape
+    rows = _THREAD_TERMS // max(k * n, 1)
+    if A.ndim != 2 or n > _NARROW or not rows or len(A) <= rows:
+        return np.matmul(A, B, out=out)
+    if out is None:
+        out = np.empty((len(A), n), dtype=np.result_type(A, B))
+    for lo in range(0, len(A), rows):
+        np.matmul(A[lo:lo + rows], B, out=out[lo:lo + rows])
+    return out
+
+
 def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
     """A @ B mod p for residues of _residue_type(p), K terms per sum."""
     k = _residue_type(p)[1]
-    out = A[..., :k] @ B[:k]
+    out = _blas(A[..., :k], B[:k])
     for a in range(k, A.shape[-1], k):
         _mod(out, p)
-        out += A[..., a:a + k] @ B[a:a + k]
+        out += _blas(A[..., a:a + k], B[a:a + k])
     return _mod(out, p)
 
 
@@ -841,11 +877,16 @@ class ModularRankAccumulator:
         coeffs[i, j] in column cols[i, j]; a 1-d shape is one row.  Integer
         coefficients of any size are reduced mod p exactly.  Repeated columns
         in a row are summed and zero coefficients skipped, so a dense matrix
-        M goes in as add_rows(np.arange(width), M).  Column indices outside
-        0..width-1 raise ValueError.
+        M goes in as add_rows(np.arange(width), M).  Float residues of the
+        accumulator's dtype, integral and in [0, p), go in as they are.
+        Column indices outside 0..width-1 raise ValueError.
         """
+        v = np.asarray(coeffs)
+        if not (v.dtype == self._dtype and 0 <= v.min(initial=0) and
+                v.max(initial=0) < self.p and (v == np.floor(v)).all()):
+            v = _residues(coeffs, self.p)
         cols, coeffs = map(np.atleast_2d, np.broadcast_arrays(
-            np.asarray(cols, dtype=np.int64), _residues(coeffs, self.p)))
+            np.asarray(cols, dtype=np.int64), v))
         if cols.size and not 0 <= cols.min() <= cols.max() < self.width:
             raise ValueError(f"columns must lie in 0..{self.width - 1}")
         k = self._k
@@ -870,7 +911,7 @@ class ModularRankAccumulator:
         p, k, f = self.p, self._k, len(self._free)
         if not f:
             return 0
-        v = coeffs.astype(self._dtype)
+        v = coeffs.astype(self._dtype, copy=False)
         pos = self._pos[cols]
         piv = (pos < 0) & (v != 0)
         order = np.argsort(~piv, axis=1, kind="stable")
@@ -932,14 +973,14 @@ class ModularRankAccumulator:
             return P1
         Y2 = Y[half:]
         if k1:
-            Y2 += (p - Y2[:, P1]) @ Y[:k1]
+            Y2 += _blas(p - Y2[:, P1], Y[:k1])
             _mod(Y2, p)
         P2 = self._rref(Y2)
         k2 = len(P2)
         if k2:
             if k1:
                 R1 = Y[:k1]
-                R1 += (p - R1[:, P2]) @ Y2[:k2]
+                R1 += _blas(p - R1[:, P2], Y2[:k2])
                 _mod(R1, p)
             Y[k1:k1 + k2] = Y2[:k2]
         return P1 + P2
@@ -954,7 +995,7 @@ class ModularRankAccumulator:
             if k:
                 a = y[piv]
                 if a.any():
-                    y = _mod(y + (p - a) @ Y[:k], p)
+                    y = _mod(y + _blas(p - a, Y[:k]), p)
             nz = np.flatnonzero(y)
             if nz.size == 0:
                 continue
@@ -1009,6 +1050,6 @@ class ModularRankAccumulator:
             np.take(old, P, axis=1, out=G[:n])
             np.take(old, keep, axis=1, out=T[:n])
             new = self._buf[lo * fk:(lo + n) * fk].reshape(n, fk)
-            np.matmul(G[:n], N, out=new)
+            _blas(G[:n], N, out=new)
             new += T[:n]
             _mod(new, self.p)

@@ -42,6 +42,12 @@ from .linalg import (ModularRankAccumulator, _matmul_mod, _mod,
                      _residue_type, _residues)
 from .monomials import _sort_plan, row_codes, shape_degree
 
+# Vectors whose block rows `Irreducibles.blocks` computes by one product per
+# type, a matrix product in place of a memory-bound vector-matrix product
+# per vector: `generators -n 4 -d 10 --basis rcf` took 32.4 s (43.0 s CPU)
+# at 64, against 46.9 s (77.3 s CPU) at 1 (2 vCPUs, OpenBLAS).
+_BATCH = 64
+
 
 def partitions(d: int) -> list:
     """Partitions of d as nonincreasing tuples, the one-row partition first."""
@@ -197,7 +203,8 @@ class Irreducibles:
                 irreps.append((table, Ps))
         dims = np.array([len(Ps[0]) for _, Ps in irreps])
         ms = np.array([[P.shape[1] for P in Ps] for _, Ps in irreps])
-        for ti, (got, want) in enumerate(zip(dims @ ms, ctx.type_counts)):
+        totals = (dims[:, None] * ms).sum(axis=0)     # sum d_lam M_T,lam
+        for ti, (got, want) in enumerate(zip(totals, ctx.type_counts)):
             if got != want:
                 raise RuntimeError(
                     f"fixed spaces of Aut give sum d_lam M_lam = {got} for "
@@ -224,6 +231,7 @@ class Irreducibles:
 
         V is (k, #monomials) integer, of any size.  rho(sigma_c) P_T is
         computed once for each column c that some row uses, one lam at a time.
+        The rows of a batch of _BATCH vectors take one product per type.
         """
         p, n = self.p, self._offsets[-1]
         V = _residues(V, p)
@@ -241,11 +249,12 @@ class Irreducibles:
                            for table, P, _ in parts])
             dst = np.concatenate([pos.ravel() for _, _, pos in parts])
             per_type.append((cols, X, dst))
-        for v in V:
-            B = np.zeros(self.columns.size, dtype=dtype)
+        for lo in range(0, len(V), _BATCH):
+            v = V[lo:lo + _BATCH]
+            B = np.zeros((len(v), self.columns.size), dtype=dtype)
             for cols, X, dst in per_type:
-                B[dst] = _matmul_mod(v[cols].astype(dtype), X, p)
-            yield B.reshape(self.columns.shape)
+                B[:, dst] = _matmul_mod(v[:, cols].astype(dtype), X, p)
+            yield from B.reshape(len(v), *self.columns.shape)
 
     def dimension(self, acc: ModularRankAccumulator) -> int:
         """Dimension of the module spanned by the block rows in acc."""

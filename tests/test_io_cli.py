@@ -371,6 +371,30 @@ def test_package_modules_use_every_name_they_import():
     assert unused == []
 
 
+def test_engine_products_go_through_the_one_helper():
+    # every float product of the mod-p engine is a linalg._blas call, which
+    # keeps the narrow ones on the calling thread; no module sets a BLAS
+    # thread count behind its back
+    package = Path(__file__).resolve().parent.parent / "src" / "recomb"
+    linalg_tree = ast.parse((package / "linalg.py").read_text())
+    scopes = [node for node in linalg_tree.body
+              if getattr(node, "name", None) in ("ModularRankAccumulator",
+                                                 "_matmul_mod")]
+    assert len(scopes) == 2
+    scopes.append(ast.parse((package / "symmetric.py").read_text()))
+    products = [f"line {node.lineno}"
+                for scope in scopes for node in ast.walk(scope)
+                if isinstance(node, (ast.BinOp, ast.AugAssign))
+                and isinstance(node.op, ast.MatMult)
+                or isinstance(node, ast.Attribute)
+                and node.attr in ("matmul", "dot")]
+    assert products == []
+    for path in sorted(package.glob("*.py")):
+        text = path.read_text()
+        for word in ("OPENBLAS", "os.environ", "ctypes"):
+            assert word not in text, f"{path.name} mentions {word}"
+
+
 def test_every_function_defined_in_the_package_is_referenced():
     # a function or method (dunders aside) that nothing in the package, a
     # benchmark or a demo names, by a call, an attribute or a reference,

@@ -325,7 +325,86 @@ def batches(draw, M):
     return out
 
 
+class TestBlas:
+    # With _THREAD_TERMS = 1000 and k * n = 200, a tile holds 5 rows
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, k, n, calls", [
+        (50, 10, 20, 10),           # narrow: ten tiles of 5 rows
+        (6, 10, 20, 2),             # one row past the bound: 5 + 1
+        (5, 10, 20, 1),             # at the bound: whole
+        (None, 10, 20, 1),          # vector-matrix: whole
+        (None, 10, 200, 1),
+        (50, 1, linalg._NARROW, 50),         # narrowest: one row a tile
+        (50, 1, linalg._NARROW + 1, 1),     # wide right factor: whole
+        (50, 10, 200, 1),           # one row takes 2000: whole
+        (0, 10, 20, 1),             # empty shapes
+        (50, 0, 20, 1),
+        (50, 10, 0, 1),
+        (None, 0, 20, 1),
+    ])
+    def test_equals_the_plain_product(self, monkeypatch, dtype, m, k, n,
+                                      calls):
+        monkeypatch.setattr(linalg, "_THREAD_TERMS", 1000)
+        seen = []
+        real = np.matmul
+        monkeypatch.setattr(linalg.np, "matmul", lambda *a, **kw:
+                            seen.append(a[0].shape) or real(*a, **kw))
+        rnd = np.random.default_rng(k * n + (m or 0))
+        A = rnd.integers(0, 101, (k,) if m is None else (m, k)).astype(dtype)
+        B = rnd.integers(0, 101, (k, n)).astype(dtype)
+        want = A @ B
+        got = linalg._blas(A, B)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+        assert len(seen) == calls
+        out = np.full(want.shape, -1, dtype=dtype)
+        assert linalg._blas(A, B, out=out) is out
+        assert np.array_equal(out, want)
+
+    def test_products_of_the_engine_use_it(self, monkeypatch):
+        # the echelon kernel, the merge and _matmul_mod all reach _blas
+        seen = []
+        real = linalg._blas
+        monkeypatch.setattr(linalg, "_blas", lambda A, B, out=None:
+                            seen.append(A.ndim) or real(A, B, out))
+        rnd = np.random.default_rng(1)
+        acc = ModularRankAccumulator(40, 101)
+        add_dense(acc, rnd.integers(0, 101, (10, 40)))
+        add_dense(acc, rnd.integers(0, 101, (30, 40)))
+        assert acc.rank() == 40
+        assert 1 in seen and 2 in seen
+        A, B = rnd.integers(0, 101, (3, 2000)), rnd.integers(0, 101, (2000, 4))
+        del seen[:]
+        got = linalg._matmul_mod(A.astype(np.float32), B.astype(np.float32),
+                                 101)
+        assert np.array_equal(got, A @ B % 101)
+        assert len(seen) == 2           # K = 1644 terms per sum
+
+
 class TestModularRankAccumulator:
+    def test_float_residues_of_its_dtype_go_in_as_they_are(self,
+                                                            monkeypatch):
+        acc = ModularRankAccumulator(3, 101)
+        seen = []
+        real = linalg._residues
+        monkeypatch.setattr(linalg, "_residues", lambda x, p:
+                            seen.append(x) or real(x, p))
+        row = np.array([[1, 2, 3]], dtype=np.float32)
+        assert acc.add_rows([0, 1, 2], row) == 1
+        assert seen == []
+        # entries past p, or of another dtype, are reduced as before
+        past_p = (row + [[101, 0, 202]]).astype(np.float32)
+        assert acc.add_rows([0, 1, 2], past_p) == 0
+        assert acc.add_rows([0, 1, 2], np.array([[2.0, 4.0, 6.0]])) == 0
+        assert acc.add_rows([0, 1, 2], np.array([[-1, 99, 98]],
+                                                dtype=np.float32)) == 0
+        assert len(seen) == 3
+        assert acc.add_rows([0, 1, 2], [[0, 0, 1]]) == 1
+        with pytest.raises(ValueError, match="non-integral"):
+            acc.add_rows([0, 1, 2], np.array([[0.5, 1, 2]], dtype=np.float32))
+        with pytest.raises(ValueError, match="columns"):
+            acc.add_rows([0, 1, 3], row)
+
     def test_identity_rows_increment(self):
         acc = ModularRankAccumulator(6, 101)
         ranks = []
@@ -1002,7 +1081,7 @@ class TestLllInitialize:
     @pytest.mark.parametrize("top", [5_000_001, 5_500_001])
     def test_gram_is_exact_on_both_sides_of_2_53(self, top):
         # 301 odd entries near top: 301 top^2 is below 2^53 for the first,
-        # where 70 rows take 3 x 3 float64 tiles, and above it for the
+        # where the 70 rows go in float64 tiles of 12, and above it for the
         # second, where an odd diagonal sum has no float64 and _matmul runs
         rnd = random.Random(top)
         B = np.array([[rnd.choice([-1, 1]) * (top - 2 * rnd.randrange(3))

@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 
 from recomb import golden, symmetric
+from recomb.expansion import build_expansion_matrix
 from recomb.identities import (
     expansion_rank,
     lift_identity,
     new_identity_test,
 )
-from recomb.linalg import ModularRankAccumulator
+from recomb.linalg import ModularRankAccumulator, rcf_nullspace
 from recomb.monomials import (
     DegreeContext,
     automorphism_order,
@@ -188,6 +189,25 @@ class TestIrreducibles:
         [B] = irr.blocks([ctx.vector_of(R)])
         assert B.shape == irr.columns.shape
         assert 0 <= B.min() and B.max() < 101
+
+    def test_batches_give_the_rows_of_one_vector_at_a_time(self,
+                                                           monkeypatch):
+        # the 245 canonical (3,7) nullspace vectors make four batches, each
+        # with one product per type
+        ctx = get_context(3, 7)
+        irr = ctx.irreducibles(101)
+        V = rcf_nullspace(build_expansion_matrix(3, 7).array.tolist())
+        assert len(V) == 245 > 3 * symmetric._BATCH
+        one = [B.copy() for v in V for B in irr.blocks([v])]
+        calls = []
+        real = symmetric._matmul_mod
+        monkeypatch.setattr(symmetric, "_matmul_mod", lambda A, X, p:
+                            calls.append(len(A)) or real(A, X, p))
+        got = list(irr.blocks(V))
+        assert len(got) == len(one) == 245
+        assert all(np.array_equal(a, b) for a, b in zip(got, one))
+        assert calls == [64] * 6 + [53] * 2
+        assert got[0].shape == irr.columns.shape and got[0].dtype == np.float32
 
     def test_rank_and_certify_build_no_tables(self, monkeypatch):
         def no_tables(lam, p):
