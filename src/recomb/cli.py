@@ -8,7 +8,9 @@ failure, 2 usage or I/O errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
+import resource
 import sys
 
 from . import golden
@@ -33,12 +35,41 @@ from .linalg import (
     sort_vectors_by_norm,
     squared_norm,
 )
+from .monomials import automorphism_order, enumerate_canonical_types
 from .reproduce import SCOPES, run_scope
 
 
 def _add_nd(sub, d_help="degree"):
     sub.add_argument("-n", "--arity", type=int, required=True, help="operation arity")
     sub.add_argument("-d", "--degree", type=int, required=True, help=d_help)
+
+
+def _memory_budget():
+    """Bytes this process may allocate: its address-space limit and the
+    MemAvailable of /proc/meminfo, the smaller of those it finds."""
+    budget = resource.getrlimit(resource.RLIMIT_AS)[0]
+    budget = math.inf if budget == resource.RLIM_INFINITY else budget
+    try:
+        with open("/proc/meminfo") as f:
+            for line in f:
+                if line.startswith("MemAvailable:"):
+                    budget = min(budget, int(line.split()[1]) * 1024)
+    except OSError:
+        pass
+    return budget
+
+
+def _check_matrix_fits(n, d):
+    """Refuse, before building anything, an expansion matrix whose int64
+    entries would not fit: one row per slot tuple, perm(d, n) of them (one
+    at degree 1), and one column per monomial, d!/|Aut T| of type T."""
+    cols = sum(math.factorial(d) // automorphism_order(t)
+               for t in enumerate_canonical_types(n, d))
+    rows = max(1, math.perm(d, n))
+    need, budget = 8 * rows * cols, _memory_budget()
+    if need > budget:
+        raise MemoryError(f"the {rows:,} x {cols:,} expansion matrix needs "
+                          f"{need:,} bytes, {budget:,} available")
 
 
 def _nullspace_vectors(n, d, method):
@@ -85,6 +116,7 @@ def main(argv=None) -> int:
 
     try:
         if args.command == "matrix":
+            _check_matrix_fits(args.arity, args.degree)
             E = build_expansion_matrix(args.arity, args.degree)
             text = format_matrix(E.array.tolist())
             if args.out:
@@ -145,7 +177,7 @@ def main(argv=None) -> int:
                 print("    " + format_identity(g.identity).replace("\n", "\n    ").rstrip())
             target = len(vs)
             print(f"final rank {gens[-1].cumulative_rank} of {target}")
-            pos = single_generator(vs, args.arity, args.degree, p)
+            pos = single_generator(vs, gens, args.arity, args.degree, p)
             if pos is None:
                 print("no single basis vector generates the whole nullspace")
             else:

@@ -131,15 +131,20 @@ def generator_sieve(vectors, n: int, d: int, p: int = 101) -> list:
     return out
 
 
-def single_generator(vectors, n: int, d: int, p: int = 101) -> int | None:
+def single_generator(vectors, gens, n: int, d: int,
+                     p: int = 101) -> int | None:
     """1-based position of the first vector whose S_d-module alone has
-    dimension len(vectors), or None."""
+    dimension N = len(vectors), or None.  gens is generator_sieve(vectors,
+    n, d, p).  Such a vector takes the sieve's running dimension to N, and
+    the sieve stops where it first gets there, at its last generator: the
+    scan starts at that one (at 1 when there is none)."""
     _check_prime(p, d)
     vectors = list(vectors)
     if not vectors:
         return None
     irr = get_context(n, d).irreducibles(p)
-    for pos, B in enumerate(irr.blocks(vectors), start=1):
+    start = gens[-1].position if gens else 1
+    for pos, B in enumerate(irr.blocks(vectors[start - 1:]), start=start):
         acc = ModularRankAccumulator(irr.width, p)
         acc.add_rows(irr.columns, B)
         if irr.dimension(acc) == len(vectors):

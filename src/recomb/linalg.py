@@ -24,19 +24,22 @@ size reductions of a pass to it as one product, b_k -= sum_j q_j b_j, in
 int64 while max|b_k| + sum_j |q_j| max_j |b_j| < 2^62.
 
 The mod-p accumulator keeps the reduced echelon basis as [I | C] and
-stores only C, the rows on the non-pivot columns, as float residues.  Rows
-go in sparse, as (columns, coefficients): the free entries are scattered
-into a block Y and each pivot entry v adds (p - v) times its row of C, one
-pass per entry position across the whole block.  Echelonising and merging
-are matrix products, run by one helper, _blas, which the module engine
-(recomb.symmetric) and the LLL Gram product share: a product past the
-2^18 multiply-adds that OpenBLAS keeps on the calling thread goes in row
-tiles within that bound when its right factor has at most 512 columns, so
-that no helper thread wakes to spin beside the caller; every other product
-goes to BLAS whole.  All of it is exact because every
-subtraction is done as an addition of nonnegative terms below p^2 and no
-sum takes more than K of them, where K p^2 + p stays within the dtype's
-exact integers (_residue_type, shared with recomb.symmetric): a row's
+stores only C, the rows on the non-pivot columns, as float residues.
+Residues mod p have one format, the dtype of _residue_type(p): _residues
+converts integer input of any size to it, and the accumulator and the
+module engine (recomb.symmetric) compute in it and hand it on as it is.
+Rows go in sparse, as (columns, coefficients): the free entries are
+scattered into a block Y and each pivot entry v adds (p - v) times its row
+of C, one pass per entry position across the whole block.  Echelonising
+and merging are matrix products, run by one helper, _blas, which the
+module engine and the LLL Gram product share: a product past the 2^18
+multiply-adds that OpenBLAS keeps on the calling thread goes in row tiles
+within that bound when its right factor has at most 512 columns, so that
+no helper thread wakes to spin beside the caller; every other product goes
+to BLAS whole.  All of it is exact because every subtraction is done as an
+addition of nonnegative terms below p^2 and no sum takes more than K of
+them, where K p^2 + p stays within the dtype's exact integers
+(_residue_type, the one bound, which _gram_residues takes too): a row's
 entries go in slabs of K, reduced mod p in between, and blocks of K rows
 bound the products' inner dimensions, as _matmul_mod bounds its own.  The
 dtype is float32 (below 2^24, K = 1644 at p = 101) while K >= 64, that is
@@ -429,10 +432,6 @@ def lattices_equal(A, B) -> bool:
 
 _LOVASZ = (3, 4)        # delta = 3/4, the classical Lovasz condition
 _PRIME_BITS = 21        # Gram-Schmidt residues are taken mod primes < 2^21
-# Products one float64 sum of the mod-p elimination may take: with p < 2^21
-# a residue plus 2047 terms below p^2 stays within 2^53 - p, so it is exact
-# and in _mod's range.
-_GS_TERMS = (1 << 11) - 1
 
 
 def _is_prime(p: int) -> bool:
@@ -508,6 +507,7 @@ def _gram_residues(G, P):
     by row.
     """
     t, k = len(P), len(G)
+    terms = _residue_type(int(P.max()))[1]   # the K of every p in P
     A = np.empty((t, k, k))
     for a, p in zip(A, P.tolist()):
         # reduced as integers, G may be big, straight into the stack
@@ -516,10 +516,10 @@ def _gram_residues(G, P):
     live, plist = np.ones(t, dtype=bool), P.tolist()
     for j in range(k):
         row = A[:, j, j:]
-        for lo in range(0, j, _GS_TERMS):
+        for lo in range(0, j, terms):
             if lo:
                 _mod(row, p2)
-            hi = min(lo + _GS_TERMS, j)
+            hi = min(lo + terms, j)
             row += np.matmul(A[:, j:, lo:hi],
                              (p2 - A[:, lo:hi, j])[:, :, None])[:, :, 0]
         _mod(row, p2)
@@ -727,22 +727,16 @@ _NARROW = 512
 
 
 def _residues(x, p: int) -> np.ndarray:
-    """Integers x mod p as int64, exact at any size; a non-integral entry
-    raises ValueError.  A float array below 2^52 is reduced by _mod, and
-    what int64 may not hold entry by entry, as is a list that numpy reads
-    as floats, which would round its big ints."""
+    """Integers x mod p as residues of _residue_type(p), exact at any size;
+    a non-integral entry raises ValueError.  An integer array reduces by %,
+    anything else entry by entry, as a list that numpy reads as floats
+    would round its big ints."""
     a = np.asarray(x)
+    dtype = _residue_type(p)[0]
     if np.can_cast(a.dtype, np.int64):
-        return np.asarray(a, dtype=np.int64) % p
-    if (isinstance(x, np.ndarray) and a.dtype.kind == "f"
-            and np.abs(a).max(initial=0) < 2 ** 52):
-        bad = a != np.floor(a)
-        if bad.any():
-            raise ValueError(f"non-integral entry {a[bad][0]!r}")
-        return _mod(a.astype(np.float64).ravel(), p).astype(
-            np.int64).reshape(a.shape)
+        return (np.asarray(a, dtype=np.int64) % p).astype(dtype)
     return np.array([_integer(v) % p for v in np.array(x, dtype=object).flat],
-                    dtype=np.int64).reshape(a.shape)
+                    dtype=dtype).reshape(a.shape)
 
 
 def _residue_type(p: int) -> tuple:
@@ -899,8 +893,8 @@ class ModularRankAccumulator:
         r, f = self.rank(), len(self._free)
         return self._buf[:r * f].reshape(r, f)
 
-    def _add(self, cols: np.ndarray, coeffs: np.ndarray) -> int:
-        """Reduce and absorb at most K sparse rows.
+    def _add(self, cols: np.ndarray, v: np.ndarray) -> int:
+        """Reduce and absorb at most K sparse rows, residues v on cols.
 
         Each row's nonzero pivot entries go first, and the rows with the
         most of them first, so pass s, which adds (p - v) * C[row of the
@@ -911,7 +905,6 @@ class ModularRankAccumulator:
         p, k, f = self.p, self._k, len(self._free)
         if not f:
             return 0
-        v = coeffs.astype(self._dtype, copy=False)
         pos = self._pos[cols]
         piv = (pos < 0) & (v != 0)
         order = np.argsort(~piv, axis=1, kind="stable")
@@ -942,8 +935,6 @@ class ModularRankAccumulator:
 
     def _absorb(self, Y: np.ndarray) -> int:
         """Echelonise reduced rows Y (free columns) and merge their pivots."""
-        if not Y.size:
-            return 0
         _mod(Y, self.p)
         piv = self._rref(Y)
         if piv:

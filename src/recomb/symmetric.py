@@ -29,7 +29,7 @@ rho(s_j) is built once, at (d-1, d_lam), and shared by every type: `_act`
 applies it to the P_T of all sigmas, stacked (N, d_lam, M_T), and
 broadcasts it over the M_T columns.
 
-Residues are the accumulator's floats (linalg._residue_type), reduced by
+Residues are linalg._residues' floats (linalg._residue_type), reduced by
 linalg._mod and multiplied by linalg._matmul_mod.  An `_act` step sums two
 products, so it needs K >= 2 or one more reduction (float64, p > ~2^26).
 """
@@ -166,7 +166,7 @@ def _fixed_space(steps, table, p: int) -> np.ndarray:
     X[keep, np.arange(len(keep))] = 1
     acc = ModularRankAccumulator(len(keep), p)
     for g in steps[k:]:
-        Y = _act(g, table, X[None].copy(), p)[0] - X
+        Y = _mod(_act(g, table, X[None].copy(), p)[0] - X + p, p)
         acc.add_rows(np.arange(len(keep)), Y[Y.any(axis=1)])
     P = np.zeros((len(X), len(keep) - acc.rank()), dtype=X.dtype)
     P[keep] = acc.kernel()
@@ -183,8 +183,8 @@ class Irreducibles:
     coefficients) with the coefficients `blocks` yields.  `weight` is d_lam
     for each column, so the dimension of the module that the block rows in
     an accumulator span is the weight of its pivot columns.  Type T keeps,
-    per lam with M_{T,lam} > 0, lam's one table, P_T and the positions of
-    P_T's entries in a block.
+    per lam with M_{T,lam} > 0, lam's one table and P_T, and where all
+    their entries go in a block.
     """
 
     def __init__(self, ctx, p: int):
@@ -217,13 +217,15 @@ class Irreducibles:
         # columns past M_lam get zero coefficients; any valid index will do
         self.columns = np.minimum(first[:, None] + np.arange(span),
                                   self.width - 1)
-        self._types = [[] for _ in ctx.types]
+        self._types = [([], []) for _ in ctx.types]
         for (table, Ps), row, cols in zip(irreps, np.cumsum(dims) - dims,
                                           np.cumsum(ms, axis=1) - ms):
-            for parts, P, col in zip(self._types, Ps, cols):
+            for (parts, dst), P, col in zip(self._types, Ps, cols):
                 if P.size:
                     pos = (row + np.arange(len(P)))[:, None] * span + col
-                    parts.append((table, P, pos + np.arange(P.shape[1])))
+                    parts.append((table, P))
+                    dst.append((pos + np.arange(P.shape[1])).ravel())
+        self._types = [(ps, np.concatenate(dst)) for ps, dst in self._types]
 
     def blocks(self, V):
         """Coefficients of the block rows of each row of V, in order, on
@@ -237,23 +239,21 @@ class Irreducibles:
         V = _residues(V, p)
         if V.ndim != 2 or V.shape[1] != n:
             raise ValueError(f"vectors of shape {V.shape}, expected (k, {n})")
-        dtype = _residue_type(p)[0]
         used = np.flatnonzero(V.any(axis=0))
         per_type = []
-        for ti, parts in enumerate(self._types):
+        for ti, (parts, dst) in enumerate(self._types):
             lo, hi = self._offsets[ti], self._offsets[ti + 1]
             cols = used[(used >= lo) & (used < hi)]
             steps = _bubble(self._leaf_rows[ti][cols - lo])
             X = np.hstack([_act(steps, table, np.tile(P, (len(cols), 1, 1)),
                                 p).reshape(len(cols), P.size)
-                           for table, P, _ in parts])
-            dst = np.concatenate([pos.ravel() for _, _, pos in parts])
+                           for table, P in parts])
             per_type.append((cols, X, dst))
         for lo in range(0, len(V), _BATCH):
             v = V[lo:lo + _BATCH]
-            B = np.zeros((len(v), self.columns.size), dtype=dtype)
+            B = np.zeros((len(v), self.columns.size), dtype=V.dtype)
             for cols, X, dst in per_type:
-                B[:, dst] = _matmul_mod(v[:, cols].astype(dtype), X, p)
+                B[:, dst] = _matmul_mod(v[:, cols], X, p)
             yield from B.reshape(len(v), *self.columns.shape)
 
     def dimension(self, acc: ModularRankAccumulator) -> int:

@@ -15,7 +15,12 @@ from recomb.identities import (
     new_identity_test,
     verify_identity,
 )
-from recomb.linalg import rcf_nullspace, sort_vectors_by_norm, squared_norm
+from recomb.linalg import (
+    ModularRankAccumulator,
+    rcf_nullspace,
+    sort_vectors_by_norm,
+    squared_norm,
+)
 from recomb.monomials import (
     DegreeContext,
     IdentityCombination,
@@ -234,13 +239,15 @@ class TestGeneratorSieve:
         def scan(vectors):
             gens = generator_sieve(vectors, n, d, p)
             return ([(g.position, g.cumulative_rank) for g in gens],
-                    identities.single_generator(vectors, n, d, p))
+                    identities.single_generator(vectors, gens, n, d, p))
 
         assert scan(big) == scan(ns)
 
     @pytest.mark.parametrize("width", [200, 281])
-    @pytest.mark.parametrize("scan", [generator_sieve,
-                                      identities.single_generator])
+    @pytest.mark.parametrize("scan", [
+        generator_sieve,
+        lambda vs, n, d: identities.single_generator(vs, [], n, d)],
+        ids=["generator_sieve", "single_generator"])
     def test_vectors_of_the_wrong_width_are_refused(self, scan, width):
         # (3,7) has 280 monomials: cut or padded vectors are not read
         ns = rcf_nullspace(build_expansion_matrix(3, 7).subset_rows)[:5]
@@ -254,6 +261,57 @@ class TestGeneratorSieve:
         gens = generator_sieve([ones, ones], 2, 4)
         assert len(gens) == 1
         assert gens[0].cumulative_rank == 1
+
+
+def single_generator_alone(vectors, n, d, p=101):
+    """Brute force: each vector's module ranked alone, from the first."""
+    irr = get_context(n, d).irreducibles(p)
+    for pos, B in enumerate(irr.blocks(vectors), start=1):
+        acc = ModularRankAccumulator(irr.width, p)
+        acc.add_rows(irr.columns, B)
+        if irr.dimension(acc) == len(vectors):
+            return pos
+    return None
+
+
+class TestSingleGenerator:
+    # the scan starts at the sieve's last generator; testing every vector
+    # alone from the first gives the same answer
+    @pytest.mark.parametrize("basis, shuffle, position", [
+        ("rcf", None, 60), ("hnf-lll", None, 149), ("rcf", 0, 12),
+        ("rcf", 1, 1), ("rcf", 2, 5)])
+    def test_matches_the_brute_force_scan(self, deg7_bases, basis, shuffle,
+                                          position):
+        rcf, _, lll = deg7_bases
+        vs = sort_vectors_by_norm(rcf if basis == "rcf" else lll)
+        if shuffle is not None:
+            random.Random(shuffle).shuffle(vs)
+        gens = generator_sieve(vs, 3, 7)
+        assert single_generator_alone(vs, 3, 7) == position
+        assert identities.single_generator(vs, gens, 3, 7) == position
+
+    def test_no_single_generator_at_degree_5(self):
+        # the (2,5) sieve keeps 4 of the 95 rcf vectors
+        vs = sort_vectors_by_norm(rcf_nullspace(
+            build_expansion_matrix(2, 5).subset_rows))
+        gens = generator_sieve(vs, 2, 5)
+        assert len(gens) == 4
+        assert single_generator_alone(vs, 2, 5) is None
+        assert identities.single_generator(vs, gens, 2, 5) is None
+
+    def test_a_single_generator_after_the_sieve_stops(self):
+        # N = 155 vectors: the sieve reaches 155 at position 2, where the
+        # second alone spans 127, and the sum at the end spans 155 alone
+        ctx = get_context(3, 7)
+        rg1, rg2 = (ctx.vector_of(golden.load_identity(
+            f"reduced_generator_{i}")).tolist() for i in (1, 2))
+        vs = [rg1, rg2] + [rg1] * 152 + [[a + b for a, b in zip(rg1, rg2)]]
+        gens = generator_sieve(vs, 3, 7)
+        assert [(g.position, g.cumulative_rank) for g in gens] == \
+            [(1, 105), (2, 155)]
+        assert module_rank([ctx.combination_of(rg2)]) == 127
+        assert single_generator_alone(vs, 3, 7) == 155
+        assert identities.single_generator(vs, gens, 3, 7) == 155
 
 
 class TestLift:

@@ -1,5 +1,6 @@
 import ast
 import inspect
+import math
 import os
 import re
 import subprocess
@@ -12,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import recomb
-from recomb import golden
+from recomb import cli, golden
 from recomb.cli import main
 from recomb.identities import expansion_rank
 from recomb.io_formats import (
@@ -311,6 +312,43 @@ class TestCli:
         assert captured.err == f"error: out of memory: {shown}\n"
         assert captured.out == ""
 
+    @pytest.mark.parametrize("budget, code", [(12 * 15 * 8, 0),
+                                              (12 * 15 * 8 - 1, 2)])
+    def test_matrix_over_the_memory_budget_exits_2(self, capsys, monkeypatch,
+                                                   budget, code):
+        # E(2,4) has 4 * 3 slot tuples by 15 monomials of 8 bytes
+        monkeypatch.setattr("recomb.cli._memory_budget", lambda: budget)
+        assert main(["matrix", "-n", "2", "-d", "4"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: out of memory: the 12 x 15 expansion matrix needs "
+                f"1,440 bytes, {budget:,} available\n")
+            assert captured.out == ""
+        else:
+            assert captured.out == (files("recomb.data") /
+                                    "expansion_matrix_n2_d4.txt").read_text()
+
+    def test_matrix_refusal_builds_nothing(self, capsys, monkeypatch):
+        # 27! slot tuples: refused from the estimate alone, under the real
+        # budget, before any array or slot tuple is made
+        def build(*args):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr("recomb.cli.build_expansion_matrix", build)
+        assert main(["matrix", "-n", "27", "-d", "27"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"error: out of memory: the {math.factorial(27):,} x 1 "
+            f"expansion matrix needs {8 * math.factorial(27):,} bytes, ")
+
+    def test_memory_budget_is_at_most_the_address_space_limit(
+            self, monkeypatch):
+        assert 0 < cli._memory_budget()
+        monkeypatch.setattr(cli.resource, "getrlimit",
+                            lambda which: (4096, cli.resource.RLIM_INFINITY))
+        assert cli._memory_budget() == 4096
+
     def test_deterministic_output(self, capsys):
         main(["nullspace", "-n", "2", "-d", "4", "--method", "hnf-lll"])
         first = capsys.readouterr().out
@@ -369,6 +407,27 @@ def test_package_modules_use_every_name_they_import():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(bound - used)]
     assert unused == []
+
+
+def test_every_module_constant_is_read():
+    # a module-level constant (an upper-case name bound at the top level)
+    # that no module of the package reads is a bound that outlived its use
+    package = Path(__file__).resolve().parent.parent / "src" / "recomb"
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted(package.glob("*.py"))}
+    constants = [f"{name}: {target.id}" for name, tree in trees.items()
+                 for node in tree.body
+                 if isinstance(node, (ast.Assign, ast.AnnAssign))
+                 for target in (node.targets if isinstance(node, ast.Assign)
+                                else [node.target])
+                 if isinstance(target, ast.Name)
+                 and re.fullmatch(r"_?[A-Z][A-Z0-9_]*", target.id)]
+    read = {node.id if isinstance(node, ast.Name) else node.attr
+            for tree in trees.values() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            or isinstance(node, ast.Attribute)}
+    assert "linalg.py: _SAFE" in constants
+    assert [c for c in constants if c.split(": ")[1] not in read] == []
 
 
 def test_engine_products_go_through_the_one_helper():

@@ -381,6 +381,31 @@ class TestBlas:
         assert len(seen) == 2           # K = 1644 terms per sum
 
 
+class TestResidues:
+    # one format: whatever the input, residues of _residue_type(p)'s dtype
+    @pytest.mark.parametrize("p, dtype", [(101, np.float32),
+                                          (521, np.float64),
+                                          (94906249, np.float64)])
+    @pytest.mark.parametrize("x", [
+        np.array([[-1, 0, 7], [2 ** 40, -(2 ** 40), 10 ** 17]]),
+        np.array([[-1, 0, 7], [2 ** 40, -(2 ** 40), 10 ** 100]],
+                 dtype=object),
+        [[-1.0, 0.0, 7.0], [2.0 ** 40, -(2.0 ** 40), 2.0 ** 80]],
+    ], ids=["int64", "big_int_object", "float_list"])
+    def test_dtype_follows_from_p(self, x, p, dtype):
+        got = linalg._residues(x, p)
+        assert got.dtype == dtype and got.shape == (2, 3)
+        want = [[int(v) % p for v in row] for row in np.array(x, dtype=object)]
+        assert got.tolist() == want
+
+    @pytest.mark.parametrize("p", [101, 521])
+    def test_non_integral_entries_are_refused(self, p):
+        with pytest.raises(ValueError, match="non-integral"):
+            linalg._residues([[1, 0.5]], p)
+        with pytest.raises(ValueError, match="non-integral"):
+            linalg._residues(np.array([0.5, 1.0]), p)
+
+
 class TestModularRankAccumulator:
     def test_float_residues_of_its_dtype_go_in_as_they_are(self,
                                                             monkeypatch):
@@ -967,14 +992,16 @@ class TestLllInitialize:
             lll_or_error(ref._lll_initialize, M)
 
     def test_long_sums_are_split(self, monkeypatch):
-        # row j sums j products below p^2; past _GS_TERMS of them (2047,
-        # more rows than a test can afford) the sum is reduced mod p in
-        # between, so _mod never sees more than a residue plus _GS_TERMS
+        # row j sums j products below p^2; past the K of _residue_type (2048
+        # at p < 2^21, more rows than a test can afford) the sum is reduced
+        # mod p in between, so _mod never sees more than a residue plus K
         rnd = random.Random(12)
         M = random_int_matrix(rnd, 100, 110, -9, 9)
         want = ref._lll_initialize(M)
         assert linalg._lll_initialize(M) == want
-        monkeypatch.setattr(linalg, "_GS_TERMS", 7)
+        residue_type = linalg._residue_type
+        monkeypatch.setattr(linalg, "_residue_type",
+                            lambda p: (residue_type(p)[0], 7))
         mod, seen = linalg._mod, []
 
         def spy(X, p):
@@ -1178,7 +1205,7 @@ INTEGER_KERNELS = {
     "int_matmul_right": lambda M: int_matmul([[1]], M),
     "squared_norm": lambda M: squared_norm(M[0]),
     "add_rows": lambda M: ModularRankAccumulator(2, 101).add_rows([0, 1], M),
-    "single_generator": lambda M: single_generator(M, 2, 4),
+    "single_generator": lambda M: single_generator(M, [], 2, 4),
     "generator_sieve": lambda M: generator_sieve(M, 2, 4),
 }
 

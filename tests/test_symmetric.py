@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from recomb import golden, symmetric
+from recomb import golden, linalg, symmetric
 from recomb.expansion import build_expansion_matrix
 from recomb.identities import (
     expansion_rank,
@@ -156,6 +156,18 @@ class TestIrreducibles:
             acc.add_rows(irr.columns, B)
         assert acc.rank() == irr.width
         assert irr.dimension(acc) == ctx.num_monomials
+
+    def test_tables_hand_the_accumulators_residues(self, monkeypatch):
+        # _fixed_space passes reduced residues, which add_rows takes as
+        # they are: building the tables converts nothing
+        calls = []
+        for module in (linalg, symmetric):
+            real = module._residues
+            monkeypatch.setattr(module, "_residues", lambda x, p, real=real:
+                                calls.append(p) or real(x, p))
+        irr = symmetric.Irreducibles(get_context(3, 7), 101)
+        assert calls == []
+        assert irr.weight.sum() == 280
 
     def test_missing_aut_generator_is_detected(self, monkeypatch):
         real = symmetric._aut_generators
