@@ -29,11 +29,10 @@ from .io_formats import (
     write_identity_file,
 )
 from .linalg import (
+    _sorted_by_norm,
     lll_reduce,
     nullspace_lattice,
     rcf_nullspace,
-    sort_vectors_by_norm,
-    squared_norm,
 )
 from .monomials import automorphism_order, enumerate_canonical_types
 from .reproduce import SCOPES, run_scope
@@ -59,27 +58,48 @@ def _memory_budget():
     return budget
 
 
-def _check_matrix_fits(n, d):
-    """Refuse, before building anything, an expansion matrix whose int64
-    entries would not fit: one row per slot tuple, perm(d, n) of them (one
-    at degree 1), and one column per monomial, d!/|Aut T| of type T."""
-    cols = sum(math.factorial(d) // automorphism_order(t)
+def _width(n, d):
+    """Monomials of degree d, from the types alone: d!/|Aut T| of type T."""
+    return sum(math.factorial(d) // automorphism_order(t)
                for t in enumerate_canonical_types(n, d))
-    rows = max(1, math.perm(d, n))
-    need, budget = 8 * rows * cols, _memory_budget()
+
+
+def _check_fits(what, need):
+    """Refuse, before it is built, what needs more bytes than the budget."""
+    budget = _memory_budget()
     if need > budget:
-        raise MemoryError(f"the {rows:,} x {cols:,} expansion matrix needs "
-                          f"{need:,} bytes, {budget:,} available")
+        raise MemoryError(f"{what} needs {need:,} bytes, {budget:,} available")
+
+
+def _check_matrix_fits(n, d):
+    """The expansion matrix's int64 entries: one row per slot tuple,
+    perm(d, n) of them (one at degree 1), and one column per monomial."""
+    rows, cols = max(1, math.perm(d, n)), _width(n, d)
+    _check_fits(f"the {rows:,} x {cols:,} expansion matrix", 8 * rows * cols)
+
+
+def _check_basis_fits(n, d):
+    """A nullspace basis has at least m - C(d, n) vectors of m entries, as
+    E's rank is at most C(d, n).  Sorting it holds three copies at once, a
+    list of rows and two int64 arrays, so 24 bytes per entry at the least:
+    the (4,10) rcf basis peaks at 25 (806 MB over 5,565 x 5,775 entries)."""
+    cols = _width(n, d)
+    rows = max(0, cols - math.comb(d, n))
+    _check_fits(f"a nullspace basis of at least {rows:,} x {cols:,} entries",
+                24 * rows * cols)
 
 
 def _nullspace_vectors(n, d, method):
+    """The degree context, and the squared norms and vectors of the
+    nullspace basis, sorted by norm."""
+    _check_basis_fits(n, d)
     E = build_expansion_matrix(n, d)
     if method == "rcf":
         vs = rcf_nullspace(E.subset_rows)
     else:
         lat = nullspace_lattice(E.subset_rows)
         vs = lll_reduce(lat) if lat else []
-    return E.ctx, sort_vectors_by_norm(vs)
+    return (E.ctx, *_sorted_by_norm(vs))
 
 
 def main(argv=None) -> int:
@@ -127,9 +147,8 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "nullspace":
-            ctx, vs = _nullspace_vectors(args.arity, args.degree,
-                                         args.method)
-            norms = [squared_norm(v) for v in vs]
+            ctx, norms, vs = _nullspace_vectors(args.arity, args.degree,
+                                                args.method)
             print(f"nullspace dimension {len(vs)} "
                   f"(arity {args.arity}, degree {args.degree}, {args.method})")
             if norms:
@@ -164,7 +183,8 @@ def main(argv=None) -> int:
             p = (args.prime if args.prime is not None
                  else golden.scalars()["default_prime"])
             _check_prime(p, args.degree)
-            _, vs = _nullspace_vectors(args.arity, args.degree, args.basis)
+            _, norms, vs = _nullspace_vectors(args.arity, args.degree,
+                                              args.basis)
             gens = generator_sieve(vs, args.arity, args.degree, p)
             if not vs:
                 print("empty nullspace: no identities in this degree")
@@ -182,7 +202,7 @@ def main(argv=None) -> int:
                 print("no single basis vector generates the whole nullspace")
             else:
                 print(f"single generator: position {pos}, squared norm "
-                      f"{squared_norm(vs[pos - 1])}, rank {target}")
+                      f"{norms[pos - 1]}, rank {target}")
             return 0
 
         if args.command == "reproduce":

@@ -27,6 +27,7 @@ from . import golden
 from .expansion import _height, _template, column_blocks
 from .linalg import ModularRankAccumulator, _check_modulus, squared_norm
 from .monomials import DegreeContext, IdentityCombination, get_context, relabel
+from .symmetric import irreducibles
 
 
 def _check_prime(p: int, d: int | None) -> None:
@@ -74,7 +75,7 @@ def _module_dims(ctx: DegreeContext, vectors, p: int):
     the irreducibles' columns (see recomb.symmetric)."""
     if not len(vectors):
         return
-    irr = ctx.irreducibles(p)
+    irr = irreducibles(ctx, p)
     acc = ModularRankAccumulator(irr.width, p)
     for B in irr.blocks(vectors):
         acc.add_rows(irr.columns, B)
@@ -142,7 +143,7 @@ def single_generator(vectors, gens, n: int, d: int,
     vectors = list(vectors)
     if not vectors:
         return None
-    irr = get_context(n, d).irreducibles(p)
+    irr = irreducibles(get_context(n, d), p)
     start = gens[-1].position if gens else 1
     for pos, B in enumerate(irr.blocks(vectors[start - 1:]), start=start):
         acc = ModularRankAccumulator(irr.width, p)

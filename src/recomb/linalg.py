@@ -123,21 +123,30 @@ def _put(A, idx, X) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # small matrix helpers (lists of python ints)
 
+def _row_norms(A: np.ndarray) -> list:
+    """Squared norm of each row of an integer array, as Python ints: in
+    int64 while max|A|^2 width < 2^62, else in Python ints."""
+    if A.dtype != object and _absmax(A) ** 2 * A.shape[1] >= _SAFE:
+        A = A.astype(object)
+    return np.einsum("ij,ij->i", A, A).tolist()
+
+
 def squared_norm(v) -> int:
-    """Sum of squares: in int64 while max|v|^2 len(v) < 2^62."""
-    a = _int_matrix([v])[0]
-    return int(_matmul(a, a))
+    """Sum of squares of an integer vector."""
+    return _row_norms(_int_matrix([v]))[0]
+
+
+def _sorted_by_norm(vectors) -> tuple:
+    """(squared norms, vectors) sorted by squared norm, each taken once;
+    ties break lexicographically on the entries."""
+    A = _int_matrix(vectors)
+    pairs = sorted(zip(_row_norms(A), A.tolist()))
+    return [q for q, _ in pairs], [v for _, v in pairs]
 
 
 def sort_vectors_by_norm(vectors):
-    """Sort by squared norm, each taken once, from the int64 rows when the
-    entries fit; ties break lexicographically on the entries."""
-    A = _int_matrix(vectors)
-    rows = A.tolist()
-    if A.dtype == object or _absmax(A) ** 2 * A.shape[1] >= _SAFE:
-        return sorted(rows, key=lambda v: (squared_norm(v), v))
-    return [v for _, v in sorted(zip(np.einsum("ij,ij->i", A, A).tolist(),
-                                     rows))]
+    """Sort by squared norm; ties break lexicographically on the entries."""
+    return _sorted_by_norm(vectors)[1]
 
 
 def int_matmul(A, B):
@@ -728,13 +737,15 @@ _NARROW = 512
 
 def _residues(x, p: int) -> np.ndarray:
     """Integers x mod p as residues of _residue_type(p), exact at any size;
-    a non-integral entry raises ValueError.  An integer array reduces by %,
+    a non-integral entry raises ValueError.  An integer array reduces by %
+    in int64 straight into the residues, with no int64 result beside x,
     anything else entry by entry, as a list that numpy reads as floats
     would round its big ints."""
     a = np.asarray(x)
     dtype = _residue_type(p)[0]
     if np.can_cast(a.dtype, np.int64):
-        return (np.asarray(a, dtype=np.int64) % p).astype(dtype)
+        return np.remainder(a.astype(np.int64, copy=False), p,
+                            out=np.empty(a.shape, dtype), casting="unsafe")
     return np.array([_integer(v) % p for v in np.array(x, dtype=object).flat],
                     dtype=dtype).reshape(a.shape)
 

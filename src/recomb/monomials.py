@@ -17,12 +17,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import re
 import string
 from functools import cached_property, lru_cache
 
 import numpy as np
 
 LEAF = 0  # shape marker for a leaf
+# tokens of a bracket monomial: a bracket, a comma, or a run of other
+# non-space characters, which parses only as one lowercase letter
+_TOKEN = re.compile(r"[][,]|[^][,\s]+")
 
 
 class InvalidDegreeError(ValueError):
@@ -42,13 +46,6 @@ def var_name(i: int) -> str:
     raise ValueError(f"variable index {i} out of letter range")
 
 
-def var_index(name: str) -> int:
-    name = name.strip()
-    if len(name) == 1 and name in string.ascii_lowercase:
-        return string.ascii_lowercase.index(name)
-    raise ValueError(f"bad variable name {name!r}")
-
-
 # ---------------------------------------------------------------------------
 # trees and shapes
 
@@ -57,24 +54,12 @@ def is_leaf(t) -> bool:
 
 
 def tree_degree(t) -> int:
-    if is_leaf(t):
-        return 1
-    return sum(tree_degree(c) for c in t)
+    return len(leaves(t))
 
 
 def leaves(t) -> tuple:
     """Leaf variables of a tree, left to right."""
-    if is_leaf(t):
-        return (t,)
-    out = []
-    stack = [t]
-    while stack:
-        node = stack.pop()
-        if is_leaf(node):
-            out.append(node)
-        else:
-            stack.extend(reversed(node))
-    return tuple(out)
+    return (t,) if is_leaf(t) else sum(map(leaves, t), ())
 
 
 def shape_of(t):
@@ -166,41 +151,29 @@ def to_bracket(t) -> str:
 
 def parse_bracket(s: str):
     """Inverse of to_bracket; accepts whitespace between tokens."""
-    pos = 0
-    s = s.strip()
+    tokens = _TOKEN.findall(s)[::-1]
+    tree = _parse(tokens)
+    if tokens:
+        raise ValueError(f"trailing input {''.join(tokens[::-1])!r}")
+    return tree
 
-    def parse():
-        nonlocal pos
-        while pos < len(s) and s[pos] in " \t":
-            pos += 1
-        if pos >= len(s):
-            raise ValueError("unexpected end of monomial")
-        if s[pos] == "[":
-            pos += 1
-            kids = [parse()]
-            while True:
-                while pos < len(s) and s[pos] in " \t":
-                    pos += 1
-                if pos >= len(s):
-                    raise ValueError("unclosed bracket")
-                if s[pos] == ",":
-                    pos += 1
-                    kids.append(parse())
-                elif s[pos] == "]":
-                    pos += 1
-                    return tuple(kids)
-                else:
-                    raise ValueError(f"bad character {s[pos]!r} at {pos}")
-        ch = s[pos]
-        pos += 1
-        return var_index(ch)
 
-    out = parse()
-    while pos < len(s) and s[pos] in " \t":
-        pos += 1
-    if pos != len(s):
-        raise ValueError(f"trailing input {s[pos:]!r}")
-    return out
+def _parse(tokens: list):
+    """Pop one subtree off the end of reversed tokens."""
+    if not tokens:
+        raise ValueError("unexpected end of monomial")
+    tok = tokens.pop()
+    if tok == "[":
+        kids = [_parse(tokens)]
+        while tokens and tokens[-1] == ",":
+            tokens.pop()
+            kids.append(_parse(tokens))
+        if not tokens or tokens.pop() != "]":
+            raise ValueError("expected ',' or ']' in a bracket")
+        return tuple(kids)
+    if len(tok) == 1 and tok in string.ascii_lowercase:
+        return string.ascii_lowercase.index(tok)
+    raise ValueError(f"bad variable name {tok!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +432,9 @@ class DegreeContext:
     and occupy columns offsets[t] to offsets[t+1]-1.  A leaf row finds its
     column through the sorted row codes of its type; every relabelling is
     canonicalised by straighten_many first.  The monomials as trees and
-    the slot tuples are built on first use.
+    the slot tuples are built on first use, and `tables` holds what
+    recomb.symmetric fits to these monomials, per prime, as long as the
+    context lives.
     """
 
     # leaf rows straightened per step; bounds the engine's temporaries
@@ -478,8 +453,8 @@ class DegreeContext:
         self.offsets = [0]
         for lvs in self.leaves_by_type:
             self.offsets.append(self.offsets[-1] + len(lvs))
-        self._perm_table_inv = None
-        self._irreducibles: dict = {}
+        # prime -> its Irreducibles (symmetric.irreducibles)
+        self.tables: dict = {}
 
     @cached_property
     def monomials(self) -> list:
@@ -558,34 +533,25 @@ class DegreeContext:
             self.relabelled_columns(ti, lvs, [sigma])[0]
             for ti, lvs in enumerate(self.leaves_by_type)])
 
-    def irreducibles(self, p: int):
-        """Young's seminormal form mod p fitted to these monomials
-        (recomb.symmetric.Irreducibles), built on first use."""
-        if p not in self._irreducibles:
-            from .symmetric import Irreducibles
-            self._irreducibles[p] = Irreducibles(self, p)
-        return self._irreducibles[p]
-
     def perm_table_inv(self):
         """(d!, m) gather table: orbit rows are vector[table] per permutation.
 
         Row s holds, for each column k, the source column j with
         sigma_s . monomial_j = monomial_k, where sigma_s is the s-th
-        permutation in lexicographic order.  Only built for d! <= 45000.
-        No path in recomb uses it: module ranks go per irreducible.
+        permutation in lexicographic order.  Only built for d! <= 45000,
+        anew on each call: no path in recomb uses it, as module ranks go
+        per irreducible.
         """
-        if self._perm_table_inv is None:
-            nperm = math.factorial(self.d)
-            if nperm > 45000:
-                raise ValueError("permutation table too large; use the sparse path")
-            perms = permutation_rows(self.d)
-            table = np.empty((nperm, self.num_monomials), dtype=np.int32)
-            for ti, lvs in enumerate(self.leaves_by_type):
-                cols = self.relabelled_columns(ti, lvs, perms)
-                table[np.arange(nperm)[:, None], cols] = np.arange(
-                    self.offsets[ti], self.offsets[ti + 1], dtype=np.int32)
-            self._perm_table_inv = table
-        return self._perm_table_inv
+        nperm = math.factorial(self.d)
+        if nperm > 45000:
+            raise ValueError("permutation table too large; use the sparse path")
+        perms = permutation_rows(self.d)
+        table = np.empty((nperm, self.num_monomials), dtype=np.int32)
+        for ti, lvs in enumerate(self.leaves_by_type):
+            cols = self.relabelled_columns(ti, lvs, perms)
+            table[np.arange(nperm)[:, None], cols] = np.arange(
+                self.offsets[ti], self.offsets[ti + 1], dtype=np.int32)
+        return table
 
 
 @lru_cache(maxsize=None)

@@ -33,8 +33,7 @@ from .linalg import (
     sort_vectors_by_norm,
     squared_norm,
 )
-
-SCOPES = ("binary", "deg5", "deg7", "deg9-rank", "deg9-closure")
+from .monomials import get_context
 
 
 @dataclass
@@ -79,25 +78,7 @@ def _short(x, limit=60):
     return s if len(s) <= limit else s[:limit] + "..."
 
 
-def run_scope(scope: str, *, p: int | None = None) -> Report:
-    sc = golden.scalars()
-    p = p if p is not None else sc["default_prime"]
-    # module ranks and the closure need p > d
-    _check_prime(p, {"deg7": 7, "deg9-closure": 9}.get(scope))
-    if scope == "binary":
-        return _binary(sc)
-    if scope == "deg5":
-        return _deg5(sc)
-    if scope == "deg7":
-        return _deg7(sc, p)
-    if scope == "deg9-rank":
-        return _deg9_rank(sc, p)
-    if scope == "deg9-closure":
-        return _deg9_closure(sc, p)
-    raise ValueError(f"unknown scope {scope!r}")
-
-
-def _binary(sc) -> Report:
+def _binary(sc, p) -> Report:
     rep = Report("binary")
     E = build_expansion_matrix(2, 4)
     rep.add("expansion matrix 12x15",
@@ -137,7 +118,7 @@ def _binary(sc) -> Report:
     return rep
 
 
-def _deg5(sc) -> Report:
+def _deg5(sc, p) -> Report:
     rep = Report("deg5")
     E = build_expansion_matrix(3, 5)
     rep.add("matrix shape", (60, 10), E.array.shape)
@@ -211,7 +192,6 @@ def _deg7(sc, p) -> Report:
 
 def _deg9_rank(sc, p) -> Report:
     rep = Report("deg9-rank")
-    from .monomials import get_context
     ctx = get_context(3, 9)
     rep.add("monomial counts per type", sc["monomial_counts"]["n3_d9"],
             ctx.type_counts)
@@ -241,3 +221,23 @@ def _deg9_closure(sc, p) -> Report:
             sc["closure_cumulative_dims_n3_d9"], res.consequence_dims)
     rep.add("verdict", "no new identities", res.verdict)
     return rep
+
+
+# scope -> (runner, degree d of the module ranks it takes, which need p > d)
+SCOPES = {
+    "binary": (_binary, None),
+    "deg5": (_deg5, None),
+    "deg7": (_deg7, 7),
+    "deg9-rank": (_deg9_rank, None),
+    "deg9-closure": (_deg9_closure, 9),
+}
+
+
+def run_scope(scope: str, *, p: int | None = None) -> Report:
+    sc = golden.scalars()
+    p = p if p is not None else sc["default_prime"]
+    runner, degree = SCOPES.get(scope, (None, None))
+    _check_prime(p, degree)
+    if runner is None:
+        raise ValueError(f"unknown scope {scope!r}")
+    return runner(sc, p)

@@ -259,3 +259,11 @@ class Irreducibles:
     def dimension(self, acc: ModularRankAccumulator) -> int:
         """Dimension of the module spanned by the block rows in acc."""
         return int(self.weight[acc.pivots].sum())
+
+
+def irreducibles(ctx, p: int) -> Irreducibles:
+    """The Irreducibles of a DegreeContext mod p, built on first use and
+    kept in ctx.tables, so that they live exactly as long as ctx."""
+    if p not in ctx.tables:
+        ctx.tables[p] = Irreducibles(ctx, p)
+    return ctx.tables[p]

@@ -38,6 +38,7 @@ from recomb.linalg import (
     squared_norm,
 )
 from recomb.monomials import get_context, leaves, relabel, straighten
+from recomb.reproduce import SCOPES
 
 SC = golden.scalars()
 P101 = SC["default_prime"]
@@ -46,6 +47,13 @@ TRANSCRIPTS = Path(__file__).parent / "transcripts"
 # wall-time budget of each scope: the tightest of the criteria it covers
 BUDGET_S = {"binary": 1.0, "deg5": 1.0, "deg7": 30.0, "deg9-rank": 120.0,
             "deg9-closure": 60.0}
+
+
+def test_scopes_transcripts_and_budgets_name_the_same_scopes():
+    scopes = list(SCOPES)
+    assert len(scopes) == 5
+    assert sorted(p.stem for p in TRANSCRIPTS.glob("*.txt")) == sorted(scopes)
+    assert sorted(BUDGET_S) == sorted(scopes)
 
 
 def report(num: int, ok: bool, detail: str) -> None:

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from recomb import build_expansion_matrix, golden, identities
+from recomb import build_expansion_matrix, golden, identities, symmetric
 from recomb.identities import (
     generator_sieve,
     lift_identity,
@@ -265,7 +265,7 @@ class TestGeneratorSieve:
 
 def single_generator_alone(vectors, n, d, p=101):
     """Brute force: each vector's module ranked alone, from the first."""
-    irr = get_context(n, d).irreducibles(p)
+    irr = symmetric.irreducibles(get_context(n, d), p)
     for pos, B in enumerate(irr.blocks(vectors), start=1):
         acc = ModularRankAccumulator(irr.width, p)
         acc.add_rows(irr.columns, B)

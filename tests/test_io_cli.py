@@ -342,6 +342,36 @@ class TestCli:
             f"error: out of memory: the {math.factorial(27):,} x 1 "
             f"expansion matrix needs {8 * math.factorial(27):,} bytes, ")
 
+    @pytest.mark.parametrize("command", [["nullspace"],
+                                         ["generators", "--basis", "rcf"]])
+    @pytest.mark.parametrize("budget, code", [(24 * 9 * 15, 0),
+                                              (24 * 9 * 15 - 1, 2)])
+    def test_basis_over_the_memory_budget_exits_2(self, capsys, monkeypatch,
+                                                  command, budget, code):
+        # E(2,4) has rank at most C(4,2) = 6 on 15 monomials: a basis of at
+        # least 9 vectors, at 24 bytes an entry; refused before E is built
+        def build(*args):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr("recomb.cli._memory_budget", lambda: budget)
+        if code:
+            monkeypatch.setattr("recomb.cli.build_expansion_matrix", build)
+        assert main([*command, "-n", "2", "-d", "4"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: out of memory: a nullspace basis of at least 9 x 15 "
+                f"entries needs 3,240 bytes, {budget:,} available\n")
+            assert captured.out == ""
+        else:
+            assert captured.err == ""
+
+    def test_generators_checks_p_before_the_basis_estimate(self, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr("recomb.cli._memory_budget", lambda: 0)
+        assert main(["generators", "-n", "2", "-d", "4", "-p", "3"]) == 2
+        assert "need a prime p > degree" in capsys.readouterr().err
+
     def test_memory_budget_is_at_most_the_address_space_limit(
             self, monkeypatch):
         assert 0 < cli._memory_budget()
@@ -407,6 +437,19 @@ def test_package_modules_use_every_name_they_import():
                 if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in sorted(bound - used)]
     assert unused == []
+
+
+def test_no_function_imports():
+    # every import of the package sits at the top of its module: one made
+    # inside a function hides a dependency, such as one on a higher layer
+    package = Path(__file__).resolve().parent.parent / "src" / "recomb"
+    inside = [f"{path.name}: {func.name}"
+              for path in sorted(package.glob("*.py"))
+              for func in ast.walk(ast.parse(path.read_text()))
+              if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+              for node in ast.walk(func)
+              if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert inside == []
 
 
 def test_every_module_constant_is_read():

@@ -393,10 +393,13 @@ class TestResidues:
         [[-1.0, 0.0, 7.0], [2.0 ** 40, -(2.0 ** 40), 2.0 ** 80]],
     ], ids=["int64", "big_int_object", "float_list"])
     def test_dtype_follows_from_p(self, x, p, dtype):
+        before = np.array(x, dtype=object)
         got = linalg._residues(x, p)
         assert got.dtype == dtype and got.shape == (2, 3)
-        want = [[int(v) % p for v in row] for row in np.array(x, dtype=object)]
+        want = [[int(v) % p for v in row] for row in before]
         assert got.tolist() == want
+        # the caller's array is left as it was
+        assert np.array(x, dtype=object).tolist() == before.tolist()
 
     @pytest.mark.parametrize("p", [101, 521])
     def test_non_integral_entries_are_refused(self, p):
@@ -608,7 +611,7 @@ class TestModularRankAccumulator:
         diag, _, off = symmetric._seminormal((3, 2), p)
         assert diag.dtype == off.dtype == dtype
         ctx = get_context(2, 4)
-        [B] = ctx.irreducibles(p).blocks([ctx.vector_of(
+        [B] = symmetric.irreducibles(ctx, p).blocks([ctx.vector_of(
             golden.load_identity("binary_recombination"))])
         assert B.dtype == dtype
         # K terms below p^2 and one residue stay in _mod's exact range
@@ -1173,6 +1176,17 @@ class TestSortVectors:
         vs = [[2 ** 40, 0], [0, -(2 ** 40)], [2 ** 70, 0], [1, 1], [-1, 1]]
         assert sort_vectors_by_norm(vs) == \
             sorted(vs, key=lambda v: (sum(x * x for x in v), v))
+
+    @pytest.mark.parametrize("A", [
+        np.array([[3, -4, 0], [1, 1, 1], [0, 0, 0]], dtype=np.int64),
+        np.array([[2 ** 31, -(2 ** 31) - 5], [2 ** 40, 7]], dtype=np.int64),
+        np.array([[2 ** 31, 2 ** 31, 1], [3, 4, 0]], dtype=np.int64),
+        np.array([[2 ** 70, -3], [-(2 ** 63), 2 ** 62]], dtype=object),
+    ], ids=["small", "past_2^31", "at_the_bound", "past_2^62"])
+    def test_row_norms_are_python_sums_of_squares(self, A):
+        want = [sum(int(x) * int(x) for x in row) for row in A.tolist()]
+        got = linalg._row_norms(A)
+        assert got == want and all(type(x) is int for x in got)
 
     def test_same_order_as_sorting_by_python_norms(self, deg7_bases):
         for vs in deg7_bases:

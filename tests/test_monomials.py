@@ -301,9 +301,13 @@ class TestBrackets:
     def test_whitespace(self):
         assert parse_bracket(" [ [a, b , c ], d ,e ] ") == \
             parse_bracket("[[a,b,c],d,e]")
+        assert parse_bracket(" [ a , [b,c ] ,d] ") == (0, (1, 2), 3)
 
     def test_errors(self):
-        for bad in ["", "[a,b", "[a,b],c]x", "[a,,b]", "[1,2]"]:
+        # a variable is one lowercase letter, between delimiters
+        for bad in ["", "[a,b", "[a,b],c]x", "[a,,b]", "[1,2]", "[ab,c]",
+                    "[a b]", "[,a]", "[a,]", "[]", "a]", "[a,b]]", "[A,b]",
+                    "[a,1]"]:
             with pytest.raises(ValueError):
                 parse_bracket(bad)
 

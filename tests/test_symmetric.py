@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -149,13 +150,24 @@ class TestIrreducibles:
                                      (4, 7)])
     def test_monomials_span_the_whole_space(self, n, d):
         ctx = DegreeContext(n, d)
-        irr = ctx.irreducibles(101)
+        irr = symmetric.irreducibles(ctx, 101)
         assert irr.weight.sum() == ctx.num_monomials
         acc = ModularRankAccumulator(irr.width, 101)
         for B in irr.blocks(np.eye(ctx.num_monomials, dtype=np.int64)):
             acc.add_rows(irr.columns, B)
         assert acc.rank() == irr.width
         assert irr.dimension(acc) == ctx.num_monomials
+
+    def test_tables_live_as_long_as_their_context(self):
+        # kept per prime in the context, and holding no reference back to
+        # it, so dropping the context frees them without a collection
+        ctx = DegreeContext(2, 4)
+        irr = symmetric.irreducibles(ctx, 101)
+        assert symmetric.irreducibles(ctx, 101) is irr
+        assert symmetric.irreducibles(ctx, 103) is not irr
+        ref = weakref.ref(irr)
+        del ctx, irr
+        assert ref() is None
 
     def test_tables_hand_the_accumulators_residues(self, monkeypatch):
         # _fixed_space passes reduced residues, which add_rows takes as
@@ -174,7 +186,7 @@ class TestIrreducibles:
         monkeypatch.setattr(symmetric, "_aut_generators",
                             lambda shape: real(shape)[:-1])
         with pytest.raises(RuntimeError, match="sum d_lam M_lam"):
-            DegreeContext(3, 7).irreducibles(101)
+            symmetric.irreducibles(DegreeContext(3, 7), 101)
 
     def test_missing_generator_of_one_type_names_that_type(self,
                                                            monkeypatch):
@@ -186,13 +198,13 @@ class TestIrreducibles:
                             real(s)[:-1] if s == shape else real(s))
         with pytest.raises(RuntimeError,
                            match=rf"type 1 .*expected {ctx.type_counts[1]}"):
-            ctx.irreducibles(101)
+            symmetric.irreducibles(ctx, 101)
 
     @pytest.mark.parametrize("n,d,rows,width", [(3, 7, 127, 18),
                                                 (3, 9, 1764, 157)])
     def test_blocks_of_the_sizes_stated(self, n, d, rows, width):
         ctx = get_context(n, d)
-        irr = ctx.irreducibles(101)
+        irr = symmetric.irreducibles(ctx, 101)
         assert (len(irr.columns), irr.width) == (rows, width)
         assert irr.columns.min() >= 0 and irr.columns.max() < width
         R = golden.load_identity("ternary_recombination")
@@ -207,7 +219,7 @@ class TestIrreducibles:
         # the 245 canonical (3,7) nullspace vectors make four batches, each
         # with one product per type
         ctx = get_context(3, 7)
-        irr = ctx.irreducibles(101)
+        irr = symmetric.irreducibles(ctx, 101)
         V = rcf_nullspace(build_expansion_matrix(3, 7).array.tolist())
         assert len(V) == 245 > 3 * symmetric._BATCH
         one = [B.copy() for v in V for B in irr.blocks([v])]
