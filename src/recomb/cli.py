@@ -22,7 +22,6 @@ from .identities import (
     verify_identity,
 )
 from .io_formats import (
-    ParseError,
     format_identity,
     format_matrix,
     read_identity_file,
@@ -78,21 +77,26 @@ def _check_matrix_fits(n, d):
     _check_fits(f"the {rows:,} x {cols:,} expansion matrix", 8 * rows * cols)
 
 
-def _check_basis_fits(n, d):
-    """A nullspace basis has at least m - C(d, n) vectors of m entries, as
-    E's rank is at most C(d, n).  Sorting it holds three copies at once, a
-    list of rows and two int64 arrays, so 24 bytes per entry at the least:
-    the (4,10) rcf basis peaks at 25 (806 MB over 5,565 x 5,775 entries)."""
-    cols = _width(n, d)
-    rows = max(0, cols - math.comb(d, n))
-    _check_fits(f"a nullspace basis of at least {rows:,} x {cols:,} entries",
-                24 * rows * cols)
+def _check_basis_fits(n, d, method):
+    """A nullspace basis has at least k = m - C(d, n) vectors of m entries,
+    as E's rank is at most C(d, n).  Sorting it holds the rows and one int64
+    array, so 16 bytes per entry at the least.  The exact lattice holds more
+    at its Gram matrix: the lattice rows, the int64 basis and its copy, a
+    float64 copy, and the float64 and int64 Gram matrices, 8 (4 k m + 2 k^2)
+    bytes."""
+    m = _width(n, d)
+    k = max(0, m - math.comb(d, n))
+    if method == "rcf":
+        what, need = "a nullspace basis", 16 * k * m
+    else:
+        what, need = "an exact nullspace lattice", 8 * (4 * k * m + 2 * k * k)
+    _check_fits(f"{what} of at least {k:,} x {m:,} entries", need)
 
 
 def _nullspace_vectors(n, d, method):
     """The degree context, and the squared norms and vectors of the
     nullspace basis, sorted by norm."""
-    _check_basis_fits(n, d)
+    _check_basis_fits(n, d, method)
     E = build_expansion_matrix(n, d)
     if method == "rcf":
         vs = rcf_nullspace(E.subset_rows)
@@ -166,11 +170,7 @@ def main(argv=None) -> int:
             return 0
 
         if args.command == "verify":
-            try:
-                idc = read_identity_file(args.file)
-            except (OSError, ParseError) as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return 2
+            idc = read_identity_file(args.file)
             residual = verify_identity(idc)
             if residual == 0:
                 print(f"{args.file}: identity holds "

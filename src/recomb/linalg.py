@@ -85,13 +85,14 @@ def _integer(x) -> int:
 
 def _int_matrix(M) -> np.ndarray:
     """M as a new 2-d integer array: int64 when every entry is below 2^62,
-    else dtype=object holding Python ints; non-integral entries raise."""
-    A = np.asarray(M)
+    else dtype=object holding Python ints; non-integral entries raise.
+    Integer input is read into one array, which the cast keeps."""
+    A = np.array(M, order="C")
     if A.dtype.kind not in "biu":
         A = np.array([[_integer(x) for x in row] for row in M], dtype=object)
     if A.ndim != 2:
         return np.zeros((len(A), 0), dtype=np.int64)
-    return A.astype(np.int64 if _absmax(A) < _SAFE else object, order="C")
+    return A.astype(np.int64 if _absmax(A) < _SAFE else object, copy=False)
 
 
 def _lincomb(fa, X, fb, Y) -> np.ndarray:
@@ -138,9 +139,10 @@ def squared_norm(v) -> int:
 
 def _sorted_by_norm(vectors) -> tuple:
     """(squared norms, vectors) sorted by squared norm, each taken once;
-    ties break lexicographically on the entries."""
-    A = _int_matrix(vectors)
-    pairs = sorted(zip(_row_norms(A), A.tolist()))
+    ties break lexicographically on the entries.  The caller's rows are
+    permuted, not copied; an array is turned into lists of ints first."""
+    rows = vectors.tolist() if isinstance(vectors, np.ndarray) else vectors
+    pairs = sorted(zip(_row_norms(_int_matrix(rows)), rows))
     return [q for q, _ in pairs], [v for _, v in pairs]
 
 

@@ -36,6 +36,8 @@ products, so it needs K >= 2 or one more reduction (float64, p > ~2^26).
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 import numpy as np
 
 from .linalg import (ModularRankAccumulator, _matmul_mod, _mod,
@@ -146,21 +148,19 @@ def _act(steps, table, X: np.ndarray, p: int) -> np.ndarray:
     return X
 
 
-def _fixed_space(steps, table, p: int) -> np.ndarray:
+def _fixed_space(steps, table, p: int, k: int) -> np.ndarray:
     """Basis (d_lam x M) mod p of the vectors that every rho(g) fixes.
 
-    `table` is lam's, shared by every type.  Leading generators s_0, ...,
-    s_{k-1} (the leaf swaps of every shape's first leaf-only node) generate
-    S_{k+1} on 0..k, and the seminormal basis is adapted to S_1 < S_2 < ...:
-    their fixed vectors are the e_t with 0..k in the first row, r = 1 for
-    every j < k.  Those e_t span X, and the rest fix X K, where K spans the
+    `table` is lam's, shared by every type.  The leading k generators s_0,
+    ..., s_{k-1} (the leaf swaps of every shape's first leaf-only node, the
+    longest run of sibling leaves, so k = mu_T[0] - 1) generate S_{k+1} on
+    0..k, and the seminormal basis is adapted to S_1 < S_2 < ...: their
+    fixed vectors are the e_t with 0..k in the first row, r = 1 for every
+    j < k.  Those e_t span X, and the rest fix X K, where K spans the
     kernel of (rho(g) - I) X stacked over the other g (one bubble sort in
     `steps` each), whose zero rows are skipped.  X K is K in the kept rows.
     """
     diag = table[0]
-    k = 0
-    while k < len(steps) and len(steps[k]) == 1 and steps[k][0][0] == k:
-        k += 1
     keep = np.flatnonzero((diag[:k] == 1).all(axis=0))
     X = np.zeros((diag.shape[1], len(keep)), dtype=diag.dtype)
     X[keep, np.arange(len(keep))] = 1
@@ -171,6 +171,20 @@ def _fixed_space(steps, table, p: int) -> np.ndarray:
     P = np.zeros((len(X), len(keep) - acc.rank()), dtype=X.dtype)
     P[keep] = acc.kernel()
     return P
+
+
+def _leaf_runs(shape) -> tuple:
+    """mu_T, the runs of sibling leaves (sort plan steps (lo, k, 1)) of a
+    canonical shape, longest first, padded with 1s.  Aut T holds S_mu, whose
+    fixed vectors in S^lam number K_lam,mu (Young's rule, mod p > d): none
+    unless lam dominates mu."""
+    runs = sorted((k for _, k, s in _sort_plan(shape) if s == 1), reverse=True)
+    return (*runs, *[1] * (shape_degree(shape) - sum(runs)))
+
+
+def _dominates(lam, mu) -> bool:
+    """Whether every partial sum of lam is at least mu's."""
+    return all(a >= b for a, b in zip(accumulate(lam), accumulate(mu)))
 
 
 class Irreducibles:
@@ -184,7 +198,10 @@ class Irreducibles:
     for each column, so the dimension of the module that the block rows in
     an accumulator span is the weight of its pivot columns.  Type T keeps,
     per lam with M_{T,lam} > 0, lam's one table and P_T, and where all
-    their entries go in a block.
+    their entries go in a block.  Only lam that dominate some mu_T
+    (`_leaf_runs`) get a table, and each has M_lam > 0: every mu_T
+    dominates that of the type with one inner child per inner node, whose
+    Aut is its S_mu.
     """
 
     def __init__(self, ctx, p: int):
@@ -195,12 +212,13 @@ class Irreducibles:
         # per type: one bubble sort per Aut generator (of m_T's variables)
         steps = [[_bubble([g]) for g in _aut_generators(shape)]
                  for shape in ctx.types]
+        mus = [_leaf_runs(shape) for shape in ctx.types]
         irreps = []         # (table, [P_T for each type]), M_lam > 0
         for lam in partitions(ctx.d):
-            table = _seminormal(lam, p)
-            Ps = [_fixed_space(g, table, p) for g in steps]
-            if any(P.size for P in Ps):
-                irreps.append((table, Ps))
+            if any(_dominates(lam, mu) for mu in mus):
+                table = _seminormal(lam, p)
+                irreps.append((table, [_fixed_space(g, table, p, mu[0] - 1)
+                                       for g, mu in zip(steps, mus)]))
         dims = np.array([len(Ps[0]) for _, Ps in irreps])
         ms = np.array([[P.shape[1] for P in Ps] for _, Ps in irreps])
         totals = (dims[:, None] * ms).sum(axis=0)     # sum d_lam M_T,lam

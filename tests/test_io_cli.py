@@ -344,12 +344,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["nullspace"],
                                          ["generators", "--basis", "rcf"]])
-    @pytest.mark.parametrize("budget, code", [(24 * 9 * 15, 0),
-                                              (24 * 9 * 15 - 1, 2)])
+    @pytest.mark.parametrize("budget, code", [(16 * 9 * 15, 0),
+                                              (16 * 9 * 15 - 1, 2)])
     def test_basis_over_the_memory_budget_exits_2(self, capsys, monkeypatch,
                                                   command, budget, code):
         # E(2,4) has rank at most C(4,2) = 6 on 15 monomials: a basis of at
-        # least 9 vectors, at 24 bytes an entry; refused before E is built
+        # least 9 vectors, at 16 bytes an entry; refused before E is built
         def build(*args):
             raise AssertionError("the matrix was built")
 
@@ -361,10 +361,69 @@ class TestCli:
         if code:
             assert captured.err == (
                 "error: out of memory: a nullspace basis of at least 9 x 15 "
-                f"entries needs 3,240 bytes, {budget:,} available\n")
+                f"entries needs 2,160 bytes, {budget:,} available\n")
             assert captured.out == ""
         else:
             assert captured.err == ""
+
+    @pytest.mark.parametrize("command", [
+        ["nullspace", "--method", "hnf-lll"], ["generators"]])
+    @pytest.mark.parametrize("budget, code", [(5616, 0), (5615, 2)])
+    def test_lattice_over_the_memory_budget_exits_2(self, capsys, monkeypatch,
+                                                    command, budget, code):
+        # the exact lattice of k = 9 vectors of m = 15 entries holds
+        # 8 (4 k m + 2 k^2) = 5,616 bytes at its Gram matrix
+        def build(*args):
+            raise AssertionError("the matrix was built")
+
+        monkeypatch.setattr("recomb.cli._memory_budget", lambda: budget)
+        if code:
+            monkeypatch.setattr("recomb.cli.build_expansion_matrix", build)
+        assert main([*command, "-n", "2", "-d", "4"]) == code
+        captured = capsys.readouterr()
+        if code:
+            assert captured.err == (
+                "error: out of memory: an exact nullspace lattice of at least "
+                f"9 x 15 entries needs 5,616 bytes, {budget:,} available\n")
+            assert captured.out == ""
+        else:
+            assert captured.err == ""
+
+    @pytest.mark.parametrize("command", [
+        ["nullspace", "--method", "hnf-lll"], ["generators"]])
+    def test_degree9_lattice_is_refused_where_the_basis_fits(
+            self, capsys, monkeypatch, command):
+        # (3,9): k = 15,316 vectors of m = 15,400 entries.  A budget that
+        # holds the sorted basis (16 k m bytes) is far from the lattice's
+        # 8 (4 k m + 2 k^2), about 11.3 GB; refused before E is built
+        def build(*args):
+            raise AssertionError("the matrix was built")
+
+        k, m = 15316, 15400
+        budget = 16 * k * m
+        monkeypatch.setattr("recomb.cli._memory_budget", lambda: budget)
+        monkeypatch.setattr("recomb.cli.build_expansion_matrix", build)
+        assert main([*command, "-n", "3", "-d", "9"]) == 2
+        captured = capsys.readouterr()
+        need = 8 * (4 * k * m + 2 * k * k)
+        assert need > 11 * 10 ** 9
+        assert captured.err == (
+            "error: out of memory: an exact nullspace lattice of at least "
+            f"15,316 x 15,400 entries needs {need:,} bytes, {budget:,} "
+            "available\n")
+        assert captured.out == ""
+
+    def test_verify_errors_print_one_line(self, tmp_path, capsys):
+        ugly = tmp_path / "ugly.txt"
+        ugly.write_text("not an identity file\n")
+        assert main(["verify", str(ugly)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: bad header line: 'not an identity file'\n")
+        missing = tmp_path / "missing.txt"
+        assert main(["verify", str(missing)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == (
+            f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
     def test_generators_checks_p_before_the_basis_estimate(self, capsys,
                                                            monkeypatch):

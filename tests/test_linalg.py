@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -1143,6 +1144,40 @@ class TestMagnitudeGuard:
             assert A.dtype == object and A.tolist() == [[big, 1]]
         assert _int_matrix(np.array([[-2 ** 63]])).dtype == object
 
+    def test_int_matrix_of_a_list_holds_one_array(self):
+        # read into one int64 array, which the cast keeps: 8 bytes an entry
+        # where reading and then casting held two whole copies (16)
+        M = [list(range(i, i + 1000)) for i in range(1000)]
+        tracemalloc.start()
+        try:
+            A = _int_matrix(M)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert A.dtype == np.int64 and A.tolist() == M
+        assert peak < 12 * 1000 * 1000
+
+    def test_int_matrix_of_an_array_is_a_new_array(self):
+        # the exact kernels write into what _int_matrix returns
+        for A in (np.arange(6, dtype=np.int64).reshape(2, 3),
+                  np.arange(6, dtype=np.int64).reshape(3, 2).T,
+                  np.array([[2 ** 70, 1]], dtype=object)):
+            B = _int_matrix(A)
+            assert B.flags.c_contiguous and not np.shares_memory(A, B)
+            assert B.tolist() == A.tolist()
+
+    def test_kernels_leave_the_expansion_matrix_unchanged(self, E37):
+        # the exact kernels work on their own copy of E's subset rows
+        S = E37.subset_rows
+        before = S.copy()
+        rcf(S)
+        rcf_nullspace(S)
+        nullspace_lattice(S)
+        hnf_with_transform(S)
+        hnf_rows(S)
+        lll_reduce(S)
+        assert np.array_equal(S, before)
+
     def test_lincomb_widens_at_the_bound(self):
         x = np.array([self.LIMIT - 1 - 3 * 5], dtype=np.int64)
         y = np.array([5], dtype=np.int64)
@@ -1192,6 +1227,22 @@ class TestSortVectors:
         for vs in deg7_bases:
             assert sort_vectors_by_norm(vs) == \
                 sorted(vs, key=lambda v: (sum(x * x for x in v), v))
+
+    def test_the_callers_rows_are_permuted_not_copied(self, deg7_bases):
+        for vs in deg7_bases:
+            order = sorted(range(len(vs)), key=lambda i: (
+                sum(x * x for x in vs[i]), vs[i]))
+            norms, got = linalg._sorted_by_norm(vs)
+            assert len(got) == len(vs)
+            assert all(v is vs[i] for v, i in zip(got, order))
+            assert norms == [sum(x * x for x in vs[i]) for i in order]
+
+    def test_an_array_is_sorted_as_lists_of_ints(self):
+        A = np.array([[2, -1, -1, 0], [0, 1, 0, 0], [-1, 0, 2, -1]])
+        norms, got = linalg._sorted_by_norm(A)
+        assert norms == [1, 6, 6]
+        assert got == [[0, 1, 0, 0], [-1, 0, 2, -1], [2, -1, -1, 0]]
+        assert all(type(x) is int for v in got for x in v)
 
 
 class TestIntMatmul:

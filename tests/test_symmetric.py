@@ -108,7 +108,7 @@ class TestFixedSpace:
         assert (f, kept) == (990, 70)
         tracemalloc.start()
         try:
-            P = symmetric._fixed_space(steps, table, p)
+            P = symmetric._fixed_space(steps, table, p, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -143,6 +143,50 @@ class TestAutomorphisms:
                 frontier = list(new - group)
                 group |= new
             assert len(group) == automorphism_order(shape), shape
+
+
+class TestLeafRuns:
+    @pytest.mark.parametrize("n,d", AUT_DEGREES)
+    def test_only_lam_dominating_mu_t_have_fixed_vectors(self, n, d):
+        # every lam and type, built without the skip: Aut T fixes vectors
+        # of S^lam only where lam dominates mu_T, and every lam dominating
+        # some mu_T has fixed vectors for some type
+        p = 101
+        shapes = enumerate_canonical_types(n, d)
+        mus = [symmetric._leaf_runs(shape) for shape in shapes]
+        steps = [[symmetric._bubble([g])
+                  for g in symmetric._aut_generators(shape)]
+                 for shape in shapes]
+        for shape, mu in zip(shapes, mus):
+            assert sum(mu) == d and list(mu) == sorted(mu, reverse=True)
+            # the leading generators are s_0, ..., s_{mu_T[0] - 2}
+            assert symmetric._sort_plan(shape)[0] == (0, mu[0], 1)
+        for lam in partitions(d):
+            table = symmetric._seminormal(lam, p)
+            fixed = [symmetric._fixed_space(g, table, p, mu[0] - 1).shape[1]
+                     for g, mu in zip(steps, mus)]
+            fits = [symmetric._dominates(lam, mu) for mu in mus]
+            assert all(fit for m, fit in zip(fixed, fits) if m), lam
+            assert any(fixed) == any(fits), lam
+
+    def test_dominance(self):
+        assert symmetric._dominates((3, 1), (2, 2))
+        assert symmetric._dominates((2, 2), (2, 1, 1))
+        assert not symmetric._dominates((2, 2), (3, 1))
+        assert not symmetric._dominates((3, 1, 1, 1), (2, 2, 2))
+        assert not symmetric._dominates((2, 2, 2), (3, 1, 1, 1))
+
+    @pytest.mark.parametrize("n,d,built", [(3, 7, 8), (3, 9, 18),
+                                           (4, 10, 14)])
+    def test_tables_only_for_lam_some_type_can_fix(self, monkeypatch, n, d,
+                                                   built):
+        calls = []
+        real = symmetric._seminormal
+        monkeypatch.setattr(symmetric, "_seminormal", lambda lam, p:
+                            calls.append(lam) or real(lam, p))
+        irr = symmetric.Irreducibles(get_context(n, d), 101)
+        assert len(calls) == built < len(partitions(d))
+        assert irr.weight.sum() == get_context(n, d).num_monomials
 
 
 class TestIrreducibles:
