@@ -79,17 +79,17 @@ def _check_matrix_fits(n, d):
 
 def _check_basis_fits(n, d, method):
     """A nullspace basis has at least k = m - C(d, n) vectors of m entries,
-    as E's rank is at most C(d, n).  Sorting it holds the rows and one int64
-    array, so 16 bytes per entry at the least.  The exact lattice holds more
-    at its Gram matrix: the lattice rows, the int64 basis and its copy, a
-    float64 copy, and the float64 and int64 Gram matrices, 8 (4 k m + 2 k^2)
-    bytes."""
+    as E's rank is at most C(d, n).  The canonical basis is held once, as
+    lists of 8 bytes an entry: it is built, sorted and sieved a block at a
+    time beside them.  The exact lattice holds more at its Gram matrix: the
+    lattice rows, the int64 basis, a float64 copy, and the float64 and int64
+    Gram matrices, 8 (3 k m + 2 k^2) bytes."""
     m = _width(n, d)
     k = max(0, m - math.comb(d, n))
     if method == "rcf":
-        what, need = "a nullspace basis", 16 * k * m
+        what, need = "a nullspace basis", 8 * k * m
     else:
-        what, need = "an exact nullspace lattice", 8 * (4 * k * m + 2 * k * k)
+        what, need = "an exact nullspace lattice", 8 * (3 * k * m + 2 * k * k)
     _check_fits(f"{what} of at least {k:,} x {m:,} entries", need)
 
 

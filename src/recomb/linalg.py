@@ -140,9 +140,13 @@ def squared_norm(v) -> int:
 def _sorted_by_norm(vectors) -> tuple:
     """(squared norms, vectors) sorted by squared norm, each taken once;
     ties break lexicographically on the entries.  The caller's rows are
-    permuted, not copied; an array is turned into lists of ints first."""
+    permuted, not copied; an array is turned into lists of ints first.
+    The norms are taken _CHUNK entries at a time."""
     rows = vectors.tolist() if isinstance(vectors, np.ndarray) else vectors
-    pairs = sorted(zip(_row_norms(_int_matrix(rows)), rows))
+    step = max(1, _CHUNK // max(len(rows[0]), 1)) if rows else 1
+    norms = [q for lo in range(0, len(rows), step)
+             for q in _row_norms(_int_matrix(rows[lo:lo + step]))]
+    pairs = sorted(zip(norms, rows))
     return [q for q, _ in pairs], [v for _, v in pairs]
 
 
@@ -222,7 +226,8 @@ def rcf_nullspace(M) -> list:
 
     One vector per free column: free coordinate set to 1, pivots back-solved,
     then the vector is scaled by the LCM of its denominators, which leaves
-    its entries coprime.  Returned in free-column order.
+    its entries coprime.  Returned in free-column order, built as lists
+    _CHUNK entries at a time.
     """
     A, pivots = _echelon(M)
     n = A.shape[1]
@@ -240,10 +245,14 @@ def rcf_nullspace(M) -> list:
         L = L.astype(np.int64)
     else:
         num = num.astype(object)
-    W = np.zeros((n, len(free)), dtype=np.result_type(num, L))
-    W[pivots] = -num * (L // den)
-    W[free, np.arange(len(free))] = L
-    return W.T.tolist()
+    Q = (-num * (L // den)).T       # the pivot entries, one row per vector
+    rows, step = [], max(1, _CHUNK // max(n, 1))
+    for lo in range(0, len(free), step):
+        W = np.zeros((len(Q[lo:lo + step]), n), dtype=Q.dtype)
+        W[:, pivots] = Q[lo:lo + step]
+        W[np.arange(len(W)), free[lo:lo + step]] = L[lo:lo + step]
+        rows += W.tolist()
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +595,7 @@ def _crt(digits, primes) -> np.ndarray:
     return x
 
 
-def _lll_initialize(b):
+def _lll_initialize(B):
     """Integer Gram-Schmidt data: d[i] = det Gram(b1..bi), lam scaled mu.
 
     lam[i] holds lam[i][j] = d[j + 1] mu[i][j] for j < i.  Both are unique
@@ -603,8 +612,8 @@ def _lll_initialize(b):
     replaced, or the rows are dependent, which one exact rank decides.  A
     stack holds at most _CHUNK float64 entries, and at least one prime.
     Each prime is folded into Garner mixed-radix digits as it comes.
+    B is the integer array of the basis (_int_matrix), which is only read.
     """
-    B = _int_matrix(b)
     k = len(B)
     G = _gram(B)
     g = [int(x) for x in np.diagonal(G).tolist()]
@@ -708,7 +717,7 @@ def lll_reduce(basis) -> list:
 # incremental rank over F_p
 
 _BASE_ROWS = 12         # rows the echelon kernel eliminates one at a time
-_CHUNK = 1 << 21        # elements of C gathered or updated per step
+_CHUNK = 1 << 21        # elements gathered, updated or built per step
 _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
 # Fewest terms per exact sum (K) at which residues are float32.  Batches go
 # in K rows at a time, and at small K the fixed cost of each block swamps

@@ -249,28 +249,35 @@ class Irreducibles:
         """Coefficients of the block rows of each row of V, in order, on
         `columns`.
 
-        V is (k, #monomials) integer, of any size.  rho(sigma_c) P_T is
-        computed once for each column c that some row uses, one lam at a time.
-        The rows of a batch of _BATCH vectors take one product per type.
+        V is a sequence of integer rows of #monomials entries, taken _BATCH
+        rows at a time: a batch's residues, rho(sigma_c) P_T for each column
+        c it uses (one lam at a time), then one product per type.  Nothing
+        outlives its batch, so rows past a consumer's stop are only checked,
+        before the first block: malformed input anywhere raises ValueError.
         """
         p, n = self.p, self._offsets[-1]
-        V = _residues(V, p)
-        if V.ndim != 2 or V.shape[1] != n:
-            raise ValueError(f"vectors of shape {V.shape}, expected (k, {n})")
-        used = np.flatnonzero(V.any(axis=0))
-        per_type = []
-        for ti, (parts, dst) in enumerate(self._types):
-            lo, hi = self._offsets[ti], self._offsets[ti + 1]
-            cols = used[(used >= lo) & (used < hi)]
-            steps = _bubble(self._leaf_rows[ti][cols - lo])
-            X = np.hstack([_act(steps, table, np.tile(P, (len(cols), 1, 1)),
-                                p).reshape(len(cols), P.size)
-                           for table, P in parts])
-            per_type.append((cols, X, dst))
-        for lo in range(0, len(V), _BATCH):
-            v = V[lo:lo + _BATCH]
-            B = np.zeros((len(v), self.columns.size), dtype=V.dtype)
-            for cols, X, dst in per_type:
+
+        def batches():
+            for lo in range(0, len(V), _BATCH):
+                v = _residues(V[lo:lo + _BATCH], p)
+                if v.ndim != 2 or v.shape[1] != n:
+                    raise ValueError(
+                        f"vectors of shape {v.shape}, expected (k, {n})")
+                yield v
+
+        for _ in batches():
+            pass
+        for v in batches():
+            used = np.flatnonzero(v.any(axis=0))
+            B = np.zeros((len(v), self.columns.size), dtype=v.dtype)
+            for ti, (parts, dst) in enumerate(self._types):
+                lo, hi = self._offsets[ti], self._offsets[ti + 1]
+                cols = used[(used >= lo) & (used < hi)]
+                steps = _bubble(self._leaf_rows[ti][cols - lo])
+                X = np.hstack([_act(steps, table,
+                                    np.tile(P, (len(cols), 1, 1)),
+                                    p).reshape(len(cols), P.size)
+                               for table, P in parts])
                 B[:, dst] = _matmul_mod(v[:, cols], X, p)
             yield from B.reshape(len(v), *self.columns.shape)
 

@@ -255,6 +255,23 @@ class TestGeneratorSieve:
         with pytest.raises(ValueError, match=r"expected \(k, 280\)"):
             scan(vs, 3, 7)
 
+    @pytest.mark.parametrize("entry", [0.5, None],
+                             ids=["non_integral", "wrong_width"])
+    def test_malformed_vectors_after_the_stop_are_refused(self, deg7_bases,
+                                                          entry):
+        # both scans stop at vector 60 of the sorted canonical (3,7) basis;
+        # a bad vector at 200 is still refused, before any block
+        vs = sort_vectors_by_norm(deg7_bases[0])
+        gens = generator_sieve(vs, 3, 7)
+        assert gens[-1].position == 60
+        assert identities.single_generator(vs, gens, 3, 7) == 60
+        bad = list(vs)
+        bad[199] = vs[199][1:] if entry is None else [entry] + vs[199][1:]
+        with pytest.raises(ValueError):
+            generator_sieve(bad, 3, 7)
+        with pytest.raises(ValueError):
+            identities.single_generator(bad, gens, 3, 7)
+
     def test_one_dimensional_orbit_yields_single_generator(self):
         # the all-ones vector is permutation-invariant: 1-dim module span
         ones = [1] * 15

@@ -344,12 +344,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command", [["nullspace"],
                                          ["generators", "--basis", "rcf"]])
-    @pytest.mark.parametrize("budget, code", [(16 * 9 * 15, 0),
-                                              (16 * 9 * 15 - 1, 2)])
+    @pytest.mark.parametrize("budget, code", [(8 * 9 * 15, 0),
+                                              (8 * 9 * 15 - 1, 2)])
     def test_basis_over_the_memory_budget_exits_2(self, capsys, monkeypatch,
                                                   command, budget, code):
         # E(2,4) has rank at most C(4,2) = 6 on 15 monomials: a basis of at
-        # least 9 vectors, at 16 bytes an entry; refused before E is built
+        # least 9 vectors, at 8 bytes an entry; refused before E is built
         def build(*args):
             raise AssertionError("the matrix was built")
 
@@ -361,18 +361,18 @@ class TestCli:
         if code:
             assert captured.err == (
                 "error: out of memory: a nullspace basis of at least 9 x 15 "
-                f"entries needs 2,160 bytes, {budget:,} available\n")
+                f"entries needs 1,080 bytes, {budget:,} available\n")
             assert captured.out == ""
         else:
             assert captured.err == ""
 
     @pytest.mark.parametrize("command", [
         ["nullspace", "--method", "hnf-lll"], ["generators"]])
-    @pytest.mark.parametrize("budget, code", [(5616, 0), (5615, 2)])
+    @pytest.mark.parametrize("budget, code", [(4536, 0), (4535, 2)])
     def test_lattice_over_the_memory_budget_exits_2(self, capsys, monkeypatch,
                                                     command, budget, code):
         # the exact lattice of k = 9 vectors of m = 15 entries holds
-        # 8 (4 k m + 2 k^2) = 5,616 bytes at its Gram matrix
+        # 8 (3 k m + 2 k^2) = 4,536 bytes at its Gram matrix
         def build(*args):
             raise AssertionError("the matrix was built")
 
@@ -384,7 +384,7 @@ class TestCli:
         if code:
             assert captured.err == (
                 "error: out of memory: an exact nullspace lattice of at least "
-                f"9 x 15 entries needs 5,616 bytes, {budget:,} available\n")
+                f"9 x 15 entries needs 4,536 bytes, {budget:,} available\n")
             assert captured.out == ""
         else:
             assert captured.err == ""
@@ -394,19 +394,19 @@ class TestCli:
     def test_degree9_lattice_is_refused_where_the_basis_fits(
             self, capsys, monkeypatch, command):
         # (3,9): k = 15,316 vectors of m = 15,400 entries.  A budget that
-        # holds the sorted basis (16 k m bytes) is far from the lattice's
-        # 8 (4 k m + 2 k^2), about 11.3 GB; refused before E is built
+        # holds the sorted basis (8 k m bytes) is far from the lattice's
+        # 8 (3 k m + 2 k^2), about 9.4 GB; refused before E is built
         def build(*args):
             raise AssertionError("the matrix was built")
 
         k, m = 15316, 15400
-        budget = 16 * k * m
+        budget = 8 * k * m
         monkeypatch.setattr("recomb.cli._memory_budget", lambda: budget)
         monkeypatch.setattr("recomb.cli.build_expansion_matrix", build)
         assert main([*command, "-n", "3", "-d", "9"]) == 2
         captured = capsys.readouterr()
-        need = 8 * (4 * k * m + 2 * k * k)
-        assert need > 11 * 10 ** 9
+        need = 8 * (3 * k * m + 2 * k * k)
+        assert need > 9 * 10 ** 9
         assert captured.err == (
             "error: out of memory: an exact nullspace lattice of at least "
             f"15,316 x 15,400 entries needs {need:,} bytes, {budget:,} "
@@ -443,6 +443,32 @@ class TestCli:
         first = capsys.readouterr().out
         main(["nullspace", "-n", "2", "-d", "4", "--method", "hnf-lll"])
         assert capsys.readouterr().out == first
+
+    def test_quaternary_degree10_generators_fit_in_500_mb(self):
+        # the canonical (4,10) basis, 5,565 vectors of 5,775 entries, is
+        # held once, as lists; it is built, sorted and sieved a block at a
+        # time beside them.  A fresh process reports its own peak in KiB,
+        # VmHWM: Linux keeps ru_maxrss across execve, so a process started
+        # from a large pytest would report the pytest's size.
+        src = Path(__file__).resolve().parent.parent / "src"
+        code = ("import sys; sys.path.insert(0, sys.argv[1])\n"
+                "from recomb.cli import main\n"
+                "code = main(sys.argv[2:])\n"
+                "with open('/proc/self/status') as f:\n"
+                "    print(*[line.split()[1] for line in f\n"
+                "            if line.startswith('VmHWM:')], file=sys.stderr)\n"
+                "sys.exit(code)\n")
+        run = subprocess.run([sys.executable, "-c", code, str(src),
+                              "generators", "-n", "4", "-d", "10",
+                              "--basis", "rcf"],
+                             capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        assert re.findall(r"^  position (\d+),", run.stdout, re.M) == \
+            ["1", "61", "1486", "2731"]
+        assert "final rank 5565 of 5565\n" in run.stdout
+        assert ("single generator: position 2731, squared norm 1816, "
+                "rank 5565\n") in run.stdout
+        assert int(run.stderr) < 500 * 1024
 
     def test_no_command_imports_scipy(self):
         # numpy is the only dependency: reproduce deg7 runs module ranks and

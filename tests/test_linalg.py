@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 import linalg_oracles as ref
 from linalg_oracles import is_lll_reduced, rational_span_equal
-from recomb import golden, linalg, symmetric
+from recomb import build_expansion_matrix, golden, linalg, symmetric
 from recomb.identities import generator_sieve, single_generator
 from recomb.linalg import (
     _FLOAT32_MIN_TERMS,
@@ -87,6 +87,36 @@ class TestRcfNullspace:
         # pivot row (1, 1/2) gives raw vector (-1/2, 1) -> scaled (-1, 2)
         M = [[2, 1]]
         assert rcf_nullspace(M) == [[-1, 2]]
+
+    @pytest.mark.parametrize("chunk", [1, 3 * 280 + 1])
+    @pytest.mark.parametrize("M", ["E37", [[2 ** 70, 3, 5, 1, 0],
+                                          [1, 2 ** 65, 7, 0, 2]]],
+                             ids=["E37", "python_ints"])
+    def test_rows_built_in_blocks_are_the_whole_basis(self, monkeypatch,
+                                                      E37, M, chunk):
+        # one row per block, then three with a shorter last block at (3,7)
+        if M == "E37":
+            M = E37.subset_rows
+        want = rcf_nullspace(M)
+        monkeypatch.setattr(linalg, "_CHUNK", chunk)
+        assert rcf_nullspace(M) == want
+        assert not (np.array(M, dtype=object) @
+                    np.array(want, dtype=object).T).any()
+
+    def test_holds_the_rows_and_one_block(self, monkeypatch):
+        # (2,6): 930 vectors of 945 entries, built as lists (8 bytes an
+        # entry) 69 rows at a time; an n x k int64 array beside the lists
+        # held 16
+        monkeypatch.setattr(linalg, "_CHUNK", 1 << 16)
+        S = build_expansion_matrix(2, 6).subset_rows
+        tracemalloc.start()
+        try:
+            ns = rcf_nullspace(S)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(ns), len(ns[0])) == (930, 945)
+        assert peak < 12 * 930 * 945
 
     def test_vectors_annihilate(self, E35, E37):
         for E in (E35, E37):
@@ -234,6 +264,20 @@ class TestLll:
             assert is_lll_reduced(red)
             assert max(squared_norm(v) for v in red) <= \
                 max(squared_norm(v) for v in B)
+
+    def test_the_basis_is_read_once(self, monkeypatch, deg7_bases):
+        # lll_reduce reads the (3,7) lattice into one integer array, which
+        # _lll_initialize only reads
+        real, shapes = linalg._int_matrix, []
+
+        def spy(M):
+            A = real(M)
+            shapes.append(A.shape)
+            return A
+
+        monkeypatch.setattr(linalg, "_int_matrix", spy)
+        assert lll_reduce(deg7_bases[1]) == deg7_bases[2]
+        assert shapes.count((245, 280)) == 1
 
     def test_binary_nullspace_reduction(self, E24):
         lat = nullspace_lattice(E24.array.tolist())
@@ -782,6 +826,11 @@ def kernel_matrices(draw):
             for cs in coeffs]
 
 
+def initialize(M):
+    """_lll_initialize of M, read as lll_reduce reads it."""
+    return linalg._lll_initialize(_int_matrix(M))
+
+
 def lll_or_error(reduce, M):
     try:
         return reduce(M)
@@ -992,7 +1041,7 @@ class TestLllInitialize:
     @given(M=kernel_matrices())
     def test_matches_reference(self, M):
         # entries of about 2^40 give dtype=object Gram matrices
-        assert lll_or_error(linalg._lll_initialize, M) == \
+        assert lll_or_error(initialize, M) == \
             lll_or_error(ref._lll_initialize, M)
 
     def test_long_sums_are_split(self, monkeypatch):
@@ -1002,7 +1051,7 @@ class TestLllInitialize:
         rnd = random.Random(12)
         M = random_int_matrix(rnd, 100, 110, -9, 9)
         want = ref._lll_initialize(M)
-        assert linalg._lll_initialize(M) == want
+        assert initialize(M) == want
         residue_type = linalg._residue_type
         monkeypatch.setattr(linalg, "_residue_type",
                             lambda p: (residue_type(p)[0], 7))
@@ -1013,7 +1062,7 @@ class TestLllInitialize:
             return mod(X, p)
 
         monkeypatch.setattr(linalg, "_mod", spy)
-        assert linalg._lll_initialize(M) == want
+        assert initialize(M) == want
         assert max(seen) < (7 + 1) * 2.0 ** 42      # p < 2^21
 
     def test_prime_dividing_a_d_is_skipped(self, monkeypatch):
@@ -1022,7 +1071,7 @@ class TestLllInitialize:
         ranks = self.spy_ranks(monkeypatch)
         p = next(linalg._primes())
         M = [[p, 0, 0], [1, 1, 0], [2, -1, 3]]
-        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        assert initialize(M) == ref._lll_initialize(M)
         (first, live), *rest = seen
         assert first[0] == p and live == [False] + [True] * (len(live) - 1)
         # the stack's other primes went on; one more replaces p
@@ -1041,7 +1090,7 @@ class TestLllInitialize:
              for _ in range(66)]
         M.append([p if j == 70 else 0 for j in range(90)])
         M += random_int_matrix(rnd, 12, 90, -3, 3)
-        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        assert initialize(M) == ref._lll_initialize(M)
         (first, live), *rest = seen
         assert first[0] == p and not live[0] and all(live[1:])
         assert [x for _, x in rest] == [[True]]
@@ -1052,7 +1101,7 @@ class TestLllInitialize:
         seen = self.spy_stacks(monkeypatch)
         ranks = self.spy_ranks(monkeypatch)
         with pytest.raises(DependentRowsError):
-            linalg._lll_initialize([[1, 2, 3], [0, 1, 1], [2, 5, 7]])
+            initialize([[1, 2, 3], [0, 1, 1], [2, 5, 7]])
         assert len(seen) == 1 and not any(seen[0][1])
         assert ranks == [3]
 
@@ -1069,7 +1118,7 @@ class TestLllInitialize:
         assert 1446 ** 2 + 78 ** 2 + 12 ** 2 == next(linalg._primes()) + 1
         monkeypatch.setattr(linalg, "_prime_count", lambda G: 1)
         seen = self.spy_stacks(monkeypatch)
-        assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+        assert initialize(M) == ref._lll_initialize(M)
         assert [len(P) for P, _ in seen] == [1, 1]
 
     def test_estimate_covers_the_checks(self, monkeypatch):
@@ -1078,7 +1127,7 @@ class TestLllInitialize:
         seen = self.spy_stacks(monkeypatch)
         rnd = random.Random(7)
         M = random_int_matrix(rnd, 40, 50, -9, 9)
-        d, _ = linalg._lll_initialize(M)
+        d, _ = initialize(M)
         assert len(seen) == 1
         P = seen[0][0]
         g = [sum(x * x for x in row) for row in M]
@@ -1100,7 +1149,7 @@ class TestLllInitialize:
         monkeypatch.setattr(linalg, "_prime_count",
                             lambda G: counts.append(estimate(G)) or counts[-1])
         seen = self.spy_stacks(monkeypatch)
-        assert lll_or_error(linalg._lll_initialize, M) == \
+        assert lll_or_error(initialize, M) == \
             lll_or_error(ref._lll_initialize, M)
         assert counts == [1] and len(seen[0][0]) == 1
         if dependent:
@@ -1128,7 +1177,7 @@ class TestLllInitialize:
         for chunk, most in ((3 * 20 * 20, 3), (20 * 20 - 1, 1)):
             monkeypatch.setattr(linalg, "_CHUNK", chunk)
             seen = self.spy_stacks(monkeypatch)
-            assert linalg._lll_initialize(M) == ref._lll_initialize(M)
+            assert initialize(M) == ref._lll_initialize(M)
             assert len(seen) > 1
             assert max(len(P) for P, _ in seen) == most
 
@@ -1236,6 +1285,21 @@ class TestSortVectors:
             assert len(got) == len(vs)
             assert all(v is vs[i] for v, i in zip(got, order))
             assert norms == [sum(x * x for x in vs[i]) for i in order]
+
+    def test_norms_take_one_block_beyond_the_input(self, monkeypatch):
+        # (2,6): 930 vectors of 945 entries; the norms come 69 rows at a
+        # time, so beside the input there is one int64 block and a few
+        # words a row for the norms and the pairs, not a whole-basis copy
+        monkeypatch.setattr(linalg, "_CHUNK", 1 << 16)
+        vs = rcf_nullspace(build_expansion_matrix(2, 6).subset_rows)
+        tracemalloc.start()
+        try:
+            got = sort_vectors_by_norm(vs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == sorted(vs, key=lambda v: (sum(x * x for x in v), v))
+        assert peak < 8 * linalg._CHUNK + 256 * len(vs) < 8 * 930 * 945 / 4
 
     def test_an_array_is_sorted_as_lists_of_ints(self):
         A = np.array([[2, -1, -1, 0], [0, 1, 0, 0], [-1, 0, 2, -1]])

@@ -9,10 +9,16 @@ from recomb import golden, linalg, symmetric
 from recomb.expansion import build_expansion_matrix
 from recomb.identities import (
     expansion_rank,
+    generator_sieve,
     lift_identity,
     new_identity_test,
+    single_generator,
 )
-from recomb.linalg import ModularRankAccumulator, rcf_nullspace
+from recomb.linalg import (
+    ModularRankAccumulator,
+    rcf_nullspace,
+    sort_vectors_by_norm,
+)
 from recomb.monomials import (
     DegreeContext,
     automorphism_order,
@@ -276,6 +282,36 @@ class TestIrreducibles:
         assert all(np.array_equal(a, b) for a, b in zip(got, one))
         assert calls == [64] * 6 + [53] * 2
         assert got[0].shape == irr.columns.shape and got[0].dtype == np.float32
+
+    def test_residues_are_taken_one_batch_at_a_time(self, monkeypatch,
+                                                    deg7_bases):
+        # the scans of the 245 canonical (3,7) vectors convert no more
+        # than _BATCH rows at once
+        real, rows = symmetric._residues, []
+        monkeypatch.setattr(symmetric, "_residues", lambda x, p:
+                            rows.append(len(x)) or real(x, p))
+        vs = sort_vectors_by_norm(deg7_bases[0])
+        gens = generator_sieve(vs, 3, 7)
+        assert single_generator(vs, gens, 3, 7) == 60
+        assert rows and max(rows) <= symmetric._BATCH
+
+    def test_only_the_columns_of_the_batches_read_are_acted_on(
+            self, monkeypatch, deg7_bases):
+        # the canonical sieve stops at vector 60 of 245: rho(sigma_c) P_T
+        # is computed for the columns that vectors 1-64 use, one sigma each
+        ctx = get_context(3, 7)
+        symmetric.irreducibles(ctx, 101)        # the tables, built first
+        real, sigmas = symmetric._bubble, []
+        monkeypatch.setattr(symmetric, "_bubble", lambda s:
+                            sigmas.append(np.array(s)) or real(s))
+        vs = sort_vectors_by_norm(deg7_bases[0])
+        assert generator_sieve(vs, 3, 7)[-1].position == 60
+        used = np.flatnonzero(np.array(vs[:64]).any(axis=0))
+        assert len(used) < np.array(vs).any(axis=0).sum()
+        leaves = np.vstack([ctx.leaves_by_type[ti][
+            used[(used >= lo) & (used < hi)] - lo]
+            for ti, (lo, hi) in enumerate(zip(ctx.offsets, ctx.offsets[1:]))])
+        assert np.array_equal(np.vstack(sigmas), leaves)
 
     def test_rank_and_certify_build_no_tables(self, monkeypatch):
         def no_tables(lam, p):
