@@ -45,6 +45,7 @@ import numpy as np
 from .monomials import (
     DegreeContext,
     MultilinearityError,
+    _sort_blocks,
     get_context,
     is_leaf,
     leaves,
@@ -115,13 +116,19 @@ def _height(n: int, d: int) -> int:
 def _subset_rows(n: int, d: int, tuples) -> np.ndarray:
     """Row of the sorted n-subset of each slot tuple, subsets in lex order:
     C(d,n) - 1 - sum_i C(d-1-s_i, n-i) for the subset s_0 < ... < s_{n-1}.
-    At degree 1 the tuple (0, ..., 0) takes row 0."""
-    s = np.sort(tuples, axis=-1)
+    At degree 1 the tuple (0, ..., 0) takes row 0.  The tuples are sorted
+    by `_sort_blocks` on a column-major copy and ranked column by column."""
+    shape = np.shape(tuples)[:-1]
     if d < n:
-        return np.zeros(s.shape[:-1], dtype=np.int64)
+        return np.zeros(shape, dtype=np.int64)
+    s = np.array(np.reshape(tuples, (-1, n)), order="F")
+    _sort_blocks(s, 0, n, 1)
     comb = np.array([[math.comb(a, k) for k in range(n + 1)]
                      for a in range(d)], dtype=np.int64)
-    return math.comb(d, n) - 1 - comb[d - 1 - s, np.arange(n, 0, -1)].sum(-1)
+    out = np.full(len(s), math.comb(d, n) - 1, dtype=np.int64)
+    for i in range(n):
+        out -= comb[d - 1 - s[:, i], n - i]
+    return out.reshape(shape)
 
 
 def column_blocks(ctx: DegreeContext):

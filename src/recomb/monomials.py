@@ -232,22 +232,40 @@ def automorphism_order(shape) -> int:
     return math.prod(math.factorial(k) for _, k, _ in _sort_plan(shape))
 
 
+def _sort_blocks(rows, lo: int, k: int, s: int) -> None:
+    """Order the k adjacent blocks of s columns from column lo of every row
+    by first column, in place; blocks with equal first columns keep order.
+
+    An odd-even transposition network: k rounds of compare-exchanges of
+    neighbouring blocks sort any k keys.  A round is one min/max (s == 1) or
+    one xor swap under the mask of pairs out of order, over all rows and
+    pairs; on a column-major array each runs along whole columns, where
+    numpy's sorts of short rows take a call per row.
+    """
+    blocks = rows[:, lo:lo + k * s].reshape(len(rows), k, s)
+    for r in range(k if k > 2 else 1):
+        a, b = blocks[:, r % 2:k - 1:2], blocks[:, r % 2 + 1:k:2]
+        if s == 1:
+            low = np.minimum(a, b)
+            np.maximum(a, b, out=b)
+            a[...] = low
+        else:
+            flip = a ^ b
+            flip *= a[:, :, :1] > b[:, :, :1]
+            a ^= flip
+            b ^= flip
+
+
 def straighten_many(shape, leaf_rows) -> np.ndarray:
     """Straighten an (N, d) array of leaf rows of one canonical shape.
 
     Row-wise equal to leaves(straighten(tree_from(shape, row))) for rows of
-    distinct variables; returns a new array of the input's dtype.
+    distinct variables; returns a new column-major array of the input's
+    dtype, sorted by one `_sort_blocks` network per step of the sort plan.
     """
-    rows = np.array(leaf_rows, copy=True)
+    rows = np.array(leaf_rows, order="F")
     for lo, k, s in _sort_plan(shape):
-        block = rows[:, lo:lo + k * s]
-        if s == 1:
-            block.sort(axis=1)
-            continue
-        blocks = block.reshape(len(rows), k, s)
-        order = np.argsort(blocks[:, :, 0], axis=1)
-        block[...] = np.take_along_axis(blocks, order[:, :, None],
-                                        axis=1).reshape(len(rows), k * s)
+        _sort_blocks(rows, lo, k, s)
     return rows
 
 
@@ -287,10 +305,11 @@ def _ordered_set_partitions(d: int, sizes) -> np.ndarray:
     rest = np.arange(d, dtype=np.int8)[None, :]
     for s in sizes:
         m = rest.shape[1]
-        pick = list(itertools.combinations(range(m), s))
-        left = np.array([[i for i in range(m) if i not in c] for c in pick],
-                        dtype=np.intp).reshape(len(pick), m - s)
-        pick = np.array(pick, dtype=np.intp).reshape(len(pick), s)
+        pick = np.array(list(itertools.combinations(range(m), s)),
+                        dtype=np.intp).reshape(-1, s)
+        keep = np.ones((len(pick), m), dtype=bool)
+        keep[np.arange(len(pick))[:, None], pick] = False
+        left = keep.nonzero()[1].reshape(len(pick), m - s)
         rows = np.hstack([np.repeat(rows, len(pick), axis=0),
                           rest[:, pick].reshape(-1, s)])
         rest = rest[:, left].reshape(len(rows), m - s)
@@ -303,30 +322,38 @@ def enumerate_monomial_leaves(shape, _cache: dict | None = None) -> np.ndarray:
     A canonical row gives each child a block of variables and, on that block,
     a canonical row of the child's type (order-preserving relabellings keep
     rows canonical).  The candidates are all such choices, d!/prod|Aut(child)|
-    of them, and the canonical rows are those straightening leaves fixed:
-    equal-type children must come in order of their first leaves.  Their
-    number must be d!/|Aut(shape)|.  The first row is 0..d-1, canonical
-    (equal-type siblings get increasing blocks) and lex smallest.  `_cache`
-    shares the children's rows between calls.
+    of them.  Their children are canonical, so the canonical rows are those
+    in which every run of equal root children rises by first leaf, which is
+    all that straightening would reorder.  A leaf child's first leaf is its
+    block, so runs of leaves filter the partitions before the candidates are
+    gathered.  The number kept must be d!/|Aut(shape)|.  The first row is
+    0..d-1, canonical (equal-type siblings get increasing blocks) and lex
+    smallest.  `_cache` shares the children's rows between calls.
     """
     if shape == LEAF:
         return np.zeros((1, 1), dtype=np.int8)
     cache = {} if _cache is None else _cache
-    d = shape_degree(shape)
-    parts = _ordered_set_partitions(d, [shape_degree(c) for c in shape])
+    sizes = [shape_degree(c) for c in shape]
+    d, firsts = sum(sizes), list(itertools.accumulate([0] + sizes))
+    # first columns of neighbouring equal root children, which must rise
+    pairs = [(shape[i] == LEAF, firsts[i], firsts[i + 1])
+             for i in range(len(shape) - 1) if shape[i] == shape[i + 1]]
+
+    def rising(rows, leaf: bool):
+        keep = [rows[:, a] < rows[:, b] for lf, a, b in pairs if lf == leaf]
+        return rows[np.logical_and.reduce(keep)] if keep else rows
+
+    parts = rising(_ordered_set_partitions(d, sizes), True)
     # positions in a partition row of every combination of child rows
     where = np.zeros((1, 0), dtype=np.intp)
-    lo = 0
-    for child in shape:
+    for child, lo in zip(shape, firsts):
         if child not in cache:
             cache[child] = enumerate_monomial_leaves(child, cache)
         kid = cache[child].astype(np.intp) + lo
         where = np.hstack([np.repeat(where, len(kid), axis=0),
                            np.tile(kid, (len(where), 1))])
-        lo += shape_degree(child)
-    rows = parts[:, where].reshape(-1, d)
-    rows = rows[(straighten_many(shape, rows) == rows).all(axis=1)]
-    rows = rows[np.argsort(row_codes(rows, d))]
+    rows = rising(np.take(parts, where, axis=1).reshape(-1, d), False)
+    rows = np.take(rows, np.argsort(row_codes(rows, d), kind="stable"), axis=0)
     expected = math.factorial(d) // automorphism_order(shape)
     if len(rows) != expected:
         raise RuntimeError(f"{len(rows)} canonical monomials of type {shape}, "
@@ -523,8 +550,10 @@ class DegreeContext:
         step = max(1, self._CHUNK_ROWS // len(leaf_rows))
         for lo in range(0, len(sigmas), step):
             moved = sigmas[lo:lo + step][:, leaf_rows].reshape(-1, self.d)
-            cols = self._columns(ti, straighten_many(self.types[ti], moved))
-            out[lo:lo + step] = cols.reshape(-1, len(leaf_rows))
+            # rebinding frees the unstraightened rows before the lookup
+            moved = straighten_many(self.types[ti], moved)
+            out[lo:lo + step] = self._columns(ti, moved).reshape(
+                -1, len(leaf_rows))
         return out
 
     def permuted_columns(self, sigma) -> np.ndarray:

@@ -2,12 +2,16 @@
 
 `enumerate_monomial_leaves` is the enumeration `recomb.monomials` replaced:
 it straightens all d! permutations of 0..d-1 and keeps the fixed ones.
+`straightened_candidates` is the one that replaced it in turn: it
+straightens every choice of blocks and child rows and keeps the fixed ones.
 `expand_monomial` is the expansion `recomb.expansion` replaced by its closed
 form: the operation applied node by node, summing all n! slot assignments
 of every combination of the children's slot tuples.  `slot_tuple_matrix` is
 the expansion-matrix builder it replaced: one row per ordered slot tuple,
-each column its type's template relabelled.  The tests require the package
-to return exactly what these return.
+each column its type's template relabelled.  `subset_rows` ranks slot tuples
+after numpy's sort of each tuple, where the package sorts them by a
+compare-exchange network.  The tests require the package to return exactly
+what these return.
 """
 
 import itertools
@@ -92,6 +96,43 @@ def enumerate_monomial_leaves(shape) -> np.ndarray:
     return out
 
 
+def ordered_set_partitions(d: int, sizes) -> list:
+    """Ordered partitions of 0..d-1 into blocks of the given sizes, each
+    block increasing, as rows: the first block's choices in lex order, and
+    for each the partitions of the rest."""
+    rows = [((), tuple(range(d)))]
+    for s in sizes:
+        rows = [(row + block, tuple(x for x in rest if x not in block))
+                for row, rest in rows
+                for block in itertools.combinations(rest, s)]
+    return [row for row, _ in rows]
+
+
+def straightened_candidates(shape) -> np.ndarray:
+    """Canonical leaf rows of a type: every candidate (an ordered choice of
+    blocks of variables, each holding a canonical row of its child's type),
+    kept where straightening leaves it fixed, in lex order; their number
+    must be d!/|Aut(shape)|."""
+    d = shape_degree(shape)
+    if d == 1:
+        return np.zeros((1, 1), dtype=np.int8)
+    parts = np.array(ordered_set_partitions(
+        d, [shape_degree(c) for c in shape]), dtype=np.int8)
+    where = np.zeros((1, 0), dtype=np.intp)
+    lo = 0
+    for child in shape:
+        kid = straightened_candidates(child).astype(np.intp) + lo
+        where = np.hstack([np.repeat(where, len(kid), axis=0),
+                           np.tile(kid, (len(where), 1))])
+        lo += shape_degree(child)
+    rows = parts[:, where].reshape(-1, d)
+    rows = rows[(straighten_many(shape, rows) == rows).all(axis=1)]
+    out = rows[np.argsort(row_codes(rows, d))]
+    if len(out) != math.factorial(d) // automorphism_order(shape):
+        raise RuntimeError(f"wrong monomial count for type {shape}")
+    return out
+
+
 def slot_tuple_matrix(n: int, d: int, dtype=np.int64) -> np.ndarray:
     """E with one row per ordered slot tuple, in the order of slot_tuples."""
     ctx = get_context(n, d)
@@ -108,3 +149,14 @@ def slot_tuple_matrix(n: int, d: int, dtype=np.int64) -> np.ndarray:
         cols = np.arange(ctx.offsets[ti], ctx.offsets[ti + 1])
         arr[rows, cols[:, None]] = np.fromiter(template.values(), dtype=dtype)
     return arr
+
+
+def subset_rows(n: int, d: int, tuples) -> np.ndarray:
+    """Lex rank of the sorted n-subset of each slot tuple, from numpy's sort
+    of every tuple; 0 for every tuple below degree n."""
+    s = np.sort(tuples, axis=-1)
+    if d < n:
+        return np.zeros(s.shape[:-1], dtype=np.int64)
+    comb = np.array([[math.comb(a, k) for k in range(n + 1)]
+                     for a in range(d)], dtype=np.int64)
+    return math.comb(d, n) - 1 - comb[d - 1 - s, np.arange(n, 0, -1)].sum(-1)

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import expansion_oracles as oracles
 from recomb import expansion, golden, identities
@@ -224,6 +226,29 @@ class TestTemplateExpansion:
         full = E.array.tolist()
         assert rcf_nullspace(E.subset_rows) == rcf_nullspace(full)
         assert nullspace_lattice(E.subset_rows) == nullspace_lattice(full)
+
+
+class TestSubsetRows:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_matches_numpy_sort(self, data):
+        # the network sorts each tuple as numpy does, for any leading shape;
+        # below degree n (degree 1) every tuple is the lone (0, ..., 0)
+        n = data.draw(st.integers(1, 6), label="n")
+        d = data.draw(st.integers(1, 12), label="d")
+        lead = data.draw(st.lists(st.integers(0, 4), min_size=1, max_size=2),
+                         label="leading shape")
+        tuple_of = (st.permutations(range(d)).map(lambda p: p[:n])
+                    if d >= n else st.just((0,) * n))
+        tuples = data.draw(st.lists(tuple_of, min_size=math.prod(lead),
+                                    max_size=math.prod(lead)))
+        dtype = data.draw(st.sampled_from([np.int8, np.int64]))
+        tuples = np.array(tuples, dtype=dtype).reshape(*lead, n)
+        before = tuples.copy()
+        got = expansion._subset_rows(n, d, tuples)
+        assert got.dtype == np.int64 and got.shape == tuple(lead)
+        assert np.array_equal(got, oracles.subset_rows(n, d, tuples))
+        assert np.array_equal(tuples, before)
 
 
 class TestExpansionRank:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ import expansion_oracles as oracles
 from recomb import golden, monomials
 from recomb.linalg import squared_norm
 from recomb.monomials import (
+    DegreeContext,
     IdentityCombination,
     InvalidDegreeError,
     MultilinearityError,
@@ -25,6 +27,7 @@ from recomb.monomials import (
     order_slot_tuples,
     parse_bracket,
     relabel,
+    _ordered_set_partitions,
     shape_degree,
     straighten,
     straighten_many,
@@ -120,6 +123,36 @@ class TestMonomials:
             got = enumerate_monomial_leaves(s)
             assert got.dtype == np.int8
             assert np.array_equal(got, oracles.enumerate_monomial_leaves(s))
+
+    @pytest.mark.parametrize("n,d", [(2, 8), (3, 9), (4, 10), (5, 9), (6, 11)])
+    def test_enumeration_matches_straightened_candidates(self, n, d):
+        # the run filter keeps exactly the candidates that straightening
+        # fixes, row for row; (6,11) has 11! permutations, too many for the
+        # permutation filter above
+        for s in enumerate_canonical_types(n, d):
+            assert np.array_equal(enumerate_monomial_leaves(s),
+                                  oracles.straightened_candidates(s))
+
+    @pytest.mark.parametrize("d,sizes", [
+        (13, (10, 1, 1, 1)), (9, (5, 3, 1)), (8, (4, 4)), (7, (3, 3, 1)),
+        (5, (5,)), (1, (1,))])
+    def test_ordered_set_partitions_match_itertools(self, d, sizes):
+        got = _ordered_set_partitions(d, sizes)
+        assert got.dtype == np.int8
+        assert got.tolist() == [list(r) for r in
+                                oracles.ordered_set_partitions(d, sizes)]
+
+    def test_quinary_degree13_context_peak(self):
+        # 126126 monomials of 13 int8 leaves, 1.6 MB; straightening every
+        # candidate peaked at 81 MB, the run filter at about 17 MB
+        tracemalloc.start()
+        try:
+            ctx = DegreeContext(5, 13)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ctx.num_monomials == 126126
+        assert peak < 40 * 2**20
 
     def test_rank_path_builds_no_trees_or_slot_tuples(self):
         from recomb.identities import expansion_rank
@@ -317,8 +350,11 @@ class TestBrackets:
         assert tree_degree(t) == 5
 
 
-ENGINE_CASES = [(n, d, s) for n, d in [(2, 4), (2, 5), (3, 5), (3, 7), (3, 9)]
-                for s in enumerate_canonical_types(n, d)]
+# runs of 2 to 5 equal leaves, and of 2 and 3 equal composite children
+ENGINE_CASES = [(n, d, s) for n, d in [(2, 4), (2, 5), (3, 5), (3, 7), (3, 9),
+                                       (4, 7), (5, 9), (4, 10)]
+                for s in enumerate_canonical_types(n, d)] + [
+    (4, 13, enumerate_canonical_types(4, 13)[-1])]
 
 
 def table_reference(ctx, perm_indices):
