@@ -741,8 +741,9 @@ _THREAD_TERMS = 1 << 18
 # engine's block products have one type's monomials as columns, 360 at most
 # at (2,6): tiled, `generators -n 2 -d 6` took 2.2-2.7 s of CPU, as with one
 # vector-matrix product per vector, against 4.1-4.3 s with 256 here.  The
-# certify closure's right factors have 13,406 to 15,400 columns, and their
-# tiles would hold one or two rows.
+# certify closure's right factors have 13,406 to 15,400 columns over the 1
+# to 126 pivots that their rows use (ModularRankAccumulator._clear), so
+# their tiles would hold 18 rows at most, 8 in the median (seed 0).
 _NARROW = 512
 
 
@@ -771,7 +772,7 @@ def _residue_type(p: int) -> tuple:
     return np.float64, (2 ** 53 - p) // (p * p)
 
 
-def _blas(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
+def _blas(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """A @ B of float arrays by BLAS, on the calling thread where it can.
 
     The rule depends on the shapes alone.  A 2-d product of more than
@@ -784,9 +785,8 @@ def _blas(A: np.ndarray, B: np.ndarray, out=None) -> np.ndarray:
     k, n = B.shape
     rows = _THREAD_TERMS // max(k * n, 1)
     if A.ndim != 2 or n > _NARROW or not rows or len(A) <= rows:
-        return np.matmul(A, B, out=out)
-    if out is None:
-        out = np.empty((len(A), n), dtype=np.result_type(A, B))
+        return np.matmul(A, B)
+    out = np.empty((len(A), n), dtype=np.result_type(A, B))
     for lo in range(0, len(A), rows):
         np.matmul(A[lo:lo + rows], B, out=out[lo:lo + rows])
     return out
@@ -838,18 +838,20 @@ class ModularRankAccumulator:
     input: sparse rows, reduced in blocks of K.  A block's free entries are
     scattered into Y, and pass s adds (p - v) * C[row of the pivot] for the
     s-th pivot entry v of every row that has one, so Y = X[:, free] -
-    X[:, piv] @ C without a product over the zeros of X.  Y is echelonised
-    by a recursive kernel whose updates are products; one more product
-    clears the new pivots from C, whose columns are then compacted out in
-    place.
+    X[:, piv] @ C without a product over the zeros of X.  A recursive
+    kernel echelonises Y and the new pivots are cleared from C, whose
+    columns are then compacted out in place, by one update X <- X + (p -
+    X[:, P]) @ R (`_clear`): past _THREAD_TERMS multiply-adds it drops the
+    zero rows and columns of X[:, P] whenever that halves the product.
 
     Residues in [0, p) are floats for BLAS, of _residue_type(p)'s dtype and
     K (1644 at p = 101, 1 at the largest p, 94,906,249).  a - b*c is done as
     a + (p - b)*c, so every term is nonnegative and below p^2.  Blocks of K
     rows, each reduced against the pivots of the blocks before it, bound
-    the kernel's and the merge's inner dimensions by K; a row's entries go
-    in K-entry slabs, reduced mod p in between.  So the width never enters
-    exactness, and p need only be prime with p^2 < 2^53 (_check_modulus).
+    the kernel's and the merge's inner dimensions by K (skipped zeros only
+    drop terms); a row's entries go in K-entry slabs, reduced mod p in
+    between.  So the width never enters exactness, and p need only be
+    prime with p^2 < 2^53 (_check_modulus).
     Once a block's first rows hold a pivot in every free column, the kernel
     leaves the others unread, since they lie in the span.
     """
@@ -971,7 +973,6 @@ class ModularRankAccumulator:
         with a pivot in every column spans the whole row space, so the
         second half, which can add no pivot, is left as it is.
         """
-        p = self.p
         alive = Y.any(axis=1)
         if not alive.all():
             m = int(alive.sum())
@@ -986,15 +987,12 @@ class ModularRankAccumulator:
             return P1
         Y2 = Y[half:]
         if k1:
-            Y2 += _blas(p - Y2[:, P1], Y[:k1])
-            _mod(Y2, p)
+            self._clear(Y2, Y2[:, P1], Y[:k1])
         P2 = self._rref(Y2)
         k2 = len(P2)
         if k2:
             if k1:
-                R1 = Y[:k1]
-                R1 += _blas(p - R1[:, P2], Y2[:k2])
-                _mod(R1, p)
+                self._clear(Y[:k1], Y[:k1, P2], Y2[:k2])
             Y[k1:k1 + k2] = Y2[:k2]
         return P1 + P2
 
@@ -1035,34 +1033,53 @@ class ModularRankAccumulator:
         keep = np.flatnonzero(keep)
         fk = len(keep)
         N = np.take(R, keep, axis=1)
-        np.subtract(self.p, N, out=N)
         self._clear_and_compact(P, keep, N)
         need = (r + k) * fk
         if self._buf.size != need:
             # realloc: grows or shrinks without a second full-size copy
             self._buf.resize(need, refcheck=False)
-        np.subtract(self.p, N, out=self._buf[r * fk:].reshape(k, fk))
+        self._buf[r * fk:] = N.ravel()
         self._piv = np.concatenate([self._piv, self._free[P]])
         self._free = self._free[keep]
         self._pos[self._free] = np.arange(fk)
         self._pos[self._piv[r:]] = -1 - np.arange(r, r + k)
 
     def _clear_and_compact(self, P, keep, N) -> None:
-        """C <- C[:, keep] - C[:, P] @ R[:, keep] in place, N = p - R[:, keep].
+        """C <- C[:, keep] + (p - C[:, P]) @ N mod p in place, N = R[:, keep],
+        by _clear on chunks of rows, which leaves out the rows and pivots
+        where a chunk's C[:, P] is zero when that halves its product.  A sum
+        is C's residue and at most len(P) <= K terms below p^2.
 
         At the narrower row stride a chunk's destination ends before the
-        next chunk's source starts, so a gathered chunk can be overwritten.
+        next chunk's source starts, and np.take buffers its output, so the
+        chunk it reads can be overwritten.
         """
         r, f, fk = self.rank(), len(self._free), len(keep)
         step = max(1, min(r, _CHUNK // f))
-        G = np.empty((step, len(P)), dtype=self._dtype)
-        T = np.empty((step, fk), dtype=self._dtype)
         for lo in range(0, r, step):
             n = min(step, r - lo)
             old = self._buf[lo * f:(lo + n) * f].reshape(n, f)
-            np.take(old, P, axis=1, out=G[:n])
-            np.take(old, keep, axis=1, out=T[:n])
+            A = old[:, P]
             new = self._buf[lo * fk:(lo + n) * fk].reshape(n, fk)
-            _blas(G[:n], N, out=new)
-            new += T[:n]
-            _mod(new, self.p)
+            np.take(old, keep, axis=1, out=new)
+            self._clear(new, A, N)
+
+    def _clear(self, X: np.ndarray, A: np.ndarray, R: np.ndarray) -> None:
+        """X <- X + (p - A) @ R mod p in place, for a gathered copy A of X's
+        pivot part, which this may overwrite, and the pivots' rows R.  A
+        zero of A adds 0 mod p, so past _THREAD_TERMS multiply-adds only the
+        rows and columns of A with a nonzero go in, _CHUNK elements of X at
+        a time, whenever that at least halves the product."""
+        p, (n, k), m = self.p, A.shape, R.shape[1]
+        if n * k * m > _THREAD_TERMS:
+            rows, cols = (np.flatnonzero(A.any(axis=a)) for a in (1, 0))
+            if 2 * len(rows) * len(cols) <= n * k:
+                R, step = R[cols], max(1, _CHUNK // m)
+                for lo in range(0, len(rows), step):
+                    i = rows[lo:lo + step]
+                    x = _blas(p - A[np.ix_(i, cols)], R)
+                    X[i] = _mod(np.add(x, X[i], out=x), p)
+                return
+        np.subtract(p, A, out=A)
+        X += _blas(A, R)
+        _mod(X, p)

@@ -254,20 +254,30 @@ class Irreducibles:
         c it uses (one lam at a time), then one product per type.  Nothing
         outlives its batch, so rows past a consumer's stop are only checked,
         before the first block: malformed input anywhere raises ValueError.
+        The check builds residues only for a batch with a row not plain.
         """
         p, n = self.p, self._offsets[-1]
 
-        def batches():
-            for lo in range(0, len(V), _BATCH):
-                v = _residues(V[lo:lo + _BATCH], p)
-                if v.ndim != 2 or v.shape[1] != n:
-                    raise ValueError(
-                        f"vectors of shape {v.shape}, expected (k, {n})")
-                yield v
+        def residues(rows):
+            v = _residues(rows, p)
+            if v.ndim != 2 or v.shape[1] != n:
+                raise ValueError(
+                    f"vectors of shape {v.shape}, expected (k, {n})")
+            return v
 
-        for _ in batches():
-            pass
-        for v in batches():
+        def plain(v):
+            # a list of n ints, told without residues: a float, Fraction or
+            # numpy entry would make its sum no int
+            try:
+                return type(v) is list and len(v) == n and type(sum(v)) is int
+            except TypeError:
+                return False
+
+        for lo in range(0, len(V), _BATCH):
+            if not all(map(plain, V[lo:lo + _BATCH])):
+                residues(V[lo:lo + _BATCH])
+        for lo in range(0, len(V), _BATCH):
+            v = residues(V[lo:lo + _BATCH])
             used = np.flatnonzero(v.any(axis=0))
             B = np.zeros((len(v), self.columns.size), dtype=v.dtype)
             for ti, (parts, dst) in enumerate(self._types):

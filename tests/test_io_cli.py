@@ -100,8 +100,9 @@ class TestMatrixFiles:
         assert format_matrix(parse_matrix(text)) == text
 
     def test_golden_file_is_writer_format(self):
-        raw = open(os.path.join(os.path.dirname(golden.__file__),
-                                "data", "expansion_matrix_n2_d4.txt")).read()
+        with open(os.path.join(os.path.dirname(golden.__file__),
+                               "data", "expansion_matrix_n2_d4.txt")) as f:
+            raw = f.read()
         assert format_matrix(parse_matrix(raw)) == raw
 
     @pytest.mark.parametrize("text", ["", "2 2\n1 2", "1 2\n1 2 3", "1 1\nx"])

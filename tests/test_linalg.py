@@ -402,16 +402,13 @@ class TestBlas:
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
         assert len(seen) == calls
-        out = np.full(want.shape, -1, dtype=dtype)
-        assert linalg._blas(A, B, out=out) is out
-        assert np.array_equal(out, want)
 
     def test_products_of_the_engine_use_it(self, monkeypatch):
         # the echelon kernel, the merge and _matmul_mod all reach _blas
         seen = []
         real = linalg._blas
-        monkeypatch.setattr(linalg, "_blas", lambda A, B, out=None:
-                            seen.append(A.ndim) or real(A, B, out))
+        monkeypatch.setattr(linalg, "_blas", lambda A, B:
+                            seen.append(A.ndim) or real(A, B))
         rnd = np.random.default_rng(1)
         acc = ModularRankAccumulator(40, 101)
         add_dense(acc, rnd.integers(0, 101, (10, 40)))
@@ -795,6 +792,78 @@ class TestModularRankAccumulator:
             v = data.draw(st.lists(st.integers(-6, 6), min_size=n, max_size=n))
         grows = rank_mod_p(M + [v], p) > rank_mod_p(M, p)
         assert add_dense(acc, v) == int(grows)
+
+    def test_updates_skip_rows_whose_pivot_part_is_zero(self, monkeypatch):
+        # two disjoint column blocks: the kernel reduces the second block's
+        # rows by the first block's pivots and back, and the second batch
+        # clears pivots of the first block from C, whose rows of the second
+        # block are zero there.  A left factor row of 0 (C[:, P]) or of p
+        # (p - X[:, P]) would be a zero pivot part multiplied for nothing.
+        p, w, r = 101, 200, 150
+        rnd = np.random.default_rng(29)
+        M = np.zeros((2 * r + 20, 2 * w), dtype=np.int64)
+        M[:r, :w] = rnd.integers(0, p, (r, w))
+        M[r:2 * r, w:] = rnd.integers(0, p, (r, w))
+        M[2 * r:, :w] = rnd.integers(0, p, (20, w))
+        real, products, idle = linalg._blas, [], []
+
+        def spy(A, B):
+            L = np.atleast_2d(A)
+            products.append(L.shape)
+            idle.append(int(((L == 0).all(axis=1) |
+                             (L == p).all(axis=1)).sum()))
+            return real(A, B)
+
+        monkeypatch.setattr(linalg, "_blas", spy)
+        acc = ModularRankAccumulator(2 * w, p)
+        assert add_dense(acc, M[:2 * r]) == 2 * r
+        assert add_dense(acc, M[2 * r:]) == 20
+        assert acc.rank() == rank_mod_p(M.tolist(), p)
+        assert not (M @ acc.kernel() % p).any()
+        assert products and sum(idle) == 0
+
+    def test_rows_the_update_skips_stay_exact_at_the_largest_prime(self):
+        # K = 1: each row is its own block, and each merge clears one pivot
+        # from C.  The second block's pivots find C's rows of the first
+        # block zero; the rows the update does multiply must come back as
+        # residues, or the next products pass 2^53
+        p, w, r = 94906249, 12, 8
+        rnd = np.random.default_rng(p)
+        M = np.zeros((2 * r, 2 * w), dtype=np.int64)
+        M[:r, :w] = rnd.integers(0, p, (r, w))
+        M[r:, w:] = rnd.integers(0, p, (r, w))
+        acc = ModularRankAccumulator(2 * w, p)
+        assert add_dense(acc, M) == 2 * r
+        M = M.astype(object)
+        assert add_dense(acc, rnd.integers(1, p, 2 * r) @ M % p) == 0
+        assert not (M @ acc.kernel() % p).any()
+        assert add_dense(acc, rnd.integers(0, p, 2 * w)) == 1
+
+
+class TestModularRankAccumulatorUngated(TestModularRankAccumulator):
+    """The same suite with the size gate of the update products at 0, so
+    that every product whose pivot part is zero on at least half of it
+    multiplies only its nonzero rows and columns."""
+
+    @pytest.fixture(autouse=True, scope="class")
+    def ungated(self):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(linalg, "_THREAD_TERMS", 0)
+            yield
+
+    # Hypothesis refuses one @given method run from two classes (its
+    # differing-executors check), so the property tests wrap their bodies anew
+    @settings(max_examples=60, deadline=None)
+    @given(p=PRIMES, M=int_matrices(), data=st.data())
+    def test_rank_equals_rank_mod_p(self, p, M, data):
+        super().test_rank_equals_rank_mod_p.hypothesis.inner_test(
+            self, p, M, data)
+
+    @settings(max_examples=60, deadline=None)
+    @given(p=PRIMES, M=int_matrices(max_rows=40), data=st.data())
+    def test_adds_nothing_exactly_when_in_span(self, p, M, data):
+        super().test_adds_nothing_exactly_when_in_span.hypothesis.inner_test(
+            self, p, M, data)
 
 
 @st.composite
