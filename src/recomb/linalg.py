@@ -30,22 +30,18 @@ converts integer input of any size to it, and the accumulator and the
 module engine (recomb.symmetric) compute in it and hand it on as it is.
 Rows go in sparse, as (columns, coefficients): the free entries are
 scattered into a block Y and each pivot entry v adds (p - v) times its row
-of C, one pass per entry position across the whole block.  Echelonising
-and merging are matrix products, run by one helper, _blas, which the
-module engine and the LLL Gram product share: a product past the 2^18
-multiply-adds that OpenBLAS keeps on the calling thread goes in row tiles
-within that bound when its right factor has at most 512 columns, so that
-no helper thread wakes to spin beside the caller; every other product goes
-to BLAS whole.  All of it is exact because every subtraction is done as an
-addition of nonnegative terms below p^2 and no sum takes more than K of
-them, where K p^2 + p stays within the dtype's exact integers
-(_residue_type, the one bound, which _gram_residues takes too): a row's
-entries go in slabs of K, reduced mod p in between, and blocks of K rows
-bound the products' inner dimensions, as _matmul_mod bounds its own.  The
-dtype is float32 (below 2^24, K = 1644 at p = 101) while K >= 64, that is
-p <= 509, float64 (below 2^53) for larger primes, up to the largest with
-p^2 < 2^53, where K = 1.  The width never enters exactness.  Reduction mod
-p is floor division by p, exact in that range with no correction step
+of C, one pass per entry position across the whole block.  Every product
+of residues, in the accumulator, the module engine and _gram_residues, is
+one call of _addmul, which keeps its sums exact (K terms at a time, see
+there) and runs each slab by _blas, the one BLAS helper it shares with
+the LLL Gram product: a product past the 2^18 multiply-adds that OpenBLAS
+keeps on the calling thread goes in row tiles within that bound when its
+right factor has at most 512 columns, so that no helper thread wakes to
+spin beside the caller; every other product goes to BLAS whole.  The
+dtype is float32 (K = 1644 at p = 101) while K >= 64, that is p <= 509,
+float64 for larger primes, up to the largest with p^2 < 2^53, where K = 1.
+Neither the width nor the block size enters exactness.  Reduction mod p
+is floor division by p, exact in that range with no correction step
 (_mod).  The echelon kernel stops reading a block once its rows pivot
 every free column: the rest lie in their span.
 """
@@ -517,17 +513,16 @@ def _gram_residues(G, P):
     stack of shape (t, k, k), p broadcast along its first axis: pivot j is
     a_j = d_{j+1} / d_j and row j, once reduced, holds lam_ij / d_j at
     column i > j.  Row j takes the updates of all earlier pivot rows by one
-    matrix-vector product per prime just before it is reduced; each pivot
-    row, divided by its pivot, is kept transposed in the unused lower
-    triangle.  A zero pivot mod p kills p (its inverse becomes 0, so its
-    slab stays in range); the others go on, and the elimination stops early
-    only when none is left.  Returns (R, live): live[s] is False where P[s]
-    met a zero pivot, and row s of the int64 array R holds, for a live
-    P[s], d mod P[s] and then the lower triangle of lam mod P[s] packed row
-    by row.
+    stacked _addmul, a matrix-vector product per prime with the moduli
+    broadcast, as it is reduced; each pivot row, divided by its pivot, is
+    kept transposed in the unused lower triangle.  A zero pivot mod p kills
+    p (its inverse becomes 0, so its column stays in range); the others go
+    on, and the elimination stops early only when none is left.  Returns
+    (R, live): live[s] is False where P[s] met a zero pivot, and row s of
+    the int64 array R holds, for a live P[s], d mod P[s] and then the lower
+    triangle of lam mod P[s] packed row by row.
     """
     t, k = len(P), len(G)
-    terms = _residue_type(int(P.max()))[1]   # the K of every p in P
     A = np.empty((t, k, k))
     for a, p in zip(A, P.tolist()):
         # reduced as integers, G may be big, straight into the stack
@@ -536,13 +531,8 @@ def _gram_residues(G, P):
     live, plist = np.ones(t, dtype=bool), P.tolist()
     for j in range(k):
         row = A[:, j, j:]
-        for lo in range(0, j, terms):
-            if lo:
-                _mod(row, p2)
-            hi = min(lo + terms, j)
-            row += np.matmul(A[:, j:, lo:hi],
-                             (p2 - A[:, lo:hi, j])[:, :, None])[:, :, 0]
-        _mod(row, p2)
+        _addmul(row[:, :, None], A[:, j:, :j],
+                (p2 - A[:, :j, j])[:, :, None], p2[:, None])
         live &= row[:, 0] > 0
         if not live.any():
             return None, live
@@ -719,14 +709,14 @@ def lll_reduce(basis) -> list:
 _BASE_ROWS = 12         # rows the echelon kernel eliminates one at a time
 _CHUNK = 1 << 21        # elements gathered, updated or built per step
 _MOD_BLOCK = 1 << 16    # elements per pass of _mod, small enough for cache
-# Fewest terms per exact sum (K) at which residues are float32.  Batches go
-# in K rows at a time, and at small K the fixed cost of each block swamps
-# the halved bytes: at K = 1 (p = 4093) the degree-9 expansion rank takes
-# 0.85 s in float32 against 0.05 s in float64, and the degree-7 module rank
-# of ternary_recombination 2.6 s against 0.07 s.  At K = 32 (p = 719)
-# float32 still loses (0.043 s against 0.033 s, 0.07-0.09 s against
-# 0.062 s); at K = 64 (p = 509) it wins over float64 at p = 521 (0.028 s
-# against 0.033 s, 0.045 s against 0.054 s; 2 vCPUs, OpenBLAS).
+# Fewest terms per exact sum (K) at which residues are float32.  At small K
+# products go in many short slabs, whose fixed cost swamps the halved bytes:
+# at K = 1 (p = 4093) the degree-9 expansion rank takes 0.040-0.044 s in
+# float32 against 0.017-0.018 s in float64 (0.85 s against 0.05 s while
+# blocks held K rows).  At K = 32 (p = 719) float32 wins (0.012 s against
+# 0.017-0.020 s; it lost while blocks held K rows), as at K = 64 (p = 509)
+# over float64 at p = 521 (0.009-0.012 s against 0.018-0.020 s; warm,
+# minimum of 5 calls, 2 vCPUs, OpenBLAS).
 _FLOAT32_MIN_TERMS = 64
 # Multiply-adds of a matrix product that OpenBLAS keeps on the calling
 # thread whatever the layout.  A larger one may wake a helper thread, which
@@ -742,7 +732,7 @@ _THREAD_TERMS = 1 << 18
 # at (2,6): tiled, `generators -n 2 -d 6` took 2.2-2.7 s of CPU, as with one
 # vector-matrix product per vector, against 4.1-4.3 s with 256 here.  The
 # certify closure's right factors have 13,406 to 15,400 columns over the 1
-# to 126 pivots that their rows use (ModularRankAccumulator._clear), so
+# to 126 pivots that their rows use (_addmul's skip rule), so
 # their tiles would hold 18 rows at most, 8 in the median (seed 0).
 _NARROW = 512
 
@@ -782,7 +772,7 @@ def _blas(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     Any other product is one call: a vector-matrix product, a wide right
     factor, or one that a single row already takes past _THREAD_TERMS.
     """
-    k, n = B.shape
+    k, n = B.shape[-2:]
     rows = _THREAD_TERMS // max(k * n, 1)
     if A.ndim != 2 or n > _NARROW or not rows or len(A) <= rows:
         return np.matmul(A, B)
@@ -792,20 +782,42 @@ def _blas(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return out
 
 
-def _matmul_mod(A: np.ndarray, B: np.ndarray, p: int) -> np.ndarray:
-    """A @ B mod p for residues of _residue_type(p), K terms per sum."""
-    k = _residue_type(p)[1]
-    out = _blas(A[..., :k], B[:k])
-    for a in range(k, A.shape[-1], k):
-        _mod(out, p)
-        out += _blas(A[..., a:a + k], B[a:a + k])
-    return _mod(out, p)
+def _addmul(X: np.ndarray, A: np.ndarray, B: np.ndarray, p) -> np.ndarray:
+    """X <- X + A @ B mod p in place, returning X; every residue product.
+
+    X and B hold residues of _residue_type(p), A entries in [0, p], as a -
+    b*c goes in as a + (p - b)*c: every term is an integer in [0, p^2).  The
+    inner dimension goes K terms at a time, X reduced mod p in between, so
+    no sum passes a residue plus K terms, exact by _residue_type.  p is an
+    int, or moduli along X's leading axes, (t, 1, 1) for a stack of t.  An
+    entry 0 or p of A adds 0 mod p: past _THREAD_TERMS multiply-adds a 2-d
+    product leaves out the rows and columns of A with no other entry when
+    that at least halves it, _CHUNK elements of X at a time.
+    """
+    n = B.shape[-1]
+    if A.ndim == 2 and A.size * n > _THREAD_TERMS:
+        live = (A != 0) & (A != p)
+        rows, cols = (np.flatnonzero(live.any(axis=a)) for a in (1, 0))
+        if 2 * len(rows) * len(cols) <= A.size:
+            B, step = B[cols], max(1, _CHUNK // n)
+            for lo in range(0, len(rows), step):
+                i = rows[lo:lo + step]
+                X[i] = _addmul(X[i], A[np.ix_(i, cols)], B, p)
+            return X
+    k = _residue_type(p if isinstance(p, int) else int(p.max()))[1]
+    for lo in range(0, A.shape[-1], k):
+        if lo:
+            _mod(X, p)
+        a, b = A[..., lo:lo + k], B[..., lo:lo + k, :]
+        # numpy's matmul runs a single term by a slow loop of its own
+        X += _blas(a, b) if a.shape[-1] > 1 else (a * b).reshape(X.shape)
+    return _mod(X, p)
 
 
 def _mod(X: np.ndarray, p) -> np.ndarray:
     """X mod p into [0, p), in place, for a float array or a view of one.
 
-    p is an int, or a (t, 1) array of moduli, one for each row of X.
+    p is an int, or an array of moduli, one for each leading index of X.
     Exact for integers |X| <= 2^24 - p in float32 and |X| <= 2^53 - p in
     float64, by q = floor(X / p) alone: X / p is an integer or lies at
     least 1/p from one, and below 2^m / p half an ulp is less than 1/p, so
@@ -816,8 +828,8 @@ def _mod(X: np.ndarray, p) -> np.ndarray:
     rows = X[None] if X.ndim == 1 else X
     if not rows.size:
         return X
-    step = max(1, _MOD_BLOCK // rows.shape[1])
-    q = np.empty((min(step, len(rows)), rows.shape[1]), dtype=X.dtype)
+    step = max(1, _MOD_BLOCK // rows[0].size)
+    q = np.empty((min(step, len(rows)), *rows.shape[1:]), dtype=X.dtype)
     for lo in range(0, len(rows), step):
         x = rows[lo:lo + step]
         m = p[lo:lo + step] if isinstance(p, np.ndarray) else p
@@ -835,25 +847,22 @@ class ModularRankAccumulator:
     Up to a column permutation the basis is [I | C]: row i is 1 in pivot
     column piv[i], 0 in the other pivot columns and C[i] on the free columns.
     Only C is kept, at most width^2 / 4 residues.  add_rows is the one
-    input: sparse rows, reduced in blocks of K.  A block's free entries are
+    input: sparse rows, reduced in blocks.  A block's free entries are
     scattered into Y, and pass s adds (p - v) * C[row of the pivot] for the
     s-th pivot entry v of every row that has one, so Y = X[:, free] -
     X[:, piv] @ C without a product over the zeros of X.  A recursive
     kernel echelonises Y and the new pivots are cleared from C, whose
-    columns are then compacted out in place, by one update X <- X + (p -
-    X[:, P]) @ R (`_clear`): past _THREAD_TERMS multiply-adds it drops the
-    zero rows and columns of X[:, P] whenever that halves the product.
+    columns are then compacted out in place.  Each of those products is an
+    update X <- X + (p - X[:, P]) @ R by _addmul, which keeps it exact and
+    leaves out the zero rows and columns of X[:, P] where that pays.
 
     Residues in [0, p) are floats for BLAS, of _residue_type(p)'s dtype and
-    K (1644 at p = 101, 1 at the largest p, 94,906,249).  a - b*c is done as
-    a + (p - b)*c, so every term is nonnegative and below p^2.  Blocks of K
-    rows, each reduced against the pivots of the blocks before it, bound
-    the kernel's and the merge's inner dimensions by K (skipped zeros only
-    drop terms); a row's entries go in K-entry slabs, reduced mod p in
-    between.  So the width never enters exactness, and p need only be
-    prime with p^2 < 2^53 (_check_modulus).
-    Once a block's first rows hold a pivot in every free column, the kernel
-    leaves the others unread, since they lie in the span.
+    K (1644 at p = 101, 1 at the largest p, 94,906,249); a row's entries go
+    in K-entry slabs, reduced mod p in between.  So neither the width nor
+    the block size enters exactness, and p need only be prime with p^2 <
+    2^53 (_check_modulus).  Once a block's first rows hold a pivot in every
+    free column, the kernel leaves the others unread, since they lie in the
+    span.
     """
 
     def __init__(self, width: int, p: int):
@@ -898,6 +907,10 @@ class ModularRankAccumulator:
         M goes in as add_rows(np.arange(width), M).  Float residues of the
         accumulator's dtype, integral and in [0, p), go in as they are.
         Column indices outside 0..width-1 raise ValueError.
+
+        Rows go in blocks of K, the size the engine was tuned at, and of at
+        least _BASE_ROWS: exact at any size (_addmul), a block trades its one
+        merge, a pass over all of C, against its rows over the free columns.
         """
         v = np.asarray(coeffs)
         if not (v.dtype == self._dtype and 0 <= v.min(initial=0) and
@@ -907,7 +920,7 @@ class ModularRankAccumulator:
             np.asarray(cols, dtype=np.int64), v))
         if cols.size and not 0 <= cols.min() <= cols.max() < self.width:
             raise ValueError(f"columns must lie in 0..{self.width - 1}")
-        k = self._k
+        k = max(self._k, _BASE_ROWS)
         return sum(self._add(cols[lo:lo + k], coeffs[lo:lo + k])
                    for lo in range(0, len(cols), k))
 
@@ -918,7 +931,7 @@ class ModularRankAccumulator:
         return self._buf[:r * f].reshape(r, f)
 
     def _add(self, cols: np.ndarray, v: np.ndarray) -> int:
-        """Reduce and absorb at most K sparse rows, residues v on cols.
+        """Reduce and absorb one block of sparse rows, residues v on cols.
 
         Each row's nonzero pivot entries go first, and the rows with the
         most of them first, so pass s, which adds (p - v) * C[row of the
@@ -985,14 +998,14 @@ class ModularRankAccumulator:
         k1 = len(P1)
         if k1 == Y.shape[1]:
             return P1
-        Y2 = Y[half:]
+        Y2, p = Y[half:], self.p
         if k1:
-            self._clear(Y2, Y2[:, P1], Y[:k1])
+            _addmul(Y2, p - Y2[:, P1], Y[:k1], p)
         P2 = self._rref(Y2)
         k2 = len(P2)
         if k2:
             if k1:
-                self._clear(Y[:k1], Y[:k1, P2], Y2[:k2])
+                _addmul(Y[:k1], p - Y[:k1, P2], Y2[:k2], p)
             Y[k1:k1 + k2] = Y2[:k2]
         return P1 + P2
 
@@ -1003,22 +1016,18 @@ class ModularRankAccumulator:
         piv: list = []
         for y in Y:
             k = len(piv)
-            if k:
-                a = y[piv]
-                if a.any():
-                    y = _mod(y + _blas(p - a, Y[:k]), p)
-            nz = np.flatnonzero(y)
-            if nz.size == 0:
+            a = y[piv]
+            if a.any():
+                _addmul(y, p - a, Y[:k], p)
+            j = int((y != 0).argmax())
+            if not y[j]:
                 continue
-            j = int(nz[0])
             inv = pow(int(y[j]), -1, p)
             if inv != 1:
                 y = _mod(y * inv, p)
-            if k:
-                a = Y[:k, j]
-                if a.any():
-                    Y[:k] += np.outer(p - a, y)
-                    _mod(Y[:k], p)
+            i = np.flatnonzero(Y[:k, j])
+            if i.size:
+                Y[i] = _addmul(Y[i], p - Y[i, j, None], y[None], p)
             Y[k] = y
             piv.append(j)
             if len(piv) == len(y):
@@ -1033,7 +1042,17 @@ class ModularRankAccumulator:
         keep = np.flatnonzero(keep)
         fk = len(keep)
         N = np.take(R, keep, axis=1)
-        self._clear_and_compact(P, keep, N)
+        # C <- C[:, keep] + (p - C[:, P]) @ N by chunks of rows, compacted in
+        # place: a chunk's destination ends before the next chunk's source,
+        # and np.take buffers its output, so it may overwrite what it reads
+        step = max(1, min(r, _CHUNK // f))
+        for lo in range(0, r, step):
+            n = min(step, r - lo)
+            old = self._buf[lo * f:(lo + n) * f].reshape(n, f)
+            A = self.p - old[:, P]
+            new = self._buf[lo * fk:(lo + n) * fk].reshape(n, fk)
+            np.take(old, keep, axis=1, out=new)
+            _addmul(new, A, N, self.p)
         need = (r + k) * fk
         if self._buf.size != need:
             # realloc: grows or shrinks without a second full-size copy
@@ -1043,43 +1062,3 @@ class ModularRankAccumulator:
         self._free = self._free[keep]
         self._pos[self._free] = np.arange(fk)
         self._pos[self._piv[r:]] = -1 - np.arange(r, r + k)
-
-    def _clear_and_compact(self, P, keep, N) -> None:
-        """C <- C[:, keep] + (p - C[:, P]) @ N mod p in place, N = R[:, keep],
-        by _clear on chunks of rows, which leaves out the rows and pivots
-        where a chunk's C[:, P] is zero when that halves its product.  A sum
-        is C's residue and at most len(P) <= K terms below p^2.
-
-        At the narrower row stride a chunk's destination ends before the
-        next chunk's source starts, and np.take buffers its output, so the
-        chunk it reads can be overwritten.
-        """
-        r, f, fk = self.rank(), len(self._free), len(keep)
-        step = max(1, min(r, _CHUNK // f))
-        for lo in range(0, r, step):
-            n = min(step, r - lo)
-            old = self._buf[lo * f:(lo + n) * f].reshape(n, f)
-            A = old[:, P]
-            new = self._buf[lo * fk:(lo + n) * fk].reshape(n, fk)
-            np.take(old, keep, axis=1, out=new)
-            self._clear(new, A, N)
-
-    def _clear(self, X: np.ndarray, A: np.ndarray, R: np.ndarray) -> None:
-        """X <- X + (p - A) @ R mod p in place, for a gathered copy A of X's
-        pivot part, which this may overwrite, and the pivots' rows R.  A
-        zero of A adds 0 mod p, so past _THREAD_TERMS multiply-adds only the
-        rows and columns of A with a nonzero go in, _CHUNK elements of X at
-        a time, whenever that at least halves the product."""
-        p, (n, k), m = self.p, A.shape, R.shape[1]
-        if n * k * m > _THREAD_TERMS:
-            rows, cols = (np.flatnonzero(A.any(axis=a)) for a in (1, 0))
-            if 2 * len(rows) * len(cols) <= n * k:
-                R, step = R[cols], max(1, _CHUNK // m)
-                for lo in range(0, len(rows), step):
-                    i = rows[lo:lo + step]
-                    x = _blas(p - A[np.ix_(i, cols)], R)
-                    X[i] = _mod(np.add(x, X[i], out=x), p)
-                return
-        np.subtract(p, A, out=A)
-        X += _blas(A, R)
-        _mod(X, p)

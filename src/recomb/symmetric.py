@@ -30,7 +30,7 @@ applies it to the P_T of all sigmas, stacked (N, d_lam, M_T), and
 broadcasts it over the M_T columns.
 
 Residues are linalg._residues' floats (linalg._residue_type), reduced by
-linalg._mod and multiplied by linalg._matmul_mod.  An `_act` step sums two
+linalg._mod and multiplied by linalg._addmul.  An `_act` step sums two
 products, so it needs K >= 2 or one more reduction (float64, p > ~2^26).
 """
 
@@ -40,8 +40,8 @@ from itertools import accumulate
 
 import numpy as np
 
-from .linalg import (ModularRankAccumulator, _matmul_mod, _mod,
-                     _residue_type, _residues)
+from .linalg import (ModularRankAccumulator, _addmul, _mod, _residue_type,
+                     _residues)
 from .monomials import _sort_plan, row_codes, shape_degree
 
 # Vectors whose block rows `Irreducibles.blocks` computes by one product per
@@ -288,7 +288,8 @@ class Irreducibles:
                                     np.tile(P, (len(cols), 1, 1)),
                                     p).reshape(len(cols), P.size)
                                for table, P in parts])
-                B[:, dst] = _matmul_mod(v[:, cols], X, p)
+                B[:, dst] = _addmul(np.zeros((len(v), X.shape[1]), v.dtype),
+                                    v[:, cols], X, p)
             yield from B.reshape(len(v), *self.columns.shape)
 
     def dimension(self, acc: ModularRankAccumulator) -> int:

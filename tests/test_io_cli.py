@@ -560,15 +560,16 @@ def test_every_module_constant_is_read():
 
 
 def test_engine_products_go_through_the_one_helper():
-    # every float product of the mod-p engine is a linalg._blas call, which
-    # keeps the narrow ones on the calling thread; no module sets a BLAS
-    # thread count behind its back
+    # every float product of the mod-p engine is a linalg._addmul call,
+    # which keeps its sums exact, and only _addmul and the Gram product
+    # call linalg._blas, which keeps the narrow ones on the calling thread;
+    # no module sets a BLAS thread count behind its back
     package = Path(__file__).resolve().parent.parent / "src" / "recomb"
     linalg_tree = ast.parse((package / "linalg.py").read_text())
     scopes = [node for node in linalg_tree.body
               if getattr(node, "name", None) in ("ModularRankAccumulator",
-                                                 "_matmul_mod")]
-    assert len(scopes) == 2
+                                                 "_addmul", "_gram_residues")]
+    assert len(scopes) == 3
     scopes.append(ast.parse((package / "symmetric.py").read_text()))
     products = [f"line {node.lineno}"
                 for scope in scopes for node in ast.walk(scope)
@@ -577,6 +578,15 @@ def test_engine_products_go_through_the_one_helper():
                 or isinstance(node, ast.Attribute)
                 and node.attr in ("matmul", "dot")]
     assert products == []
+    callers = {f"{path.name}: {scope.name}"
+               for path in sorted(package.glob("*.py"))
+               for scope in ast.walk(ast.parse(path.read_text()))
+               if isinstance(scope, ast.FunctionDef)
+               for node in ast.walk(scope)
+               if isinstance(node, ast.Call)
+               and getattr(node.func, "id", getattr(node.func, "attr", None))
+               == "_blas"}
+    assert callers == {"linalg.py: _addmul", "linalg.py: _gram"}
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
         for word in ("OPENBLAS", "os.environ", "ctypes"):

@@ -404,7 +404,7 @@ class TestBlas:
         assert len(seen) == calls
 
     def test_products_of_the_engine_use_it(self, monkeypatch):
-        # the echelon kernel, the merge and _matmul_mod all reach _blas
+        # the echelon kernel, the merge and _addmul all reach _blas
         seen = []
         real = linalg._blas
         monkeypatch.setattr(linalg, "_blas", lambda A, B:
@@ -417,10 +417,80 @@ class TestBlas:
         assert 1 in seen and 2 in seen
         A, B = rnd.integers(0, 101, (3, 2000)), rnd.integers(0, 101, (2000, 4))
         del seen[:]
-        got = linalg._matmul_mod(A.astype(np.float32), B.astype(np.float32),
-                                 101)
+        got = linalg._addmul(np.zeros((3, 4), np.float32),
+                             A.astype(np.float32), B.astype(np.float32), 101)
         assert np.array_equal(got, A @ B % 101)
         assert len(seen) == 2           # K = 1644 terms per sum
+
+
+def addmul_ref(X, A, B, P):
+    """(X + A @ B) mod P in Python ints; P broadcasts as in _addmul."""
+    X, A, B = (np.asarray(M).astype(np.int64).astype(object)
+               for M in (X, A, B))
+    return (X + A @ B) % np.asarray(P, dtype=object)
+
+
+class TestAddmul:
+    """X + A @ B mod p, against Python ints, in every shape it is called in.
+
+    X and B hold residues in [p - 9, p) and A entries p - r in [p - 8, p],
+    p where the residue r is 0.  At p = 94,906,249 (float64, K = 1) a
+    residue plus two such terms passes 2^53; at p = 101 (float32, K = 1644)
+    the 4000-term sums pass 2^24 more than twice over.  So a sum that takes
+    more than K terms, or a slab left unreduced, rounds.
+    """
+
+    @staticmethod
+    def operands(P, shapes, seed):
+        rnd = np.random.default_rng(seed)
+        X, R, B = (rnd.integers(0, 9, s) for s in shapes)
+        dtype = linalg._residue_type(int(np.max(P)))[0]
+        return [M.astype(dtype)
+                for M in ((P - 1 - X) % P, P - R % P, (P - 1 - B) % P)]
+
+    @pytest.mark.parametrize("p", [101, 94906249])
+    @pytest.mark.parametrize("shapes", [
+        [(5, 7), (5, 4000), (4000, 7)],     # a matrix product
+        [(9,), (4000,), (4000, 9)],         # a row, as the base case has it
+        [(12, 30), (12, 1), (1, 30)],       # the back-substitution's outer
+    ])
+    def test_product(self, p, shapes):
+        X, A, B = self.operands(p, shapes, p + len(shapes[0]))
+        want = addmul_ref(X, A, B, p)
+        assert linalg._addmul(X, A, B, p) is X
+        assert (X == want).all()
+
+    @pytest.mark.parametrize("p", [101, 94906249])
+    def test_matrix_that_leaves_out_rows_and_columns_at_0_or_p(
+            self, monkeypatch, p):
+        # past _THREAD_TERMS only the 12 x 1800 block of A with entries
+        # other than 0 and p goes in, 4 rows at a time by _CHUNK, each
+        # chunk with every sum cut at K terms
+        monkeypatch.setattr(linalg, "_THREAD_TERMS", 0)
+        monkeypatch.setattr(linalg, "_CHUNK", 4 * 7)
+        X, A, B = self.operands(p, [(20, 7), (20, 4000), (4000, 7)], p + 1)
+        rnd = np.random.default_rng(p)
+        A[A == p] = p - 1
+        A[rnd.permutation(20)[:8]] = rnd.choice([0, p], (8, 4000))
+        A[:, rnd.permutation(4000)[:2200]] = rnd.choice([0, p], (20, 2200))
+        seen, real = [], linalg._addmul
+        monkeypatch.setattr(linalg, "_addmul", lambda X, A, B, p:
+                            seen.append(A.shape) or real(X, A, B, p))
+        want = addmul_ref(X, A, B, p)
+        assert linalg._addmul(X, A, B, p) is X
+        assert (X == want).all()
+        assert seen == [(20, 4000)] + [(4, 1800)] * 3
+
+    @pytest.mark.parametrize("p", [101, 94906249])
+    def test_stack_with_one_modulus_per_matrix(self, p):
+        # the form of _gram_residues: (t, n, j) @ (t, j, 1) with moduli of
+        # shape (t, 1, 1), each matrix of the stack reduced by its own
+        P = np.array([p, p - 2, 97, 7])[:, None, None]
+        X, A, B = self.operands(P, [(4, 6, 1), (4, 6, 4000), (4, 4000, 1)],
+                                p + 4)
+        want = addmul_ref(X, A, B, P)
+        linalg._addmul(X, A, B, P.astype(X.dtype))
+        assert (X == want).all()
 
 
 class TestResidues:
@@ -707,8 +777,8 @@ class TestModularRankAccumulator:
     def test_exact_at_the_largest_prime_past_any_width(self, sparse):
         # Subtractions are done as a + (p - b) * c with p - b up to p, so a
         # term reaches p^2 - p.  At the largest prime with p^2 < 2^53, K = 1:
-        # rows go in one at a time and entries one per slab, so the ranks
-        # stay exact at widths where p^2 * width passes 2^53 many times over
+        # every sum takes one term, entries one per slab, so the ranks stay
+        # exact at widths where p^2 * width passes 2^53 many times over
         p = 94906249
         top = math.isqrt(2 ** 53 - 1)      # largest integer with top^2 < 2^53
         assert [q for q in range(p, top + 1) if linalg._is_prime(q)] == [p]
@@ -727,6 +797,31 @@ class TestModularRankAccumulator:
                 add_dense(acc, rows)
             assert acc.rank() == rank_mod_p(rows, p)
             assert not (np.array(rows, dtype=object) @ acc.kernel() % p).any()
+
+    def test_blocks_past_k_rows_stay_exact_at_the_largest_prime(
+            self, monkeypatch):
+        # K = 1, yet rows go in blocks of _BASE_ROWS: the kernel's base case
+        # reduces a row by up to 11 pivots and back-substitutes into up to
+        # 11 rows, and the merge clears up to 12 pivots from C, over dense
+        # random residues, where two terms pass 2^53 in about 7% of sums.
+        # Exact only if every sum takes one term
+        p, w, r = 94906249, 40, 24
+        rnd = random.Random(w)
+        M = [[rnd.randrange(p) for _ in range(w)] for _ in range(r)]
+        M += [[sum(c * x for c, x in zip(cs, col)) % p for col in zip(*M)]
+              for cs in ([rnd.randrange(p) for _ in range(r)]
+                         for _ in range(12))]
+        rnd.shuffle(M)
+        blocks, add = [], ModularRankAccumulator._add
+        monkeypatch.setattr(ModularRankAccumulator, "_add", lambda self, c, v:
+                            blocks.append(len(v)) or add(self, c, v))
+        acc = ModularRankAccumulator(w, p)
+        assert acc._k == 1
+        assert add_dense(acc, M) == acc.rank() == rank_mod_p(M, p) == r
+        assert blocks == [12, 12, 12]
+        kernel = acc.kernel()
+        assert kernel.shape == (w, w - r)
+        assert not (np.array(M, dtype=object) @ kernel % p).any()
 
     @pytest.mark.parametrize("sparse", [False, True])
     @pytest.mark.parametrize("seeded", [False, True])

@@ -274,9 +274,9 @@ class TestIrreducibles:
         assert len(V) == 245 > 3 * symmetric._BATCH
         one = [B.copy() for v in V for B in irr.blocks([v])]
         calls = []
-        real = symmetric._matmul_mod
-        monkeypatch.setattr(symmetric, "_matmul_mod", lambda A, X, p:
-                            calls.append(len(A)) or real(A, X, p))
+        real = symmetric._addmul
+        monkeypatch.setattr(symmetric, "_addmul", lambda Z, A, X, p:
+                            calls.append(len(A)) or real(Z, A, X, p))
         got = list(irr.blocks(V))
         assert len(got) == len(one) == 245
         assert all(np.array_equal(a, b) for a, b in zip(got, one))
